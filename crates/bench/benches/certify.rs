@@ -9,10 +9,9 @@
 //!   derivative re-match per munch boundary), and the full post-hoc
 //!   re-validation pass it replaced;
 //! * LR parsing (Dyck, 1 Ki / 64 Ki / 1 Mi symbols): bare recognition,
-//!   uncertified tree building (the cost floor of materializing the
-//!   derivation witness at all), tree building with per-reduction
-//!   certification, and tree building finished with the whole-tree
-//!   `validate`.
+//!   the certified parse (reduction log with per-step certification),
+//!   and the blind parse finished by materializing the tree and running
+//!   the whole-tree `validate`.
 //!
 //! Timing is hand-rolled (median of five samples) rather than Criterion
 //! so the binary can write one flat JSON file without a report
@@ -100,24 +99,20 @@ fn lr_section() -> Vec<String> {
     for n in [1usize << 10, 1 << 16, 1 << 20] {
         let w = random_dyck(n / 2, n as u64);
         let recognize = time(|| parser.recognizes(&w));
-        let unchecked = time(|| parser.parse_unchecked(&w).is_accept());
         let incremental = time(|| parser.parse(&w).unwrap().is_accept());
         let full = time(|| parser.parse_full(&w).unwrap().is_accept());
         eprintln!(
-            "lr  {n:>7} sym: recognize {recognize:.3e}s  parse {unchecked:.3e}s  \
-             parse+cert {incremental:.3e}s ({:.2}x of parse, {:.2}x of recognize)  \
+            "lr  {n:>7} sym: recognize {recognize:.3e}s  \
+             parse+cert {incremental:.3e}s ({:.2}x of recognize)  \
              parse+full {full:.3e}s ({:.2}x of recognize)",
-            incremental / unchecked,
             incremental / recognize,
             full / recognize
         );
         rows.push(row(&[
             ("symbols", n as f64),
             ("recognize_s", recognize),
-            ("parse_unchecked_s", unchecked),
             ("parse_incremental_s", incremental),
             ("parse_full_s", full),
-            ("incremental_over_unchecked", incremental / unchecked),
             ("incremental_over_recognize", incremental / recognize),
             ("full_over_recognize", full / recognize),
         ]));

@@ -71,6 +71,22 @@ impl ParseTree {
         ParseTree::Roll(Box::new(tree))
     }
 
+    /// Splits an injection `σ index t` into `(index, t)`; any other tree
+    /// comes back unchanged as the error. (`ParseTree` implements
+    /// [`Drop`], so a plain `match` cannot move its fields out.)
+    ///
+    /// # Errors
+    ///
+    /// The tree itself, when it is not an [`ParseTree::Inj`].
+    pub fn into_inj(mut self) -> Result<(usize, ParseTree), ParseTree> {
+        match &mut self {
+            ParseTree::Inj { index, tree } => {
+                Ok((*index, std::mem::replace(&mut **tree, ParseTree::Unit)))
+            }
+            _ => Err(self),
+        }
+    }
+
     /// The yield of the tree: the string it is a parse of.
     ///
     /// For a [`ParseTree::Tuple`] the yield of the first component is
@@ -81,38 +97,88 @@ impl ParseTree {
     /// Panics on an empty `Tuple`, which is never produced by this crate
     /// (the empty conjunction is [`ParseTree::Top`]).
     pub fn flatten(&self) -> GString {
+        // An explicit stack, right child pushed first: yields can be as
+        // deep as the input is long (left-recursive lists, nesting).
         let mut out = GString::new();
-        self.flatten_into(&mut out);
-        out
-    }
-
-    fn flatten_into(&self, out: &mut GString) {
-        match self {
-            ParseTree::Char(s) => out.push(*s),
-            ParseTree::Unit => {}
-            ParseTree::Pair(l, r) => {
-                l.flatten_into(out);
-                r.flatten_into(out);
+        let mut stack = vec![self];
+        while let Some(t) = stack.pop() {
+            match t {
+                ParseTree::Char(s) => out.push(*s),
+                ParseTree::Unit => {}
+                ParseTree::Pair(l, r) => {
+                    stack.push(r);
+                    stack.push(l);
+                }
+                ParseTree::Inj { tree, .. } | ParseTree::Roll(tree) => stack.push(tree),
+                ParseTree::Tuple(ts) => stack.push(
+                    ts.first()
+                        .expect("empty Tuple has no well-defined yield; use Top"),
+                ),
+                ParseTree::Top(w) => out.extend(w.iter()),
             }
-            ParseTree::Inj { tree, .. } => tree.flatten_into(out),
-            ParseTree::Tuple(ts) => ts
-                .first()
-                .expect("empty Tuple has no well-defined yield; use Top")
-                .flatten_into(out),
-            ParseTree::Top(w) => out.extend(w.iter()),
-            ParseTree::Roll(t) => t.flatten_into(out),
         }
+        out
     }
 
     /// Number of constructors in the tree (a size measure used by tests
     /// and benchmarks).
     pub fn size(&self) -> usize {
+        let mut n = 0;
+        let mut stack = vec![self];
+        while let Some(t) = stack.pop() {
+            n += 1;
+            match t {
+                ParseTree::Char(_) | ParseTree::Unit | ParseTree::Top(_) => {}
+                ParseTree::Pair(l, r) => {
+                    stack.push(l);
+                    stack.push(r);
+                }
+                ParseTree::Inj { tree, .. } | ParseTree::Roll(tree) => stack.push(tree),
+                ParseTree::Tuple(ts) => stack.extend(ts),
+            }
+        }
+        n
+    }
+
+    /// Moves every child that has children of its own onto `out`,
+    /// leaving `Unit` in its place — the step of the iterative [`Drop`].
+    fn detach_children(&mut self, out: &mut Vec<ParseTree>) {
+        let mut take = |c: &mut ParseTree| {
+            if c.has_children() {
+                out.push(std::mem::replace(c, ParseTree::Unit));
+            }
+        };
         match self {
-            ParseTree::Char(_) | ParseTree::Unit | ParseTree::Top(_) => 1,
-            ParseTree::Pair(l, r) => 1 + l.size() + r.size(),
-            ParseTree::Inj { tree, .. } => 1 + tree.size(),
-            ParseTree::Tuple(ts) => 1 + ts.iter().map(ParseTree::size).sum::<usize>(),
-            ParseTree::Roll(t) => 1 + t.size(),
+            ParseTree::Pair(l, r) => {
+                take(l);
+                take(r);
+            }
+            ParseTree::Inj { tree, .. } | ParseTree::Roll(tree) => take(tree),
+            ParseTree::Tuple(ts) => ts.iter_mut().for_each(take),
+            ParseTree::Char(_) | ParseTree::Unit | ParseTree::Top(_) => {}
+        }
+    }
+
+    fn has_children(&self) -> bool {
+        match self {
+            ParseTree::Char(_) | ParseTree::Unit | ParseTree::Top(_) => false,
+            ParseTree::Tuple(ts) => !ts.is_empty(),
+            ParseTree::Pair(..) | ParseTree::Inj { .. } | ParseTree::Roll(_) => true,
+        }
+    }
+}
+
+/// Dropping is iterative: a tree as deep as its input (a 10⁶-element
+/// left-recursive list) would otherwise overflow the stack in the
+/// compiler-generated recursive drop. Every node is detached from its
+/// parent before it is dropped, so no drop ever recurses more than one
+/// level, and leaf-only nodes never touch the work stack.
+impl Drop for ParseTree {
+    fn drop(&mut self) {
+        let mut stack = Vec::new();
+        self.detach_children(&mut stack);
+        while let Some(mut t) = stack.pop() {
+            t.detach_children(&mut stack);
         }
     }
 }
@@ -138,6 +204,253 @@ impl fmt::Display for ParseTree {
             ParseTree::Roll(t) => write!(f, "roll {t}"),
         }
     }
+}
+
+/// One entry of a [`ReductionLog`]: a fixed-size step of a postorder
+/// derivation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LogEntry {
+    /// A leaf: the tree `'c'` for the shifted symbol `c`.
+    Shift(Symbol),
+    /// Closes the `arity` most recent complete subtrees `c₁ … cₙ` into
+    /// `roll (σ_alt (c₁ ⊗ (c₂ ⊗ (… ⊗ cₙ))))` — `roll (σ_alt ())` when
+    /// `arity` is 0: one production of a μ-regular grammar system, in
+    /// exactly the shape `Cfg::derivation` builds.
+    Reduce {
+        /// Which alternative of the nonterminal was taken.
+        alt: u32,
+        /// How many subtrees the production's right-hand side closes.
+        arity: u32,
+    },
+}
+
+/// Renders like the node it closes: `'c'` for a shift, `roll σi ⟨n⟩`
+/// for a reduction over `n` children.
+impl fmt::Display for LogEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LogEntry::Shift(s) => write!(f, "'{}'", s.index()),
+            LogEntry::Reduce { alt, arity } => write!(f, "roll σ{alt} ⟨{arity}⟩"),
+        }
+    }
+}
+
+/// A derivation as the postorder sequence of its shifts and reductions —
+/// the representation an LR run produces, flat and pointer-free.
+///
+/// Every entry is a [`LogEntry`]; a log is a sequence of complete trees
+/// (its *roots*, [`ReductionLog::roots`]), usually exactly one. Children
+/// are implicit from order and arity, so the log is one `Vec`: no node
+/// is boxed, dropping it is one free, and every traversal is a loop.
+/// [`ReductionLog::size`] and [`ReductionLog::yield_len`] are maintained
+/// as entries are pushed and answer in O(1) what
+/// [`ParseTree::size`] and `flatten().len()` of the materialized tree
+/// would.
+///
+/// The paper-level view is one call away: [`ReductionLog::to_parse_tree`]
+/// materializes the μ-regular [`ParseTree`] (Definition 5.1), and
+/// [`ReductionLog::from_parse_tree`] reads a derivation tree back.
+///
+/// # Examples
+///
+/// ```
+/// use lambek_core::alphabet::Alphabet;
+/// use lambek_core::grammar::parse_tree::{ParseTree, ReductionLog};
+///
+/// let a = Alphabet::abc().symbol("a").unwrap();
+/// // roll (σ1 ('a' ⊗ roll (σ0 ()))): `a` followed by an empty list.
+/// let mut log = ReductionLog::new();
+/// log.shift(a);
+/// log.reduce(0, 0);
+/// log.reduce(1, 2);
+/// let tree = log.to_parse_tree();
+/// assert_eq!((log.size(), log.yield_len()), (tree.size(), tree.flatten().len()));
+/// assert_eq!(ReductionLog::from_parse_tree(&tree), Some(log));
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct ReductionLog {
+    entries: Vec<LogEntry>,
+    /// Constructors of the materialized forest.
+    size: usize,
+    /// Shift entries: the length of the yield.
+    yield_len: usize,
+    /// Complete trees the entries so far form.
+    roots: usize,
+}
+
+impl ReductionLog {
+    /// The empty log.
+    pub fn new() -> ReductionLog {
+        ReductionLog::default()
+    }
+
+    /// An empty log with room for `n` entries (an LR run over `k`
+    /// symbols records `k` shifts and at most a constant factor more
+    /// reductions).
+    pub fn with_capacity(n: usize) -> ReductionLog {
+        ReductionLog {
+            entries: Vec::with_capacity(n),
+            ..ReductionLog::default()
+        }
+    }
+
+    /// Records a leaf `'sym'`.
+    #[inline]
+    pub fn shift(&mut self, sym: Symbol) {
+        self.entries.push(LogEntry::Shift(sym));
+        self.size += 1;
+        self.yield_len += 1;
+        self.roots += 1;
+    }
+
+    /// Records a reduction closing the `arity` most recent roots.
+    ///
+    /// # Panics
+    ///
+    /// If fewer than `arity` roots are open.
+    #[inline]
+    pub fn reduce(&mut self, alt: u32, arity: u32) {
+        let k = arity as usize;
+        assert!(
+            k <= self.roots,
+            "reduction of arity {k} over {} roots",
+            self.roots
+        );
+        self.entries.push(LogEntry::Reduce { alt, arity });
+        self.size += reduce_nodes(k);
+        self.roots = self.roots - k + 1;
+    }
+
+    /// The entries, in postorder.
+    pub fn entries(&self) -> &[LogEntry] {
+        &self.entries
+    }
+
+    /// Number of complete trees the log holds (1 for a finished parse;
+    /// one per stack slot for an LR run in progress).
+    pub fn roots(&self) -> usize {
+        self.roots
+    }
+
+    /// Constructor count of the materialized forest — equal to the sum
+    /// of [`ParseTree::size`] over [`ReductionLog::to_parse_trees`], in
+    /// O(1).
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Length of the yield — equal to the total `flatten().len()` of the
+    /// materialized forest, in O(1).
+    pub fn yield_len(&self) -> usize {
+        self.yield_len
+    }
+
+    /// Appends another log's entries after this one's (its roots follow
+    /// this log's roots).
+    pub fn append(&mut self, other: &ReductionLog) {
+        self.entries.extend_from_slice(&other.entries);
+        self.size += other.size;
+        self.yield_len += other.yield_len;
+        self.roots += other.roots;
+    }
+
+    /// Materializes every root, in order — iteratively, so a log as
+    /// deep as its input never touches the call stack.
+    pub fn to_parse_trees(&self) -> Vec<ParseTree> {
+        let mut stack: Vec<ParseTree> = Vec::with_capacity(self.roots);
+        for entry in &self.entries {
+            match *entry {
+                LogEntry::Shift(s) => stack.push(ParseTree::Char(s)),
+                LogEntry::Reduce { alt, arity } => {
+                    // The right-nested tensor of the closed children,
+                    // `Unit` for an empty right-hand side.
+                    let body = if arity == 0 {
+                        ParseTree::Unit
+                    } else {
+                        let mut acc = stack.pop().expect("arity checked at push");
+                        for _ in 1..arity {
+                            let t = stack.pop().expect("arity checked at push");
+                            acc = ParseTree::pair(t, acc);
+                        }
+                        acc
+                    };
+                    stack.push(ParseTree::roll(ParseTree::inj(alt as usize, body)));
+                }
+            }
+        }
+        stack
+    }
+
+    /// Materializes the log's one tree: the μ-regular parse tree the
+    /// run derived.
+    ///
+    /// # Panics
+    ///
+    /// If the log does not hold exactly one tree (`roots() != 1`).
+    pub fn to_parse_tree(&self) -> ParseTree {
+        assert_eq!(
+            self.roots, 1,
+            "a parse tree needs a log with exactly one root"
+        );
+        self.to_parse_trees().pop().expect("one root")
+    }
+
+    /// Reads a derivation tree back into its log: the inverse of
+    /// [`ReductionLog::to_parse_tree`]. Iterative, like the other
+    /// direction.
+    ///
+    /// Returns `None` when the tree is not a derivation — when some node
+    /// is neither a leaf `'c'` nor `roll (σ_i body)` whose body is `()`,
+    /// one child, or a right-nested `⊗` of children that are themselves
+    /// leaves or `roll`s.
+    pub fn from_parse_tree(tree: &ParseTree) -> Option<ReductionLog> {
+        enum Work<'t> {
+            Visit(&'t ParseTree),
+            Close { alt: u32, arity: u32 },
+        }
+        let mut log = ReductionLog::new();
+        let mut work = vec![Work::Visit(tree)];
+        let mut children: Vec<&ParseTree> = Vec::new();
+        while let Some(w) = work.pop() {
+            match w {
+                Work::Close { alt, arity } => log.reduce(alt, arity),
+                Work::Visit(ParseTree::Char(s)) => log.shift(*s),
+                Work::Visit(ParseTree::Roll(inner)) => {
+                    let ParseTree::Inj { index, tree: body } = &**inner else {
+                        return None;
+                    };
+                    children.clear();
+                    let mut spine: &ParseTree = body;
+                    if !matches!(spine, ParseTree::Unit) {
+                        while let ParseTree::Pair(l, r) = spine {
+                            children.push(l);
+                            spine = r;
+                        }
+                        children.push(spine);
+                    }
+                    if children
+                        .iter()
+                        .any(|c| !matches!(c, ParseTree::Char(_) | ParseTree::Roll(_)))
+                    {
+                        return None;
+                    }
+                    work.push(Work::Close {
+                        alt: u32::try_from(*index).ok()?,
+                        arity: u32::try_from(children.len()).ok()?,
+                    });
+                    work.extend(children.iter().rev().map(|c| Work::Visit(c)));
+                }
+                Work::Visit(_) => return None,
+            }
+        }
+        Some(log)
+    }
+}
+
+/// Constructors one `Reduce` of `arity` contributes: `roll`, `σ`, and
+/// the `⊗` spine (or `()` when nothing is closed).
+fn reduce_nodes(arity: usize) -> usize {
+    2 + arity.saturating_sub(1).max(usize::from(arity == 0))
 }
 
 /// Why a parse tree failed to validate against a grammar.
@@ -403,5 +716,126 @@ mod tests {
     fn size_counts_constructors() {
         let t = ParseTree::pair(ParseTree::Unit, ParseTree::inj(0, ParseTree::Unit));
         assert_eq!(t.size(), 4);
+    }
+
+    /// Runs `f` on a thread with a 256 KiB stack: far too small for any
+    /// traversal that recurses once per level of a 10⁶-deep tree.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+    }
+
+    const DEEP: usize = 1_000_000;
+
+    #[test]
+    fn million_deep_trees_build_size_flatten_and_drop_iteratively() {
+        on_small_stack(|| {
+            let (_, a, b, _) = setup();
+            // Left-nested, like a left-recursive list: ((a, b), b), …
+            let mut left = ParseTree::Char(a);
+            // Right-nested under unary nodes: roll σ0 (a, roll σ0 (a, …)).
+            let mut right = ParseTree::Unit;
+            for _ in 0..DEEP {
+                left = ParseTree::pair(left, ParseTree::Char(b));
+                right = ParseTree::roll(ParseTree::inj(
+                    0,
+                    ParseTree::pair(ParseTree::Char(a), right),
+                ));
+            }
+            assert_eq!(left.size(), 2 * DEEP + 1);
+            assert_eq!(right.size(), 4 * DEEP + 1);
+            let ly = left.flatten();
+            assert_eq!((ly.len(), ly[0], ly[DEEP]), (DEEP + 1, a, b));
+            assert_eq!(right.flatten().len(), DEEP);
+            drop(left);
+            drop(right);
+        });
+    }
+
+    #[test]
+    fn million_deep_logs_round_trip_through_trees() {
+        on_small_stack(|| {
+            let (_, a, ..) = setup();
+            // X ::= ε | 'a' X, right-recursive: a million nested rolls.
+            let mut right = ReductionLog::with_capacity(2 * DEEP + 1);
+            for _ in 0..DEEP {
+                right.shift(a);
+            }
+            right.reduce(0, 0);
+            for _ in 0..DEEP {
+                right.reduce(1, 2);
+            }
+            // X ::= 'a' | X 'a', left-recursive.
+            let mut left = ReductionLog::new();
+            left.shift(a);
+            left.reduce(0, 1);
+            for _ in 1..DEEP {
+                left.shift(a);
+                left.reduce(1, 2);
+            }
+            for log in [right, left] {
+                let tree = log.to_parse_tree();
+                assert_eq!(tree.size(), log.size());
+                assert_eq!(tree.flatten().len(), log.yield_len());
+                assert_eq!(log.yield_len(), DEEP);
+                assert_eq!(ReductionLog::from_parse_tree(&tree).as_ref(), Some(&log));
+            }
+        });
+    }
+
+    #[test]
+    fn log_counters_match_the_materialized_forest() {
+        let (_, a, b, _) = setup();
+        let mut log = ReductionLog::new();
+        log.shift(a);
+        log.reduce(3, 0);
+        log.shift(b);
+        assert_eq!(log.roots(), 3);
+        log.reduce(1, 3);
+        log.shift(a);
+        assert_eq!(log.roots(), 2);
+        let trees = log.to_parse_trees();
+        assert_eq!(trees.len(), 2);
+        assert_eq!(log.size(), trees.iter().map(ParseTree::size).sum::<usize>());
+        assert_eq!(
+            log.yield_len(),
+            trees.iter().map(|t| t.flatten().len()).sum::<usize>()
+        );
+        // roll σ1 ('a', (roll σ3 (), 'b'))
+        let first = ParseTree::roll(ParseTree::inj(
+            1,
+            ParseTree::pair(
+                ParseTree::Char(a),
+                ParseTree::pair(
+                    ParseTree::roll(ParseTree::inj(3, ParseTree::Unit)),
+                    ParseTree::Char(b),
+                ),
+            ),
+        ));
+        assert_eq!(trees[0], first);
+    }
+
+    #[test]
+    fn non_derivations_do_not_read_back() {
+        let (sigma, a, b, _) = setup();
+        for t in [
+            ParseTree::Unit,
+            ParseTree::pair(ParseTree::Char(a), ParseTree::Char(b)),
+            ParseTree::roll(ParseTree::Char(a)),
+            ParseTree::roll(ParseTree::inj(
+                0,
+                ParseTree::pair(ParseTree::Char(a), ParseTree::Unit),
+            )),
+            ParseTree::roll(ParseTree::inj(
+                0,
+                ParseTree::Top(sigma.parse_str("a").unwrap()),
+            )),
+        ] {
+            assert_eq!(ReductionLog::from_parse_tree(&t), None, "{t}");
+        }
     }
 }

@@ -119,24 +119,28 @@ impl VerifiedParser {
     pub fn parse(&self, w: &GString) -> Result<ParseOutcome, TransformError> {
         let input = string_parse(w);
         let out = self.run.apply(&input)?;
-        match out {
-            ParseTree::Inj { index: 0, tree } => {
+        match out.into_inj() {
+            Ok((0, tree)) => {
                 validate(&tree, &self.grammar, w).map_err(|cause| TransformError::OutputShape {
                     transformer: self.run.name().to_owned(),
                     cause,
                 })?;
-                Ok(ParseOutcome::Accept(*tree))
+                Ok(ParseOutcome::Accept(tree))
             }
-            ParseTree::Inj { index: 1, tree } => {
+            Ok((1, tree)) => {
                 validate(&tree, &self.negative, w).map_err(|cause| {
                     TransformError::OutputShape {
                         transformer: self.run.name().to_owned(),
                         cause,
                     }
                 })?;
-                Ok(ParseOutcome::Reject(*tree))
+                Ok(ParseOutcome::Reject(tree))
             }
-            other => Err(TransformError::Custom(format!(
+            Ok((index, tree)) => Err(TransformError::Custom(format!(
+                "parser returned a non-⊕ tree: {}",
+                ParseTree::inj(index, tree)
+            ))),
+            Err(other) => Err(TransformError::Custom(format!(
                 "parser returned a non-⊕ tree: {other}"
             ))),
         }
@@ -211,9 +215,10 @@ pub fn extend_parser(
     let cod = alt(b.clone(), neg.clone());
     let name = format!("extend({})", run.name());
     let lifted = Transformer::from_fn(name, run.dom().clone(), cod, move |t| {
-        match run.apply(t)? {
-            ParseTree::Inj { index: 0, tree } => Ok(ParseTree::inj(0, fwd.apply(&tree)?)),
-            other => Ok(other),
+        match run.apply(t)?.into_inj() {
+            Ok((0, tree)) => Ok(ParseTree::inj(0, fwd.apply(&tree)?)),
+            Ok((index, tree)) => Ok(ParseTree::inj(index, tree)),
+            Err(other) => Ok(other),
         }
     });
     Ok(VerifiedParser::new(parser.alphabet.clone(), b, neg, lifted))

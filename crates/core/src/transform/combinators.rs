@@ -348,10 +348,10 @@ mod tests {
         let (_, a, b, _) = setup();
         let f = tensor_par(bang(chr(a)), id(chr(b)));
         let out = f.apply_checked(&ParseTree::pair(leaf(a), leaf(b))).unwrap();
-        match out {
+        match &out {
             ParseTree::Pair(l, r) => {
-                assert!(matches!(*l, ParseTree::Top(_)));
-                assert_eq!(*r, leaf(b));
+                assert!(matches!(**l, ParseTree::Top(_)));
+                assert_eq!(**r, leaf(b));
             }
             other => panic!("expected Pair, got {other}"),
         }

@@ -270,19 +270,19 @@ mod tests {
         let mapped = map_vars(sys.def(0), &inner, &|_, sub| h.apply(sub)).unwrap();
         // mapped : I ⊕ ((A⊗A) ⊗ A*) — apply the same algebra h uses by
         // folding a singleton: reconstruct via cons of head + tail.
-        match mapped {
-            ParseTree::Inj { index: 1, tree } => match *tree {
+        match &mapped {
+            ParseTree::Inj { index: 1, tree } => match &**tree {
                 ParseTree::Pair(hd, tl) => {
                     // lhs must be cons a1 (cons a2 tl).
-                    let (a1, a2) = match *hd {
-                        ParseTree::Pair(x, y) => (*x, *y),
+                    let (a1, a2) = match &**hd {
+                        ParseTree::Pair(x, y) => ((**x).clone(), (**y).clone()),
                         other => panic!("expected pair head, got {other}"),
                     };
                     let expect = ParseTree::roll(ParseTree::inj(
                         1,
                         ParseTree::pair(
                             a1,
-                            ParseTree::roll(ParseTree::inj(1, ParseTree::pair(a2, *tl))),
+                            ParseTree::roll(ParseTree::inj(1, ParseTree::pair(a2, (**tl).clone()))),
                         ),
                     ));
                     assert_eq!(lhs, expect);

@@ -313,15 +313,17 @@ fn str_outcome(
     result: Result<StrOutcome, TransformError>,
 ) -> StrReportOutcome {
     match result {
-        Ok(StrOutcome::Accept { tree, tokens }) => StrReportOutcome::Accepted {
-            tree_size: tree.size(),
+        Ok(StrOutcome::Accept { derivation, tokens }) => StrReportOutcome::Accepted {
+            // O(1) on the reduction log CFG pipelines serve: no tree is
+            // built, walked or dropped on the way to the report.
+            tree_size: derivation.size(),
             // The fused lexed path never materializes the token
-            // stream; its yield count is the tree's yield length
-            // (identical by the intrinsic contract — the tree's yield
-            // *is* the token string). Non-lexed pipelines stay at 0.
+            // stream; its yield count is the derivation's yield length
+            // (identical by the intrinsic contract — the yield *is* the
+            // token string). Non-lexed pipelines stay at 0.
             tokens: match tokens {
                 Some(t) => t.yield_string().len(),
-                None if pipeline.lexed_backend().is_some() => tree.flatten().len(),
+                None if pipeline.lexed_backend().is_some() => derivation.yield_len(),
                 None => 0,
             },
         },

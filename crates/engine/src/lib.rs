@@ -88,8 +88,8 @@ pub use batch::{
 };
 pub use cache::CacheConfig;
 pub use pipeline::{
-    CfgBackend, CfgMode, CompiledPipeline, DfaBackend, LexedCfgBackend, PipelineSpec, SpecKey,
-    StrOutcome,
+    CfgBackend, CfgMode, CompiledPipeline, Derivation, DfaBackend, LexedCfgBackend, PipelineSpec,
+    SpecKey, StrOutcome,
 };
 pub use pool::PoolStats;
 pub use session::{SessionError, SessionState, SESSION_VERSION};

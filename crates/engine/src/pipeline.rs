@@ -17,12 +17,13 @@
 //!   `lambek-lr` — linear-time parsing for the deterministic fragment —
 //!   falling back to the Earley baseline when the grammar has LR
 //!   conflicts (the [`CfgBackend`] records the conflict report either
-//!   way). Accepted trees from both paths are re-validated by the core
-//!   derivation checker, preserving the intrinsic-verification
-//!   contract; the *rejection* side of Definition 4.6 (a disjoint
-//!   negative grammar) has no general CFG construction, so CFG
-//!   rejections carry the trivial `⊤`-parse of the input as their
-//!   witness.
+//!   way). Accepted derivations from both paths are certified — the LR
+//!   run step by step, the Earley tree by the core derivation checker —
+//!   preserving the intrinsic-verification contract, and raw-text
+//!   parses serve them as a flat [`ReductionLog`] (see [`Derivation`]);
+//!   the *rejection* side of Definition 4.6 (a disjoint negative
+//!   grammar) has no general CFG construction, so CFG rejections carry
+//!   the trivial `⊤`-parse of the input as their witness.
 
 use std::time::{Duration, Instant};
 
@@ -32,7 +33,7 @@ use lambek_cfg::earley::{earley_parse, earley_recognize, EarleyParse};
 use lambek_cfg::grammar::Cfg;
 use lambek_core::alphabet::{Alphabet, GString};
 use lambek_core::grammar::expr::Grammar;
-use lambek_core::grammar::parse_tree::{validate, ParseTree};
+use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog};
 use lambek_core::theory::parser::{ParseOutcome, VerifiedParser};
 use lambek_core::transform::TransformError;
 use lambek_lex::{
@@ -481,25 +482,8 @@ impl CfgBackend {
     /// input before being returned.
     fn parse(&self, w: &GString) -> Result<ParseOutcome, TransformError> {
         let accepted = match &self.mode {
-            CfgMode::Lr(lr) => match lr.parse(w).map_err(|e| TransformError::OutputShape {
-                transformer: "certified-lr".to_owned(),
-                cause: e.cause,
-            })? {
-                LrOutcome::Accept(tree) => Some(tree),
-                LrOutcome::Reject(_) => None,
-            },
-            CfgMode::Earley { cfg, grammar, .. } => match earley_parse(cfg, w) {
-                // An ambiguous grammar still serves: the witness tree is
-                // the first derivation (alternatives in order).
-                EarleyParse::Unique(tree) | EarleyParse::Ambiguous { tree, .. } => {
-                    validate(&tree, grammar, w).map_err(|cause| TransformError::OutputShape {
-                        transformer: "earley-fallback".to_owned(),
-                        cause,
-                    })?;
-                    Some(tree)
-                }
-                EarleyParse::NoParse => None,
-            },
+            CfgMode::Lr(_) => self.parse_log(w)?.map(|log| log.to_parse_tree()),
+            CfgMode::Earley { cfg, grammar, .. } => earley_tree(cfg, grammar, w)?,
         };
         Ok(match accepted {
             Some(tree) => ParseOutcome::Accept(tree),
@@ -507,6 +491,22 @@ impl CfgBackend {
             // witness is the trivial ⊤-parse of the input (yield-correct,
             // but ⊤ is not disjoint from the grammar — see module docs).
             None => ParseOutcome::Reject(ParseTree::Top(w.clone())),
+        })
+    }
+
+    /// [`CfgBackend::parse`] without the paper-level tree: the certified
+    /// derivation as a [`ReductionLog`] (the LR run's own; the Earley
+    /// fallback's validated tree read back at this boundary), `None` on
+    /// rejection.
+    fn parse_log(&self, w: &GString) -> Result<Option<ReductionLog>, TransformError> {
+        Ok(match &self.mode {
+            CfgMode::Lr(lr) => match lr.parse(w).map_err(lr_fault)? {
+                LrOutcome::Accept(log) => Some(log),
+                LrOutcome::Reject(_) => None,
+            },
+            CfgMode::Earley { cfg, grammar, .. } => {
+                earley_tree(cfg, grammar, w)?.map(|tree| earley_log(&tree))
+            }
         })
     }
 
@@ -518,13 +518,89 @@ impl CfgBackend {
     }
 }
 
+/// Runs the Earley fallback and certifies its witness: the tree (the
+/// first derivation, alternatives in order, if the grammar is
+/// ambiguous) is validated against the μ-regular grammar and `w`.
+fn earley_tree(
+    cfg: &Cfg,
+    grammar: &Grammar,
+    w: &GString,
+) -> Result<Option<ParseTree>, TransformError> {
+    match earley_parse(cfg, w) {
+        EarleyParse::Unique(tree) | EarleyParse::Ambiguous { tree, .. } => {
+            validate(&tree, grammar, w).map_err(|cause| TransformError::OutputShape {
+                transformer: "earley-fallback".to_owned(),
+                cause,
+            })?;
+            Ok(Some(tree))
+        }
+        EarleyParse::NoParse => Ok(None),
+    }
+}
+
+/// The Earley fallback's validated tree as a log: a tree that validates
+/// against a CFG's μ-regular encoding is a derivation, so it reads back.
+fn earley_log(tree: &ParseTree) -> ReductionLog {
+    ReductionLog::from_parse_tree(tree).expect("a validated CFG tree is a derivation")
+}
+
+/// Maps an LR certification fault to the engine's error plane.
+fn lr_fault(e: lambek_lr::CertifyError) -> TransformError {
+    TransformError::OutputShape {
+        transformer: "certified-lr".to_owned(),
+        cause: e.cause,
+    }
+}
+
+/// A certified derivation as a raw-text parse serves it.
+///
+/// CFG pipelines — LR tables and the Earley fallback alike — serve the
+/// flat [`ReductionLog`]: no boxed node is built unless the caller asks
+/// for the tree. The paper's automaton constructions (regex, bounded
+/// Dyck and expression pipelines) build their trees as they parse and
+/// serve them as they are.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Derivation {
+    /// A CFG pipeline's postorder reduction log.
+    Log(ReductionLog),
+    /// A verified-transformer pipeline's parse tree.
+    Tree(ParseTree),
+}
+
+impl Derivation {
+    /// Constructor count of the parse tree (O(1) for a log).
+    pub fn size(&self) -> usize {
+        match self {
+            Derivation::Log(log) => log.size(),
+            Derivation::Tree(tree) => tree.size(),
+        }
+    }
+
+    /// Length of the yield — the parsed symbol string (O(1) for a log).
+    pub fn yield_len(&self) -> usize {
+        match self {
+            Derivation::Log(log) => log.yield_len(),
+            Derivation::Tree(tree) => tree.flatten().len(),
+        }
+    }
+
+    /// The paper-level parse tree (Definition 5.1), materialized from
+    /// the log if need be.
+    pub fn to_parse_tree(&self) -> ParseTree {
+        match self {
+            Derivation::Log(log) => log.to_parse_tree(),
+            Derivation::Tree(tree) => tree.clone(),
+        }
+    }
+}
+
 /// The outcome of a raw-text parse: lexing and parsing certified at
 /// their respective layers, rejections pointing at byte offsets of the
 /// raw input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrOutcome {
-    /// The text lexed and the token string parsed. The tree has been
-    /// re-validated against the token-level grammar and the token
+    /// The text lexed and the token string parsed. The derivation has
+    /// been certified against the token-level grammar and the token
     /// string; the lexemes have been re-validated against the raw text
     /// (span tiling + independent derivative re-matching). The fused
     /// path ([`LexedCfgBackend::parse_str`]) never materializes the
@@ -533,8 +609,8 @@ pub enum StrOutcome {
     /// the stream itself is wanted. Non-lexed pipelines always report
     /// `None` (the "lexer" was the trivial char-per-symbol reading).
     Accept {
-        /// The certified parse tree over the pipeline's grammar.
-        tree: ParseTree,
+        /// The certified derivation over the pipeline's grammar.
+        derivation: Derivation,
         /// The certified token stream (materializing lexed paths only).
         tokens: Option<TokenStream>,
     },
@@ -562,10 +638,10 @@ impl StrOutcome {
         matches!(self, StrOutcome::Accept { .. })
     }
 
-    /// The accepted tree, if any.
-    pub fn accepted(&self) -> Option<&ParseTree> {
+    /// The accepted derivation, if any.
+    pub fn accepted(&self) -> Option<&Derivation> {
         match self {
-            StrOutcome::Accept { tree, .. } => Some(tree),
+            StrOutcome::Accept { derivation, .. } => Some(derivation),
             _ => None,
         }
     }
@@ -670,11 +746,11 @@ impl LexedCfgBackend {
         sink.cert.finish(input).map_err(|e| {
             TransformError::Custom(format!("certified-lexer contract violation: {e}"))
         })?;
-        match sink.lrs.finish().map_err(|e| TransformError::OutputShape {
-            transformer: "certified-lr".to_owned(),
-            cause: e.cause,
-        })? {
-            LrOutcome::Accept(tree) => Ok(StrOutcome::Accept { tree, tokens: None }),
+        match sink.lrs.finish().map_err(lr_fault)? {
+            LrOutcome::Accept(log) => Ok(StrOutcome::Accept {
+                derivation: Derivation::Log(log),
+                tokens: None,
+            }),
             LrOutcome::Reject(r) => Ok(StrOutcome::RejectParse {
                 // The span of the yield token whose shift the LR stack
                 // first refused — the same token `span_of_yield` finds
@@ -695,9 +771,9 @@ impl LexedCfgBackend {
     /// Earley fallback) in a third — so the scan / certify / parse
     /// stages can be timed separately, which the fused single-pass form
     /// cannot do. Observationally identical to
-    /// [`LexedCfgBackend::parse_str`]: same outcome — verdict, tree,
-    /// spans, token reporting — on every input (asserted by the
-    /// `prop_obs` differential suite).
+    /// [`LexedCfgBackend::parse_str`]: same outcome — verdict,
+    /// derivation, spans, token reporting — on every input (asserted by
+    /// the `prop_obs` differential suite).
     ///
     /// # Errors
     ///
@@ -755,11 +831,11 @@ impl LexedCfgBackend {
                         }
                     }
                 }
-                match lrs.finish().map_err(|e| TransformError::OutputShape {
-                    transformer: "certified-lr".to_owned(),
-                    cause: e.cause,
-                })? {
-                    LrOutcome::Accept(tree) => Ok(StrOutcome::Accept { tree, tokens: None }),
+                match lrs.finish().map_err(lr_fault)? {
+                    LrOutcome::Accept(log) => Ok(StrOutcome::Accept {
+                        derivation: Derivation::Log(log),
+                        tokens: None,
+                    }),
                     LrOutcome::Reject(r) => Ok(StrOutcome::RejectParse {
                         span: reject_span.unwrap_or_else(|| Span::empty(input.len())),
                         message: r.to_string(),
@@ -770,29 +846,7 @@ impl LexedCfgBackend {
             CfgMode::Earley { cfg, grammar, .. } => {
                 let tokens =
                     TokenStream::from_tokens(lexemes.iter().map(|l| l.to_token(input)).collect());
-                let w = tokens.yield_string();
-                match earley_parse(cfg, w) {
-                    EarleyParse::Unique(tree) | EarleyParse::Ambiguous { tree, .. } => {
-                        validate(&tree, grammar, w).map_err(|cause| {
-                            TransformError::OutputShape {
-                                transformer: "earley-fallback".to_owned(),
-                                cause,
-                            }
-                        })?;
-                        Ok(StrOutcome::Accept {
-                            tree,
-                            tokens: Some(tokens),
-                        })
-                    }
-                    EarleyParse::NoParse => Ok(StrOutcome::RejectParse {
-                        span: Span {
-                            start: 0,
-                            end: input.len(),
-                        },
-                        message: "token string is not in the grammar (Earley fallback)".to_owned(),
-                        tokens: Some(tokens),
-                    }),
-                }
+                earley_str_outcome(cfg, grammar, input, tokens)
             }
         }
     }
@@ -802,7 +856,7 @@ impl LexedCfgBackend {
     /// two-layer path: each token is certified at its munch boundary
     /// and shifted into the LR stream, and the collected tokens ride
     /// along in the outcome's `tokens` field. Callers that only need
-    /// the verdict and tree should prefer the fused
+    /// the verdict and derivation should prefer the fused
     /// [`LexedCfgBackend::parse_str`].
     ///
     /// # Errors
@@ -834,12 +888,9 @@ impl LexedCfgBackend {
             TransformError::Custom(format!("certified-lexer contract violation: {e}"))
         })?;
         let tokens = TokenStream::from_tokens(tokens);
-        match lrs.finish().map_err(|e| TransformError::OutputShape {
-            transformer: "certified-lr".to_owned(),
-            cause: e.cause,
-        })? {
-            LrOutcome::Accept(tree) => Ok(StrOutcome::Accept {
-                tree,
+        match lrs.finish().map_err(lr_fault)? {
+            LrOutcome::Accept(log) => Ok(StrOutcome::Accept {
+                derivation: Derivation::Log(log),
                 tokens: Some(tokens),
             }),
             LrOutcome::Reject(r) => {
@@ -871,12 +922,9 @@ impl LexedCfgBackend {
         };
         let w = tokens.yield_string();
         match &self.inner.mode {
-            CfgMode::Lr(lr) => match lr.parse_full(w).map_err(|e| TransformError::OutputShape {
-                transformer: "certified-lr".to_owned(),
-                cause: e.cause,
-            })? {
-                LrOutcome::Accept(tree) => Ok(StrOutcome::Accept {
-                    tree,
+            CfgMode::Lr(lr) => match lr.parse_full(w).map_err(lr_fault)? {
+                LrOutcome::Accept(log) => Ok(StrOutcome::Accept {
+                    derivation: Derivation::Log(log),
                     tokens: Some(tokens),
                 }),
                 LrOutcome::Reject(r) => {
@@ -888,27 +936,52 @@ impl LexedCfgBackend {
                     })
                 }
             },
-            CfgMode::Earley { cfg, grammar, .. } => match earley_parse(cfg, w) {
-                EarleyParse::Unique(tree) | EarleyParse::Ambiguous { tree, .. } => {
-                    validate(&tree, grammar, w).map_err(|cause| TransformError::OutputShape {
-                        transformer: "earley-fallback".to_owned(),
-                        cause,
-                    })?;
-                    Ok(StrOutcome::Accept {
-                        tree,
-                        tokens: Some(tokens),
-                    })
-                }
-                EarleyParse::NoParse => Ok(StrOutcome::RejectParse {
-                    span: Span {
-                        start: 0,
-                        end: input.len(),
-                    },
-                    message: "token string is not in the grammar (Earley fallback)".to_owned(),
-                    tokens: Some(tokens),
-                }),
-            },
+            CfgMode::Earley { cfg, grammar, .. } => earley_str_outcome(cfg, grammar, input, tokens),
         }
+    }
+}
+
+/// The Earley fallback over a lexed token stream: the certified tree,
+/// read back as a log, with the stream riding along; rejections span the
+/// whole input (Earley reports no error position).
+fn earley_str_outcome(
+    cfg: &Cfg,
+    grammar: &Grammar,
+    input: &str,
+    tokens: TokenStream,
+) -> Result<StrOutcome, TransformError> {
+    Ok(match earley_tree(cfg, grammar, tokens.yield_string())? {
+        Some(tree) => StrOutcome::Accept {
+            derivation: Derivation::Log(earley_log(&tree)),
+            tokens: Some(tokens),
+        },
+        None => StrOutcome::RejectParse {
+            span: Span {
+                start: 0,
+                end: input.len(),
+            },
+            message: "token string is not in the grammar (Earley fallback)".to_owned(),
+            tokens: Some(tokens),
+        },
+    })
+}
+
+/// A char-per-symbol parse's outcome: no token stream, and rejections
+/// span the whole input.
+fn char_outcome(input: &str, derived: Option<Derivation>) -> StrOutcome {
+    match derived {
+        Some(derivation) => StrOutcome::Accept {
+            derivation,
+            tokens: None,
+        },
+        None => StrOutcome::RejectParse {
+            span: Span {
+                start: 0,
+                end: input.len(),
+            },
+            message: "input is not in the grammar".to_owned(),
+            tokens: None,
+        },
     }
 }
 
@@ -1043,26 +1116,10 @@ impl CompiledPipeline {
         if let ParserImpl::LexedCfg(b) = &self.imp {
             return b.parse_str(input);
         }
-        // Char-per-symbol reading for the other pipelines.
-        let sigma = self.alphabet();
-        let mut w = GString::new();
-        for (at, c) in input.char_indices() {
-            match sigma.symbol_of_char(c) {
-                Some(sym) => w.push(sym),
-                None => return Ok(StrOutcome::RejectLex(LexError { at, found: c })),
-            }
+        match self.read_chars(input) {
+            Ok(w) => Ok(char_outcome(input, self.derive(&w)?)),
+            Err(e) => Ok(StrOutcome::RejectLex(e)),
         }
-        Ok(match self.parse(&w)? {
-            ParseOutcome::Accept(tree) => StrOutcome::Accept { tree, tokens: None },
-            ParseOutcome::Reject(_) => StrOutcome::RejectParse {
-                span: Span {
-                    start: 0,
-                    end: input.len(),
-                },
-                message: "input is not in the grammar".to_owned(),
-                tokens: None,
-            },
-        })
     }
 
     /// [`CompiledPipeline::parse_str`] with per-stage spans recorded
@@ -1087,31 +1144,40 @@ impl CompiledPipeline {
             return b.parse_str_staged(input, epoch, rec);
         }
         let s0 = epoch.elapsed();
-        let sigma = self.alphabet();
-        let mut w = GString::new();
-        for (at, c) in input.char_indices() {
-            match sigma.symbol_of_char(c) {
-                Some(sym) => w.push(sym),
-                None => {
-                    rec.record(Stage::Scan, s0, epoch.elapsed().saturating_sub(s0));
-                    return Ok(StrOutcome::RejectLex(LexError { at, found: c }));
-                }
-            }
-        }
+        let read = self.read_chars(input);
         rec.record(Stage::Scan, s0, epoch.elapsed().saturating_sub(s0));
+        let w = match read {
+            Ok(w) => w,
+            Err(e) => return Ok(StrOutcome::RejectLex(e)),
+        };
         let p0 = epoch.elapsed();
-        let parsed = self.parse(&w)?;
+        let derived = self.derive(&w)?;
         rec.record(Stage::Parse, p0, epoch.elapsed().saturating_sub(p0));
-        Ok(match parsed {
-            ParseOutcome::Accept(tree) => StrOutcome::Accept { tree, tokens: None },
-            ParseOutcome::Reject(_) => StrOutcome::RejectParse {
-                span: Span {
-                    start: 0,
-                    end: input.len(),
-                },
-                message: "input is not in the grammar".to_owned(),
-                tokens: None,
+        Ok(char_outcome(input, derived))
+    }
+
+    /// The char-per-symbol reading of raw text through the parser's
+    /// alphabet; a character outside it is a lexical error at its byte
+    /// offset.
+    fn read_chars(&self, input: &str) -> Result<GString, LexError> {
+        let sigma = self.alphabet();
+        input
+            .char_indices()
+            .map(|(at, c)| sigma.symbol_of_char(c).ok_or(LexError { at, found: c }))
+            .collect()
+    }
+
+    /// The certified derivation of `w`, `None` on rejection: the
+    /// reduction log for CFG pipelines, the tree for the paper's
+    /// constructions (whose rejection witnesses raw-text parses drop).
+    fn derive(&self, w: &GString) -> Result<Option<Derivation>, TransformError> {
+        Ok(match &self.imp {
+            ParserImpl::Verified { parser, .. } => match parser.parse(w)? {
+                ParseOutcome::Accept(tree) => Some(Derivation::Tree(tree)),
+                ParseOutcome::Reject(_) => None,
             },
+            ParserImpl::Cfg(b) => b.parse_log(w)?.map(Derivation::Log),
+            ParserImpl::LexedCfg(b) => b.inner.parse_log(w)?.map(Derivation::Log),
         })
     }
 
@@ -1292,21 +1358,25 @@ mod tests {
         let input = "{\"k\": [1, 2, {\"deep\": null}], \"ok\": true}";
         // The fused hot path: no token stream materialized.
         let out = p.parse_str(input).unwrap();
-        let StrOutcome::Accept { tree, tokens } = out else {
+        let StrOutcome::Accept { derivation, tokens } = out else {
             panic!("valid JSON subset must parse: {out:?}");
         };
         assert!(tokens.is_none(), "the fused path never materializes");
-        // The materializing variant agrees on the tree and yields the
-        // certified stream.
+        // The materializing variant agrees on the derivation and yields
+        // the certified stream.
         let out = b.parse_str_tokens(input).unwrap();
         let StrOutcome::Accept {
-            tree: tree2,
+            derivation: derivation2,
             tokens,
         } = out
         else {
             panic!("valid JSON subset must parse: {out:?}");
         };
-        assert_eq!(tree, tree2, "fused and materializing paths agree");
+        assert_eq!(
+            derivation, derivation2,
+            "fused and materializing paths agree"
+        );
+        let tree = derivation.to_parse_tree();
         let tokens = tokens.expect("the materializing path reports tokens");
         // Double certification is re-checkable from the outside too:
         // the tree's yield is the token string…

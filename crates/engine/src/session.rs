@@ -522,10 +522,8 @@ mod tests {
 
     #[test]
     fn deep_trees_do_not_overflow_the_codec() {
-        // Depth ~200k of Roll/Pair nesting: fine iteratively, fatal
-        // recursively. (Drop is already iterative-safe for ParseTree
-        // only if the tree type implements it so; keep the spine on
-        // Pair's right so the default drop also stays shallow enough.)
+        // Depth ~200k of Roll nesting: fine iteratively, fatal
+        // recursively.
         let mut tree = ParseTree::Unit;
         for _ in 0..200_000 {
             tree = ParseTree::Roll(Box::new(tree));
@@ -535,15 +533,15 @@ mod tests {
         let state = seal(0, 0, w);
         let (_, mut r) = open(&state, 0).unwrap();
         let back = read_tree(&mut r).unwrap();
-        // Compare (and drop) the towers iteratively as well — derived
-        // `PartialEq` and `Drop` recurse, and 200k frames would blow the
-        // test thread's stack just as surely as a recursive codec.
-        let (mut a, mut b, mut depth) = (tree, back, 0usize);
+        // Compare the towers iteratively as well: derived `PartialEq`
+        // recurses, and 200k frames would blow the test thread's stack
+        // just as surely as a recursive codec. (Drop is iterative.)
+        let (mut a, mut b, mut depth) = (&tree, &back, 0usize);
         loop {
             match (a, b) {
                 (ParseTree::Roll(x), ParseTree::Roll(y)) => {
-                    a = *x;
-                    b = *y;
+                    a = x;
+                    b = y;
                     depth += 1;
                 }
                 (ParseTree::Unit, ParseTree::Unit) => break,

@@ -113,9 +113,9 @@ impl Engine {
             .parse_str_tokens(text)
             .map_err(|e| FrontendReport::Internal(format!("bootstrap parse: {e}")))?;
         let ast = match outcome {
-            StrOutcome::Accept { tree, tokens } => {
+            StrOutcome::Accept { derivation, tokens } => {
                 let tokens = tokens.expect("parse_str_tokens materializes the stream");
-                ast_from_tree(text, &tree, &tokens).map_err(|e| {
+                ast_from_tree(text, &derivation.to_parse_tree(), &tokens).map_err(|e| {
                     probes::note_elab_failure();
                     FrontendReport::Errors(vec![e])
                 })?

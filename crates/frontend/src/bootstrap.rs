@@ -301,7 +301,7 @@ pub fn parse_text(text: &str) -> Result<SpecAst, FrontendError> {
         }
     };
     let tree = match boot.parser.parse(stream.yield_string()) {
-        Ok(LrOutcome::Accept(tree)) => tree,
+        Ok(LrOutcome::Accept(log)) => log.to_parse_tree(),
         Ok(LrOutcome::Reject(reject)) => {
             let span = stream.span_of_yield(reject.at, text.len());
             return Err(FrontendError::new(

@@ -37,7 +37,7 @@
 //! let parser = CertifiedLrParser::compile(&arith_token_cfg()).unwrap();
 //! let out = lexer.lex("12 + (345 + 6)").unwrap();
 //! let tokens = out.tokens().expect("lexes");
-//! let tree = parser
+//! let log = parser
 //!     .parse(tokens.yield_string())
 //!     .unwrap()
 //!     .accepted()
@@ -45,7 +45,7 @@
 //!     .expect("parses");
 //! // Intrinsic at both layers: the tree's yield is the token string,
 //! // and the tokens' spans tile the raw text.
-//! assert_eq!(&tree.flatten(), tokens.yield_string());
+//! assert_eq!(&log.to_parse_tree().flatten(), tokens.yield_string());
 //! ```
 
 #![deny(missing_docs)]

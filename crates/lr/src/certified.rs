@@ -1,23 +1,24 @@
-//! The certified wrapper: every tree that leaves the LR subsystem is
-//! checked against the grammar before it escapes.
+//! The certified wrapper: every derivation that leaves the LR subsystem
+//! is checked against the grammar before it escapes.
 //!
 //! The LR driver is fast *extrinsically* verified code: nothing about
-//! the dense tables guarantees by construction that the trees it builds
-//! are parses of the input. [`CertifiedLrParser`] restores the paper's
-//! intrinsic-verification contract at the subsystem boundary —
+//! the dense tables guarantees by construction that the reductions it
+//! logs are parses of the input. [`CertifiedLrParser`] restores the
+//! paper's intrinsic-verification contract at the subsystem boundary —
 //! **incrementally**: every shift and every reduction is certified as it
 //! happens, by comparing interned grammar ids ([`CertTables`] built once
 //! at compile time) in O(1) per step. The per-step checks maintain the
-//! invariant that each stack tree `check_shape`s against its claimed
-//! grammar and yields exactly the input slice it covers, so an accepted
-//! tree satisfies the whole-tree
+//! invariant that each root of the run's [`ReductionLog`] materializes
+//! to a tree that `check_shape`s against its claimed grammar and yields
+//! exactly the input slice it covers, so an accepted log's
+//! [`ReductionLog::to_parse_tree`] satisfies the whole-tree
 //! [`validate`](lambek_core::grammar::parse_tree::validate) contract
-//! without ever being re-walked. A driver bug therefore cannot leak an
-//! invalid tree; it surfaces as a [`CertifyError`] *at the offending
-//! step*.
+//! without ever being built, let alone re-walked. A driver bug therefore
+//! cannot leak an invalid derivation; it surfaces as a [`CertifyError`]
+//! *at the offending step*.
 //!
 //! The pre-incremental path — run the driver blind, then `validate` the
-//! whole tree at the end — is retained behind
+//! whole materialized tree at the end — is retained behind
 //! [`CertifiedLrParser::parse_full`] and
 //! [`CertifiedLrParser::stream_full`]; the differential property suite
 //! asserts the two paths accept and reject identically.
@@ -28,28 +29,30 @@ use std::sync::Arc;
 use lambek_cfg::grammar::Cfg;
 use lambek_core::alphabet::{GString, Symbol};
 use lambek_core::grammar::expr::Grammar;
-use lambek_core::grammar::parse_tree::{validate, ParseTree, ValidateError};
+use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog, ValidateError};
 
 use crate::driver::{
-    parse_tree, recognize_states, would_accept_after_states, would_accept_states, CertTables,
-    ClaimRef, Machine, SabotageLr, Step,
+    log_capacity, parse_log, recognize_states, would_accept_after_states, would_accept_states,
+    CertTables, ClaimRef, Machine, SabotageLr, Step,
 };
 use crate::table::{LrConflictReport, LrTable};
 
 /// The outcome of a certified LR parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LrOutcome {
-    /// The input is in the grammar; the tree has been certified against
-    /// the μ-regular grammar and the input string.
-    Accept(ParseTree),
+    /// The input is in the grammar; here is the run's reduction log,
+    /// every step of it certified against the μ-regular grammar and the
+    /// input string ([`ReductionLog::to_parse_tree`] materializes the
+    /// tree).
+    Accept(ReductionLog),
     /// The input is not in the grammar; the report says where the driver
     /// stopped and what it expected.
     Reject(crate::driver::LrReject),
 }
 
 impl LrOutcome {
-    /// The accepted tree, if any.
-    pub fn accepted(&self) -> Option<&ParseTree> {
+    /// The accepted derivation's log, if any.
+    pub fn accepted(&self) -> Option<&ReductionLog> {
         match self {
             LrOutcome::Accept(t) => Some(t),
             LrOutcome::Reject(_) => None,
@@ -62,19 +65,23 @@ impl LrOutcome {
     }
 }
 
-/// A violation of the certification contract: the driver produced a tree
-/// step the checker refused. This never happens for a correctly built
+/// A violation of the certification contract: the driver logged a step
+/// the checker refused. This never happens for a correctly built
 /// table; it is surfaced (rather than panicking) so callers can treat it
 /// as an internal error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertifyError {
-    /// The checker's verdict on the offending tree (step).
+    /// The checker's verdict on the offending step.
     pub cause: ValidateError,
 }
 
 impl fmt::Display for CertifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LR driver emitted an invalid tree: {}", self.cause)
+        write!(
+            f,
+            "LR driver logged an invalid derivation step: {}",
+            self.cause
+        )
     }
 }
 
@@ -92,9 +99,9 @@ struct LrCore {
     cert: CertTables,
 }
 
-/// A linear-time LR(1)/LALR parser whose every output tree is certified
-/// against the grammar — incrementally, one interned-id comparison per
-/// shift and per reduction.
+/// A linear-time LR(1)/LALR parser whose every output derivation is
+/// certified against the grammar — incrementally, one interned-id
+/// comparison per shift and per reduction.
 ///
 /// Construction rejects grammars with unresolvable conflicts
 /// ([`LrConflictReport`] points at the offending item sets); parsing is
@@ -111,8 +118,8 @@ struct LrCore {
 /// let p = Parens::new();
 /// let parser = CertifiedLrParser::compile(&dyck_cfg(&p)).unwrap();
 /// let w = p.alphabet.parse_str("(())()").unwrap();
-/// let tree = parser.parse(&w).unwrap().accepted().cloned().unwrap();
-/// assert_eq!(tree.flatten(), w); // intrinsic: the yield IS the input
+/// let log = parser.parse(&w).unwrap().accepted().cloned().unwrap();
+/// assert_eq!(log.to_parse_tree().flatten(), w); // intrinsic: the yield IS the input
 /// assert!(!parser.recognizes(&p.alphabet.parse_str("())").unwrap()));
 /// ```
 #[derive(Debug, Clone)]
@@ -147,7 +154,7 @@ impl CertifiedLrParser {
         &self.core.cfg
     }
 
-    /// The μ-regular encoding trees are certified against.
+    /// The μ-regular encoding derivations are certified against.
     pub fn grammar(&self) -> &Grammar {
         &self.core.grammar
     }
@@ -157,15 +164,17 @@ impl CertifiedLrParser {
         &self.core.table
     }
 
-    /// Whether `w` is in the grammar — a pure table run, no trees, no
+    /// Whether `w` is in the grammar — a pure table run, no log, no
     /// allocation beyond the state stack.
     pub fn recognizes(&self, w: &GString) -> bool {
         recognize_states(&self.core.table, w)
     }
 
     /// Parses `w`: a linear shift-reduce run with every step certified
-    /// as it happens. The accepted tree needs no whole-tree validation —
-    /// the per-step checks compose to exactly that contract.
+    /// as it happens. The accepted log needs no whole-tree validation —
+    /// the per-step checks compose to exactly that contract. The run
+    /// allocates its state stack, claim stack and log once each, sized
+    /// from `w`; no node is boxed.
     ///
     /// # Errors
     ///
@@ -173,16 +182,16 @@ impl CertifiedLrParser {
     /// checker rejects — impossible for a correctly constructed table,
     /// surfaced instead of trusted.
     pub fn parse(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
-        match parse_tree(&self.core.table, &self.core.cfg, Some(&self.core.cert), w) {
-            Ok(Ok(tree)) => Ok(LrOutcome::Accept(tree)),
+        match parse_log(&self.core.table, &self.core.cfg, Some(&self.core.cert), w) {
+            Ok(Ok(log)) => Ok(LrOutcome::Accept(log)),
             Ok(Err(reject)) => Ok(LrOutcome::Reject(reject)),
             Err(cause) => Err(CertifyError { cause }),
         }
     }
 
-    /// The `full_validate` path: runs the driver blind and re-validates
-    /// the whole tree at the end, exactly as the subsystem worked before
-    /// incremental certification. Kept so the differential harness can
+    /// The `full_validate` path: runs the driver blind, materializes the
+    /// tree and re-validates it whole at the end, exactly as the
+    /// subsystem worked before incremental certification. Kept so the differential harness can
     /// assert incremental ≡ full on every input.
     ///
     /// # Errors
@@ -190,26 +199,12 @@ impl CertifiedLrParser {
     /// [`CertifyError`] under the same (driver-bug) conditions as
     /// [`CertifiedLrParser::parse`].
     pub fn parse_full(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
-        match parse_tree(&self.core.table, &self.core.cfg, None, w) {
-            Ok(Ok(tree)) => {
-                validate(&tree, &self.core.grammar, w).map_err(|cause| CertifyError { cause })?;
-                Ok(LrOutcome::Accept(tree))
+        match parse_log(&self.core.table, &self.core.cfg, None, w) {
+            Ok(Ok(log)) => {
+                validate_log(&log, &self.core.grammar, w)?;
+                Ok(LrOutcome::Accept(log))
             }
             Ok(Err(reject)) => Ok(LrOutcome::Reject(reject)),
-            Err(_) => unreachable!("the uncertified driver never faults"),
-        }
-    }
-
-    /// The uncertified baseline: the same shift-reduce run and tree
-    /// construction with *no* certification at all — no per-step claims,
-    /// no whole-tree validation. Exists only so the benches can separate
-    /// the cost of materializing the derivation tree (inherent to any
-    /// tree-producing parse) from the cost of certifying it.
-    #[doc(hidden)]
-    pub fn parse_unchecked(&self, w: &GString) -> LrOutcome {
-        match parse_tree(&self.core.table, &self.core.cfg, None, w) {
-            Ok(Ok(tree)) => LrOutcome::Accept(tree),
-            Ok(Err(reject)) => LrOutcome::Reject(reject),
             Err(_) => unreachable!("the uncertified driver never faults"),
         }
     }
@@ -251,8 +246,8 @@ impl CertifiedLrParser {
         self.sink_with_capacity(0)
     }
 
-    /// [`CertifiedLrParser::sink`] with both machine stacks pre-sized
-    /// for roughly `n` pushes (a hint, not a bound).
+    /// [`CertifiedLrParser::sink`] with the state stack and the log
+    /// pre-sized for roughly `n` pushes (a hint, not a bound).
     pub fn sink_with_capacity(&self, n: usize) -> LrSink {
         LrSink {
             core: self.core.clone(),
@@ -347,7 +342,7 @@ impl LrSink {
             .machine
             .feed(&self.core.table, Some(&self.core.cert), None)
         {
-            Step::Accepted(tree) => Ok(LrOutcome::Accept(tree)),
+            Step::Accepted(log) => Ok(LrOutcome::Accept(log)),
             Step::Rejected { state } => Ok(LrOutcome::Reject(crate::driver::LrReject {
                 at: self.pushed,
                 state,
@@ -363,8 +358,9 @@ impl LrSink {
 /// reductions) per [`LrStream::push`], O(1) amortized over the input via
 /// the dense tables.
 ///
-/// The partial parse trees of the viable prefix live on the stream's
-/// stack, each already certified against its claimed grammar, so
+/// The partial derivations of the viable prefix live in the stream's
+/// log, one root per stack slot, each already certified against its
+/// claimed grammar, so
 /// [`LrStream::finish`] completes in time proportional to the
 /// *remaining* reductions, not the whole input. Acceptance probes
 /// ([`LrStream::would_accept`]) simulate the end-of-input reductions
@@ -379,7 +375,7 @@ pub struct LrStream {
     /// Set at the first certification fault; later pushes are ignored.
     fault: Option<CertifyError>,
     /// `true` runs the pre-incremental path: no per-step checks, one
-    /// whole-tree `validate` at `finish`.
+    /// whole-tree `validate` of the materialized tree at `finish`.
     full_validate: bool,
 }
 
@@ -439,7 +435,7 @@ impl LrStream {
         &self.input
     }
 
-    /// Number of partial parse trees currently on the stack (a measure
+    /// Number of partial derivations currently on the stack (a measure
     /// of how much structure is still open).
     pub fn pending(&self) -> usize {
         self.machine.depth()
@@ -459,7 +455,7 @@ impl LrStream {
 
     /// Whether the input so far would be accepted if the stream ended
     /// here — an end-of-input simulation over a scratch state stack,
-    /// without building trees or disturbing the parse.
+    /// without logging anything or disturbing the parse.
     pub fn would_accept(&self) -> bool {
         self.is_viable() && would_accept_states(&self.core.table, self.machine.states())
     }
@@ -506,9 +502,10 @@ impl LrStream {
     }
 
     /// Ends the stream: runs the remaining reductions. On the
-    /// incremental path the resulting tree is already certified — the
+    /// incremental path the resulting log is already certified — the
     /// per-step checks compose to the whole-tree contract; on the
-    /// `full_validate` path the tree is re-validated here.
+    /// `full_validate` path the tree is materialized and re-validated
+    /// here.
     ///
     /// # Errors
     ///
@@ -523,12 +520,11 @@ impl LrStream {
         }
         let cert = (!self.full_validate).then_some(&self.core.cert);
         match self.machine.feed(&self.core.table, cert, None) {
-            Step::Accepted(tree) => {
+            Step::Accepted(log) => {
                 if self.full_validate {
-                    validate(&tree, &self.core.grammar, &self.input)
-                        .map_err(|cause| CertifyError { cause })?;
+                    validate_log(&log, &self.core.grammar, &self.input)?;
                 }
-                Ok(LrOutcome::Accept(tree))
+                Ok(LrOutcome::Accept(log))
             }
             Step::Rejected { state } => Ok(LrOutcome::Reject(crate::driver::LrReject {
                 at: self.input.len(),
@@ -556,7 +552,9 @@ impl LrStream {
 pub struct LrStreamState {
     /// The LR state stack, bottom marker (state 0) first.
     pub states: Vec<u32>,
-    /// The partial-derivation stack, one tree per non-bottom state.
+    /// The partial-derivation stack, one tree per non-bottom state (the
+    /// stream's log roots, materialized: the wire format predates the
+    /// log and keeps trees).
     pub trees: Vec<ParseTree>,
     /// The certification claims, parallel to `trees`.
     pub claims: Vec<ClaimRef>,
@@ -606,7 +604,7 @@ impl LrStream {
             .collect();
         Some(LrStreamState {
             states: self.machine.states().to_vec(),
-            trees: self.machine.trees().to_vec(),
+            trees: self.machine.log().to_parse_trees(),
             claims: claims?,
             shifts: self.machine.step_counts().0,
             reduces: self.machine.step_counts().1,
@@ -614,6 +612,13 @@ impl LrStream {
             dead: self.dead.as_ref().map(|r| (r.at, r.state)),
         })
     }
+}
+
+/// The `full_validate` check: materializes the log's tree and validates
+/// it whole against the grammar and the input.
+fn validate_log(log: &ReductionLog, grammar: &Grammar, w: &GString) -> Result<(), CertifyError> {
+    let tree = log.to_parse_tree();
+    validate(&tree, grammar, w).map_err(|cause| CertifyError { cause })
 }
 
 impl CertifiedLrParser {
@@ -681,6 +686,7 @@ impl CertifiedLrParser {
         let system = self.core.cfg.to_lambek_system();
         let mut cursor = 0usize;
         let mut claim_ids = Vec::with_capacity(st.claims.len());
+        let mut log = ReductionLog::with_capacity(log_capacity(st.input.len()));
         for (i, (tree, &claim)) in st.trees.iter().zip(&st.claims).enumerate() {
             let id = self
                 .core
@@ -719,6 +725,11 @@ impl CertifiedLrParser {
                     .map_err(|e| err(format!("stack slot {i}: claim re-validation failed: {e}")))?;
                 }
             }
+            // A re-validated tree is a derivation (a leaf, or `roll σ`
+            // over the claim's right-hand side), so it always reads back.
+            let segment = ReductionLog::from_parse_tree(tree)
+                .ok_or_else(|| err(format!("stack slot {i}: tree is not a derivation")))?;
+            log.append(&segment);
             cursor += flat.len();
             claim_ids.push(id);
         }
@@ -759,7 +770,7 @@ impl CertifiedLrParser {
         }
         Ok(LrStream {
             core: self.core.clone(),
-            machine: Machine::from_parts(st.states, st.trees, claim_ids, st.shifts, st.reduces),
+            machine: Machine::from_parts(st.states, log, claim_ids, st.shifts, st.reduces),
             input: st.input,
             dead,
             fault: None,

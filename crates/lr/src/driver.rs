@@ -4,10 +4,11 @@
 //! `ACTION[state, lookahead]` in the dense table, shift or reduce, and
 //! stop on accept or error. [`recognize_states`] keeps only the state
 //! stack (the allocation-light path behind `accepts` and
-//! [`LrStream::would_accept`]); the parsing drivers additionally keep a
-//! tree stack, building each reduction's derivation node via
-//! [`Cfg::derivation`] so the final tree is exactly the μ-regular parse
-//! tree the rest of the workspace consumes.
+//! [`LrStream::would_accept`]); the parsing drivers additionally append
+//! every shift and reduction to one postorder [`ReductionLog`]. The log
+//! *is* the derivation: [`ReductionLog::to_parse_tree`] materializes
+//! exactly the μ-regular tree [`Cfg::derivation`] builds, and nothing
+//! on the driver side ever builds a boxed node.
 //!
 //! Every loop carries a *fuel* bound on reductions between shifts. A
 //! conflict-free LALR(1) table never needs it — it exists so that a
@@ -20,7 +21,7 @@ use std::fmt;
 use lambek_cfg::grammar::{Cfg, GSym};
 use lambek_core::alphabet::{GString, Symbol};
 use lambek_core::grammar::expr::{chr, var};
-use lambek_core::grammar::parse_tree::{ParseTree, ValidateError};
+use lambek_core::grammar::parse_tree::{LogEntry, ReductionLog, ValidateError};
 use lambek_core::intern::{self, GrammarId};
 
 use crate::table::{Action, LrTable};
@@ -131,7 +132,7 @@ fn render_claims(ids: &[GrammarId]) -> String {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SabotageLr {
-    /// At the `shift`th shift (0-based), push a leaf carrying `sym`
+    /// At the `shift`th shift (0-based), log a leaf carrying `sym`
     /// instead of the input symbol.
     ShiftLeaf {
         /// Which shift to corrupt.
@@ -140,15 +141,15 @@ pub enum SabotageLr {
         sym: Symbol,
     },
     /// At the `reduce`th reduction, behave as if the table had said
-    /// `production` (pop its RHS length, build its derivation).
+    /// `production` (pop its RHS length, log its reduction).
     ReduceAs {
         /// Which reduction to corrupt.
         reduce: usize,
         /// The table production to substitute.
         production: usize,
     },
-    /// At the `reduce`th reduction, corrupt the emitted tree's injection
-    /// tag to `tag` after building it.
+    /// At the `reduce`th reduction, log the injection tag `tag`
+    /// instead of the production's alternative.
     ReduceTag {
         /// Which reduction to corrupt.
         reduce: usize,
@@ -186,6 +187,13 @@ impl fmt::Display for LrReject {
 /// into `dyn Error` for engine callers.
 impl std::error::Error for LrReject {}
 
+/// Log entries to reserve for an input of `n` symbols: its `n` shifts
+/// plus the reductions, which the grammars we serve keep within about
+/// twice the shifts (more only regrows the log, amortized).
+pub(crate) fn log_capacity(n: usize) -> usize {
+    3 * n + 2
+}
+
 /// Fuel for reductions between two shifts: generous enough for any legal
 /// unwinding (which is bounded by the stack depth times the state count)
 /// while still finite.
@@ -213,9 +221,9 @@ fn term_column(table: &LrTable, sym: Symbol) -> Option<usize> {
     (idx < table.eof_column()).then_some(idx)
 }
 
-/// Runs the recognition-only driver: state stack, no trees, and no
+/// Runs the recognition-only driver: state stack, no log, and no
 /// rejection report either — callers that need positions and expected
-/// sets use [`parse_tree`]; this path answers yes/no with the state
+/// sets use [`parse_log`]; this path answers yes/no with the state
 /// stack as its only allocation.
 pub(crate) fn recognize_states(table: &LrTable, w: &GString) -> bool {
     // One stack allocation for the whole run; the stack never exceeds
@@ -275,16 +283,22 @@ pub(crate) fn recognize_states(table: &LrTable, w: &GString) -> bool {
     unreachable!("the EOF column only ever accepts or errors")
 }
 
-/// One shift-reduce engine over a dense table, carrying both the state
-/// stack and the tree stack. The one-shot parser and the push-mode
+/// One shift-reduce engine over a dense table, carrying the state stack
+/// and the run's reduction log. The one-shot parser and the push-mode
 /// stream share it.
+///
+/// The log holds one complete tree per non-bottom stack slot, in stack
+/// order: a shift appends a root, a reduction of arity `k` closes the
+/// last `k` roots into one. So the log's roots *are* the tree stack,
+/// without a node per constructor.
 #[derive(Debug, Clone)]
 pub(crate) struct Machine {
     states: Vec<u32>,
-    trees: Vec<ParseTree>,
-    /// One interned grammar id per tree on the stack: the grammar that
-    /// tree is claimed (and, inductively, checked) to parse. Maintained
-    /// only when `feed` runs with certification tables.
+    log: ReductionLog,
+    /// One interned grammar id per stack slot (= per log root): the
+    /// grammar that subtree is claimed (and, inductively, checked) to
+    /// parse. Maintained only when `feed` runs with certification
+    /// tables.
     claims: Vec<GrammarId>,
     sabotage: Option<SabotageLr>,
     shifts_done: usize,
@@ -301,12 +315,13 @@ pub(crate) struct Machine {
 pub(crate) enum Step {
     /// The terminal was shifted (never happens for the EOF column).
     Shifted,
-    /// The accept action fired (EOF column only); here is the tree.
-    Accepted(ParseTree),
+    /// The accept action fired (EOF column only); here is the log of
+    /// the one complete tree.
+    Accepted(ReductionLog),
     /// No action: the state had nothing for this terminal.
     Rejected { state: usize },
-    /// The incremental certifier caught the driver emitting a tree step
-    /// that does not match the grammar — the certification analogue of
+    /// The incremental certifier caught the driver logging a step that
+    /// does not match the grammar — the certification analogue of
     /// a failed whole-tree `validate`.
     Faulted(ValidateError),
 }
@@ -316,14 +331,16 @@ impl Machine {
         Machine::with_capacity(0)
     }
 
-    /// A machine with both stacks pre-sized for an input of `n` symbols.
+    /// A machine with every stack and the log pre-sized for an input of
+    /// `n` symbols, so a run allocates a fixed number of times whatever
+    /// the input's length or nesting.
     pub(crate) fn with_capacity(n: usize) -> Machine {
         let mut states = Vec::with_capacity(n + 2);
         states.push(0);
         Machine {
             states,
-            trees: Vec::with_capacity(n + 1),
-            claims: Vec::new(),
+            log: ReductionLog::with_capacity(log_capacity(n)),
+            claims: Vec::with_capacity(n + 1),
             sabotage: None,
             shifts_done: 0,
             reduces_done: 0,
@@ -346,7 +363,7 @@ impl Machine {
     /// Current parse-stack depth (states minus the bottom marker) — the
     /// number of partial trees held.
     pub(crate) fn depth(&self) -> usize {
-        self.trees.len()
+        self.states.len() - 1
     }
 
     /// The state stack, for acceptance probes.
@@ -359,13 +376,13 @@ impl Machine {
         *self.states.last().expect("state stack is never empty") as usize
     }
 
-    /// The partial-derivation stack (one tree per shifted-or-reduced
-    /// stack slot), for state extraction.
-    pub(crate) fn trees(&self) -> &[ParseTree] {
-        &self.trees
+    /// The run's log: one root per shifted-or-reduced stack slot, for
+    /// state extraction.
+    pub(crate) fn log(&self) -> &ReductionLog {
+        &self.log
     }
 
-    /// The claim stack parallel to [`Machine::trees`] (empty when the
+    /// The claim stack parallel to the log's roots (empty when the
     /// machine runs without certification tables).
     pub(crate) fn claims(&self) -> &[GrammarId] {
         &self.claims
@@ -378,14 +395,14 @@ impl Machine {
     /// constructor only glues them back together.
     pub(crate) fn from_parts(
         states: Vec<u32>,
-        trees: Vec<ParseTree>,
+        log: ReductionLog,
         claims: Vec<GrammarId>,
         shifts_done: usize,
         reduces_done: usize,
     ) -> Machine {
         Machine {
             states,
-            trees,
+            log,
             claims,
             sabotage: None,
             shifts_done,
@@ -420,14 +437,14 @@ impl Machine {
     /// alphabet are rejected up front (see [`term_column`]).
     ///
     /// With `cert` tables, every step is certified as it happens: a
-    /// shifted leaf must be the input symbol, a reduction's popped
-    /// children must claim exactly the production's RHS ids, the emitted
-    /// node must carry the production's injection tag, and the accepted
-    /// stack must be a lone start-symbol claim. Each check is O(1) in
-    /// interned-id comparisons, and together they maintain the invariant
-    /// that every stack tree `check_shape`s against its claim and yields
-    /// the input slice it covers — so an `Accepted` tree needs no
-    /// whole-tree `validate`.
+    /// logged leaf must be the input symbol, a reduction's closed
+    /// children must claim exactly the production's RHS ids, the logged
+    /// reduction must carry the production's injection tag, and the
+    /// accepted stack must be a lone start-symbol claim. Each check is
+    /// O(1) in interned-id comparisons, and together they maintain the
+    /// invariant that every root of the log materializes to a tree that
+    /// `check_shape`s against its claim and yields the input slice it
+    /// covers — so an `Accepted` log needs no whole-tree `validate`.
     pub(crate) fn feed(
         &mut self,
         table: &LrTable,
@@ -464,24 +481,24 @@ impl Machine {
             match table.action(s, term) {
                 Action::Shift(t) => {
                     let sym = sym.expect("EOF is never shifted");
-                    let mut leaf = ParseTree::Char(sym);
+                    let mut leaf = sym;
                     if let Some(SabotageLr::ShiftLeaf { shift, sym: bogus }) = self.sabotage {
                         if shift == self.shifts_done {
-                            leaf = ParseTree::Char(bogus);
+                            leaf = bogus;
                         }
                     }
                     self.shifts_done += 1;
                     if let Some(ct) = cert {
                         self.claims_checked += 1;
-                        if !matches!(leaf, ParseTree::Char(c) if c == sym) {
+                        if leaf != sym {
                             return Step::Faulted(ValidateError::ShapeMismatch {
                                 expected: intern::grammar(ct.chr_ids[sym.index()]).to_string(),
-                                found: leaf.to_string(),
+                                found: LogEntry::Shift(leaf).to_string(),
                             });
                         }
                         self.claims.push(ct.chr_ids[sym.index()]);
                     }
-                    self.trees.push(leaf);
+                    self.log.shift(leaf);
                     self.states.push(t as u32);
                     return Step::Shifted;
                 }
@@ -494,26 +511,12 @@ impl Machine {
                         }
                         _ => (p, table.production(p)),
                     };
-                    if prod.rhs_len > self.trees.len() {
+                    if prod.rhs_len >= self.states.len() {
                         // An inconsistent table popping past the bottom
                         // marker: degrade to a rejection, not a panic
                         // (same defense as `would_accept_states`).
                         return Step::Rejected { state: s };
                     }
-                    // Build the derivation node in place (right-nested
-                    // tensor, `Unit` for an empty RHS — exactly
-                    // `Cfg::derivation`, minus its temporary children
-                    // vector: reductions are the hot loop).
-                    let body = if prod.rhs_len == 0 {
-                        ParseTree::Unit
-                    } else {
-                        let mut acc = self.trees.pop().expect("rhs_len checked");
-                        for _ in 1..prod.rhs_len {
-                            let t = self.trees.pop().expect("rhs_len checked");
-                            acc = ParseTree::pair(t, acc);
-                        }
-                        acc
-                    };
                     self.states.truncate(self.states.len() - prod.rhs_len);
                     let top = *self
                         .states
@@ -523,16 +526,16 @@ impl Machine {
                     let Some(g) = table.goto(top, prod.nt) else {
                         return Step::Rejected { state: top };
                     };
-                    let mut node = ParseTree::roll(ParseTree::inj(prod.alt, body));
+                    let mut alt = prod.alt as u32;
                     if let Some(SabotageLr::ReduceTag { reduce, tag }) = self.sabotage {
                         if reduce == self.reduces_done {
-                            if let ParseTree::Roll(inner) = &mut node {
-                                if let ParseTree::Inj { index, .. } = &mut **inner {
-                                    *index = tag;
-                                }
-                            }
+                            alt = tag as u32;
                         }
                     }
+                    // The stack's last `rhs_len` roots are this node's
+                    // children (`Cfg::derivation`'s right-nested tensor,
+                    // `Unit` for an empty RHS) — implicit in the log.
+                    self.log.reduce(alt, prod.rhs_len as u32);
                     self.reduces_done += 1;
                     if let Some(ct) = cert {
                         let expected = &ct.rhs_ids[p];
@@ -547,22 +550,20 @@ impl Machine {
                                 found: render_claims(&self.claims[popped_from.unwrap_or(0)..]),
                             });
                         }
+                        let logged = *self.log.entries().last().expect("just logged");
                         let tag_ok = matches!(
-                            &node,
-                            ParseTree::Roll(inner)
-                                if matches!(&**inner,
-                                    ParseTree::Inj { index, .. } if *index == prod.alt)
+                            logged,
+                            LogEntry::Reduce { alt, .. } if alt as usize == prod.alt
                         );
                         if !tag_ok {
                             return Step::Faulted(ValidateError::ShapeMismatch {
                                 expected: intern::grammar(ct.var_ids[prod.nt]).to_string(),
-                                found: node.to_string(),
+                                found: logged.to_string(),
                             });
                         }
                         self.claims.truncate(popped_from.expect("checked above"));
                         self.claims.push(ct.var_ids[prod.nt]);
                     }
-                    self.trees.push(node);
                     self.states.push(g as u32);
                     if fuel == 0 {
                         return Step::Rejected { state: g };
@@ -570,13 +571,9 @@ impl Machine {
                     fuel -= 1;
                 }
                 Action::Accept => {
-                    let tree = self
-                        .trees
-                        .pop()
-                        .expect("accept with the start tree on the stack");
                     if let Some(ct) = cert {
                         self.claims_checked += 1;
-                        let lone_start = self.trees.is_empty()
+                        let lone_start = self.depth() == 1
                             && self.claims.len() == 1
                             && self.claims[0] == ct.start_id;
                         if !lone_start {
@@ -586,7 +583,7 @@ impl Machine {
                             });
                         }
                     }
-                    return Step::Accepted(tree);
+                    return Step::Accepted(std::mem::take(&mut self.log));
                 }
                 Action::Error => return Step::Rejected { state: s },
             }
@@ -594,22 +591,22 @@ impl Machine {
     }
 }
 
-/// Parses `w` end to end, returning the derivation tree (in
+/// Parses `w` end to end, returning the derivation's log (of a tree in
 /// [`Cfg::to_lambek`] shape) or a structured rejection. With `cert`
 /// tables the run is incrementally certified; the outer `Err` is a
 /// certification fault (never a plain rejection).
-pub(crate) fn parse_tree(
+pub(crate) fn parse_log(
     table: &LrTable,
     cfg: &Cfg,
     cert: Option<&CertTables>,
     w: &GString,
-) -> Result<Result<ParseTree, LrReject>, ValidateError> {
+) -> Result<Result<ReductionLog, LrReject>, ValidateError> {
     let mut m = Machine::with_capacity(w.len());
     for pos in 0..=w.len() {
         let sym = (pos < w.len()).then(|| w[pos]);
         match m.feed(table, cert, sym) {
             Step::Shifted => {}
-            Step::Accepted(tree) => return Ok(Ok(tree)),
+            Step::Accepted(log) => return Ok(Ok(log)),
             Step::Rejected { state } => return Ok(Err(reject(table, cfg, pos, state))),
             Step::Faulted(cause) => return Err(cause),
         }

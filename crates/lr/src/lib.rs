@@ -7,7 +7,10 @@
 //! construction with LALR-style state merging, dense row-major
 //! ACTION/GOTO tables (the same flat-`Vec` idiom as the automata
 //! layer's DFA tables), and a linear-time shift-reduce driver that
-//! builds μ-regular parse trees bottom-up.
+//! records each derivation as a flat postorder
+//! [`ReductionLog`](lambek_core::grammar::parse_tree::ReductionLog) —
+//! the μ-regular parse tree, one fixed-size entry per shift and per
+//! reduction, materialized only on request.
 //!
 //! The paper's contract is kept at the subsystem boundary:
 //!
@@ -15,8 +18,8 @@
 //!   time* with a structured [`LrConflictReport`] pointing at the
 //!   offending item sets (the same notion of "deterministic" the Earley
 //!   baseline's ambiguity reporting uses);
-//! * every tree a [`CertifiedLrParser`] emits — one-shot or via the
-//!   push-mode [`LrStream`] — is certified against the grammar's
+//! * every derivation a [`CertifiedLrParser`] emits — one-shot or via
+//!   the push-mode [`LrStream`] — is certified against the grammar's
 //!   μ-regular encoding *incrementally*: each shift and each reduction
 //!   is checked as it happens via interned grammar-id comparisons, and
 //!   the per-step checks compose to the whole-tree `validate` contract
@@ -37,8 +40,8 @@
 //! let w = [t.num, t.add, t.lp, t.num, t.add, t.num, t.rp]
 //!     .into_iter()
 //!     .collect();
-//! let tree = parser.parse(&w).unwrap().accepted().cloned().unwrap();
-//! validate(&tree, &exp_grammar(&t), &w).unwrap(); // already certified
+//! let log = parser.parse(&w).unwrap().accepted().cloned().unwrap();
+//! validate(&log.to_parse_tree(), &exp_grammar(&t), &w).unwrap(); // already certified
 //! ```
 
 #![deny(missing_docs)]
@@ -76,11 +79,12 @@ mod tests {
             let rd = parse_dyck_string(&p, &w);
             let out = parser.parse(&w).unwrap();
             assert_eq!(out.is_accept(), rd.is_some(), "{w}");
-            if let Some(tree) = out.accepted() {
-                // LR builds the exact same unique derivation the
+            if let Some(log) = out.accepted() {
+                // LR derives the exact same unique tree the
                 // recursive-descent parser does.
-                assert_eq!(tree, &rd.unwrap(), "{w}");
-                validate(tree, &dyck_grammar(&p), &w).unwrap();
+                let tree = log.to_parse_tree();
+                assert_eq!(tree, rd.unwrap(), "{w}");
+                validate(&tree, &dyck_grammar(&p), &w).unwrap();
             }
             assert_eq!(parser.recognizes(&w), out.is_accept(), "{w}");
         }
@@ -94,8 +98,8 @@ mod tests {
             let ll1 = parse_exp_string(&t, &w);
             let out = parser.parse(&w).unwrap();
             assert_eq!(out.is_accept(), ll1.is_some(), "{w}");
-            if let Some(tree) = out.accepted() {
-                assert_eq!(tree, &ll1.unwrap(), "{w}");
+            if let Some(log) = out.accepted() {
+                assert_eq!(log.to_parse_tree(), ll1.unwrap(), "{w}");
             }
         }
     }
@@ -138,8 +142,8 @@ mod tests {
         let parser = CertifiedLrParser::compile(&cfg).unwrap();
         for n in 1..8 {
             let w = s.parse_str(&"a".repeat(n)).unwrap();
-            let tree = parser.parse(&w).unwrap().accepted().cloned().unwrap();
-            validate(&tree, &cfg.to_lambek(), &w).unwrap();
+            let log = parser.parse(&w).unwrap().accepted().cloned().unwrap();
+            validate(&log.to_parse_tree(), &cfg.to_lambek(), &w).unwrap();
         }
         assert!(!parser.recognizes(&s.parse_str("").unwrap()));
     }
@@ -242,8 +246,8 @@ mod tests {
         }
         assert_eq!(stream.len(), 4);
         assert!(stream.pending() > 0);
-        let tree = stream.finish().unwrap().accepted().cloned().unwrap();
-        assert_eq!(tree.flatten(), w);
+        let log = stream.finish().unwrap().accepted().cloned().unwrap();
+        assert_eq!(log.to_parse_tree().flatten(), w);
     }
 
     #[test]

@@ -67,10 +67,13 @@ fn main() {
     let parsed = backend
         .parse_str_tokens(inputs[0])
         .expect("no contract violation");
-    let StrOutcome::Accept { tree, tokens } = parsed else {
+    let StrOutcome::Accept { derivation, tokens } = parsed else {
         panic!("input 0 is valid");
     };
     let tokens = tokens.expect("lexed pipeline");
+    // The served derivation is the LR run's reduction log; materialize
+    // the paper-level tree to validate it from the outside.
+    let tree = derivation.to_parse_tree();
     validate(&tree, pipeline.grammar(), tokens.yield_string()).expect("tree certifies");
     backend
         .lexer()

@@ -204,11 +204,13 @@ fn assert_pipelines_agree(
         "verdict mismatch on {:?}",
         input
     );
-    if let (StrOutcome::Accept { tree: tt, .. }, StrOutcome::Accept { tree: rt, .. }) = (&to, &ro) {
+    if let (StrOutcome::Accept { derivation: tt, .. }, StrOutcome::Accept { derivation: rt, .. }) =
+        (&to, &ro)
+    {
         let tcfg = tb.cfg_backend().cfg();
         let rcfg = rb.cfg_backend().cfg();
-        let ts = shape(tcfg, tcfg.start(), tt, &unquote);
-        let rs = shape(rcfg, rcfg.start(), rt, &|n| n.to_string());
+        let ts = shape(tcfg, tcfg.start(), &tt.to_parse_tree(), &unquote);
+        let rs = shape(rcfg, rcfg.start(), &rt.to_parse_tree(), &|n| n.to_string());
         prop_assert_eq!(ts, rs, "tree mismatch on {:?}", input);
     }
     Ok(())

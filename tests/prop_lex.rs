@@ -252,8 +252,8 @@ proptest! {
                 "token string of {:?}",
                 text
             );
-            if let Some(tree) = lr_out.accepted() {
-                prop_assert_eq!(&tree.flatten(), w);
+            if let Some(log) = lr_out.accepted() {
+                prop_assert_eq!(&log.to_parse_tree().flatten(), w);
             }
         }
     }

@@ -224,8 +224,8 @@ proptest! {
         let materialized = backend.parse_str_tokens(&text).unwrap();
         match (&fused, &materialized) {
             (
-                StrOutcome::Accept { tree: tf, tokens: tkf },
-                StrOutcome::Accept { tree: tm, .. },
+                StrOutcome::Accept { derivation: tf, tokens: tkf },
+                StrOutcome::Accept { derivation: tm, .. },
             ) => {
                 prop_assert_eq!(tf, tm, "trees differ on {:?}", text);
                 prop_assert!(tkf.is_none(), "fused path materialized tokens on {:?}", text);

@@ -5,8 +5,14 @@
 //! and the two layers agree on what "deterministic" means — a grammar
 //! whose tables build conflict-free never gets an ambiguity report from
 //! Earley.
+//!
+//! Every accepted reduction log is also checked against the tree it
+//! materializes: its O(1) size and yield length equal the tree's, and
+//! reading the tree back gives the same log — which is also what the
+//! Earley fallback's tree reads back to on LALR grammars.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,7 +23,8 @@ use lambek_cfg::earley::{earley_parse, earley_recognize, EarleyParse};
 use lambek_cfg::expr::exp_cfg;
 use lambek_cfg::grammar::{Cfg, GSym, Production};
 use lambek_core::alphabet::{Alphabet, GString, Symbol};
-use lambek_core::grammar::parse_tree::validate;
+use lambek_core::grammar::expr::Grammar;
+use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog};
 use lambek_core::theory::unambiguous::all_strings;
 use lambek_lr::CertifiedLrParser;
 
@@ -55,6 +62,23 @@ fn random_cfg(seed: u64) -> Cfg {
     )
 }
 
+/// The log ↔ tree correspondence on one accepted parse of `w`: the
+/// materialized tree validates, the log's O(1) counters equal the
+/// tree's, and the tree reads back to the same log. Returns the tree.
+fn check_log(log: &ReductionLog, g: &Grammar, w: &GString) -> Result<ParseTree, TestCaseError> {
+    let tree = log.to_parse_tree();
+    validate(&tree, g, w).expect("certified tree");
+    prop_assert_eq!(log.size(), tree.size(), "{}", w);
+    prop_assert_eq!(log.yield_len(), tree.flatten().len(), "{}", w);
+    prop_assert_eq!(
+        ReductionLog::from_parse_tree(&tree),
+        Some(log.clone()),
+        "{}",
+        w
+    );
+    Ok(tree)
+}
+
 /// Mutates a string by flipping one random position to a random symbol.
 fn mutate(w: &GString, alphabet_len: usize, seed: u64) -> GString {
     if w.is_empty() {
@@ -86,15 +110,25 @@ proptest! {
                     prop_assert_eq!(parser.recognizes(&w), expected, "{} on {}", seed, &w);
                     let outcome = parser.parse(&w).expect("certification never fails");
                     prop_assert_eq!(outcome.is_accept(), expected);
-                    if let Some(tree) = outcome.accepted() {
+                    if let Some(log) = outcome.accepted() {
                         // Intrinsic: the tree validates against the
                         // μ-regular grammar and the actual input.
-                        validate(tree, &g, &w).expect("certified tree");
+                        let tree = check_log(log, &g, &w)?;
                         // Determinism agreement: a conflict-free grammar
                         // is unambiguous, so Earley must report Unique —
-                        // and uniqueness forces the same tree.
+                        // and uniqueness forces the same tree, which the
+                        // fallback's boundary conversion reads back to
+                        // the LR run's own log.
                         match earley_parse(&cfg, &w) {
-                            EarleyParse::Unique(et) => prop_assert_eq!(&et, tree, "{}", &w),
+                            EarleyParse::Unique(et) => {
+                                prop_assert_eq!(&et, &tree, "{}", &w);
+                                prop_assert_eq!(
+                                    ReductionLog::from_parse_tree(&et),
+                                    Some(log.clone()),
+                                    "{}",
+                                    &w
+                                );
+                            }
                             other => prop_assert!(
                                 false,
                                 "LR-deterministic grammar, Earley said {:?} on {}",
@@ -128,8 +162,8 @@ proptest! {
             prop_assert_eq!(parser.recognizes(&w), expected, "{}", &w);
             let outcome = parser.parse(&w).expect("certification never fails");
             prop_assert_eq!(outcome.is_accept(), expected);
-            if let Some(tree) = outcome.accepted() {
-                validate(tree, &g, &w).expect("certified tree");
+            if let Some(log) = outcome.accepted() {
+                check_log(log, &g, &w)?;
             }
         }
     }
@@ -152,8 +186,8 @@ proptest! {
             prop_assert_eq!(parser.recognizes(&w), expected, "{}", &w);
             let outcome = parser.parse(&w).expect("certification never fails");
             prop_assert_eq!(outcome.is_accept(), expected);
-            if let Some(tree) = outcome.accepted() {
-                validate(tree, &g, &w).expect("certified tree");
+            if let Some(log) = outcome.accepted() {
+                check_log(log, &g, &w)?;
             }
         }
     }

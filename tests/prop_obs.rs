@@ -189,8 +189,9 @@ proptest! {
             match (&r.outcome, &fused) {
                 (
                     StrReportOutcome::Accepted { tree_size, tokens },
-                    lambekd::engine::StrOutcome::Accept { tree, .. },
+                    lambekd::engine::StrOutcome::Accept { derivation, .. },
                 ) => {
+                    let tree = derivation.to_parse_tree();
                     prop_assert_eq!(*tree_size, tree.size(), "tree sizes differ on {:?}", input);
                     prop_assert_eq!(*tokens, tree.flatten().len(),
                         "token counts differ on {:?}", input);

@@ -382,3 +382,51 @@ fn resealed_tampered_payloads_fail_revalidation_not_certification() {
         "at least some payload tampering must be caught by re-validation"
     );
 }
+
+/// Wire compatibility: session blobs parked before the LR driver
+/// switched from boxed trees to a reduction log (`tests/fixtures/`)
+/// still resume, and finish with the verdict, tree size and yield
+/// length recorded beside them (`<name>.expect`: `accept SIZE YIELD`).
+#[test]
+fn golden_session_blobs_resume_and_finish_as_recorded() {
+    const JSON_DOC: &str = r#"{"name": "lambek", "tags": [1, 22, 333, true, false, null], "nested": {"deep": [[], {}, "x"]}}"#;
+    let fixture = |name: &str| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/");
+        let blob = std::fs::read(format!("{dir}{name}.session")).expect("fixture blob");
+        let expect = std::fs::read_to_string(format!("{dir}{name}.expect")).expect("fixture");
+        (SessionState::from_bytes(blob), expect.trim().to_owned())
+    };
+    let engine = Engine::new();
+    let finished = |outcome: lambekd::core::theory::parser::ParseOutcome| match outcome.accepted() {
+        Some(tree) => format!("accept {} {}", tree.size(), tree.flatten().len()),
+        None => "reject".to_owned(),
+    };
+
+    // Lexed-LR JSON, parked mid-document (41 chars in, inside `true`).
+    let spec = PipelineSpec::json_lexed();
+    let (blob, expect) = fixture("json_lexed_mid");
+    let mut resumed = engine
+        .resume(&spec, &blob)
+        .expect("the golden blob resumes");
+    assert_eq!(resumed.raw_input(), Some(&JSON_DOC[..41]));
+    assert!(resumed.push_chars(&JSON_DOC[41..]));
+    assert_eq!(
+        finished(resumed.finish().expect("certified finish")),
+        expect
+    );
+
+    // Dyck LR, parked after six of `(()(()))()(())`.
+    let spec = PipelineSpec::dyck_cfg();
+    let (blob, expect) = fixture("dyck_cfg_mid");
+    let mut resumed = engine
+        .resume(&spec, &blob)
+        .expect("the golden blob resumes");
+    let sigma = engine.get_or_compile(&spec).unwrap().alphabet().clone();
+    let w = sigma.parse_str("(()(()))()(())").unwrap();
+    assert_eq!(resumed.input(), &w.substring(0, 6));
+    resumed.push_all(&w.substring(6, w.len()));
+    assert_eq!(
+        finished(resumed.finish().expect("certified finish")),
+        expect
+    );
+}

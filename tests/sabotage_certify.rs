@@ -128,7 +128,7 @@ fn substituted_reductions_are_undetected_only_when_genuinely_valid() {
                     // the accepted tree must be a *genuinely valid*
                     // derivation of the input.
                     Ok(LrOutcome::Accept(tree)) => {
-                        validate(&tree, &grammar, &w).unwrap_or_else(|e| {
+                        validate(&tree.to_parse_tree(), &grammar, &w).unwrap_or_else(|e| {
                             panic!(
                                 "undetected substitution (reduce {k} as production {p}) \
                                  on {input:?} produced an invalid tree: {e}"
