@@ -1,5 +1,5 @@
 //! Serving-engine benchmarks: compile-once cache amortization and batch
-//! fan-out over worker threads.
+//! fan-out over the engine's worker pool.
 //!
 //! Expected shape: `get_cached` is nanoseconds against a multi-millisecond
 //! `compile`, and `parse_many` scales with workers until tree building
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lambek_automata::gen::random_dyck;
 use lambek_core::alphabet::GString;
-use lambek_engine::{parse_batch, Engine, PipelineSpec};
+use lambek_engine::{Engine, PipelineSpec};
 
 fn bench(c: &mut Criterion) {
     let spec = PipelineSpec::dyck(64);
@@ -26,12 +26,11 @@ fn bench(c: &mut Criterion) {
     });
 
     let inputs: Vec<GString> = (0..256).map(|i| random_dyck(16, i as u64)).collect();
-    let pipeline = engine.get_or_compile(&spec).unwrap();
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("parse_many_256x32", workers),
             &workers,
-            |b, &workers| b.iter(|| parse_batch(&pipeline, &inputs, workers)),
+            |b, &workers| b.iter(|| engine.parse_many(&spec, &inputs, workers).unwrap()),
         );
     }
 

@@ -1,7 +1,7 @@
 //! Observability overhead, emitted as machine-readable JSON
 //! (`BENCH_obs.json` at the repo root): the same workloads driven
 //! through an engine with observability fully enabled (`ObsConfig {
-//! tracing: true, .. }` — staged per-stage spans, trace ring, exact
+//! tracing: true, .. }` — per-request stage spans, trace ring, exact
 //! request/token counters) and through a default engine with tracing
 //! off, so the delta *is* the price of watching.
 //!
@@ -10,10 +10,10 @@
 //! * **scan** — certified lexing only (`Engine::lex_str_parallel`,
 //!   one chunk): tracing never touches this path, so the delta bounds
 //!   the noise floor plus the always-on process-wide probe cost;
-//! * **fused** — a one-request `parse_many_str` batch: tracing swaps
-//!   the fused lex→certify→LR pass for the staged form that times
-//!   each stage (the differentially-proven-equal `parse_str_staged`),
-//!   the headline ≤ 3% acceptance row at 1 MiB;
+//! * **fused** — a one-request `parse_many_str` batch: tracing runs
+//!   the same fused lex→certify→LR call and wraps it in a `parse`
+//!   span, so the delta is the cost of recording, the headline ≤ 3%
+//!   acceptance row at 1 MiB;
 //! * **parse_many** — a pooled batch of ~1 KiB requests over four
 //!   workers: per-request traces, queue spans and counter updates all
 //!   enabled at once.

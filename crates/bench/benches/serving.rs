@@ -1,11 +1,10 @@
 //! Serving-tier headline numbers, emitted as machine-readable JSON
 //! (`BENCH_serving.json` at the repo root):
 //!
-//! * batch throughput on a 4 KiB arith workload, persistent worker
-//!   pool ([`Engine::parse_many_str`]) vs the per-call scoped-thread
-//!   baseline ([`parse_batch_str`]) it replaced — the pool amortizes
-//!   thread spawn/join across batches, so its per-batch time should be
-//!   at or below the baseline;
+//! * batch throughput on a 4 KiB arith workload through the persistent
+//!   worker pool ([`Engine::parse_many_str`]) at N workers vs the same
+//!   batch served sequentially (1 worker, the calling thread) — the
+//!   speedup is bounded by the host's cores, which the JSON records;
 //! * cache latency asymmetry: a hit on a resident pipeline vs the
 //!   evict-and-recompile path a thrashing working set pays, plus the
 //!   single-lookup hit latency the cost-weighted policy protects.
@@ -16,7 +15,7 @@
 
 use std::time::Instant;
 
-use lambek_engine::{parse_batch_str, CacheConfig, Engine, PipelineSpec};
+use lambek_engine::{CacheConfig, Engine, PipelineSpec};
 use lambek_lex::demo::arith_text;
 
 /// Median seconds-per-iteration over five samples; each sample runs
@@ -52,38 +51,38 @@ fn row(pairs: &[(&str, f64)]) -> String {
     format!("    {{ {} }}", fields.join(", "))
 }
 
-/// Pool vs scoped-thread batch throughput on 4 KiB arith documents.
+/// Pool batch throughput on 4 KiB arith documents, N workers vs one.
 fn pool_section() -> Vec<String> {
     let engine = Engine::new();
     let spec = PipelineSpec::arith_lexed();
-    let pipeline = engine.get_or_compile(&spec).expect("arith compiles");
+    engine.get_or_compile(&spec).expect("arith compiles");
     let doc = arith_text(4096);
+    let serve = |inputs: &[&str], workers: usize| {
+        engine
+            .parse_many_str(&spec, inputs, workers)
+            .expect("cached")
+            .len()
+    };
     let mut rows = Vec::new();
     for (batch, workers) in [(8usize, 4usize), (32, 4), (32, 8)] {
         let inputs: Vec<&str> = (0..batch).map(|_| doc.as_str()).collect();
-        let scoped = time(|| parse_batch_str(&pipeline, &inputs, workers).len());
-        let pool = time(|| {
-            engine
-                .parse_many_str(&spec, &inputs, workers)
-                .expect("cached")
-                .len()
-        });
+        let one = time(|| serve(&inputs, 1));
+        let pool = time(|| serve(&inputs, workers));
         let bytes = (batch * doc.len()) as f64;
         eprintln!(
-            "batch {batch:>3} x 4 KiB, {workers} workers: scoped {scoped:.3e}s  \
+            "batch {batch:>3} x 4 KiB, {workers} workers: one {one:.3e}s  \
              pool {pool:.3e}s  ({:.2}x, pool {:.1} MiB/s)",
-            pool / scoped,
+            one / pool,
             bytes / pool / (1024.0 * 1024.0),
         );
         rows.push(row(&[
             ("batch", batch as f64),
             ("workers", workers as f64),
             ("bytes_per_input", doc.len() as f64),
-            ("scoped_s", scoped),
+            ("one_worker_s", one),
             ("pool_s", pool),
-            ("pool_over_scoped", pool / scoped),
+            ("speedup", one / pool),
             ("pool_bytes_per_s", bytes / pool),
-            ("scoped_bytes_per_s", bytes / scoped),
         ]));
     }
     rows
@@ -138,8 +137,13 @@ fn cache_section() -> Vec<String> {
 fn main() {
     let pool = pool_section().join(",\n");
     let cache = cache_section().join(",\n");
-    let json =
-        format!("{{\n  \"pool_vs_scoped\": [\n{pool}\n  ],\n  \"cache\": [\n{cache}\n  ]\n}}\n");
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let json = format!(
+        "{{\n  \"cores\": {cores},\n  \"pool_one_vs_n\": [\n{pool}\n  ],\n  \
+         \"cache\": [\n{cache}\n  ]\n}}\n"
+    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
     std::fs::write(path, json).expect("write BENCH_serving.json");
     println!("wrote {path}");

@@ -1,9 +1,10 @@
-//! Batch parsing: fan a slice of inputs out over scoped worker threads.
+//! Per-request serving for the engine's batch entrances
+//! ([`crate::Engine::parse_many`] / [`crate::Engine::parse_many_str`]):
+//! admission limits, the pipeline call, report mapping and — when the
+//! engine traces — the request's stage spans, all on one code path.
 //!
 //! The pipeline is compiled once and shared by reference — workers never
-//! clone grammars or transformers, they only walk them. Inputs are split
-//! into contiguous chunks (one per worker) so reports reassemble in input
-//! order without any synchronization beyond the scope join.
+//! clone grammars or transformers, they only walk them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,15 +13,14 @@ use lambek_core::alphabet::GString;
 use lambek_core::theory::parser::ParseOutcome;
 use lambek_core::transform::TransformError;
 use lambek_lex::Span;
-use lambek_obs::{Recorder, Stage, Trace};
+use lambek_obs::{Stage, Trace};
 
 use crate::pipeline::{CompiledPipeline, StrOutcome};
 
 /// Per-batch observability context the engine threads into each
 /// request: the engine's metrics to count into, the batch epoch every
 /// trace span is measured against, and the batch-level cache-lookup /
-/// compile spans stamped into each request's trace. The engine-less
-/// [`parse_batch`] / [`parse_batch_str`] baselines pass `None`.
+/// compile spans stamped into each request's trace.
 #[derive(Debug, Clone)]
 pub(crate) struct ObsCtx {
     pub(crate) metrics: Arc<crate::Metrics>,
@@ -175,13 +175,13 @@ pub struct ParseReport {
     /// Wall-clock time spent parsing this input.
     pub duration: Duration,
     /// Per-request stage trace, when the serving engine was built with
-    /// [`crate::ObsConfig::tracing`]; `None` otherwise (including on
-    /// the engine-less [`parse_batch`] baseline). For symbolic inputs
-    /// the trace's `input_bytes` counts symbols.
+    /// [`crate::ObsConfig::tracing`]; `None` otherwise. For symbolic
+    /// inputs the trace's `input_bytes` counts symbols.
     pub trace: Option<Trace>,
 }
 
-/// What happened to one raw-text input of a [`parse_batch_str`] batch.
+/// What happened to one raw-text input of a
+/// [`crate::Engine::parse_many_str`] batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrReportOutcome {
     /// Lexed (for lexed pipelines) and parsed; both layers certified.
@@ -248,66 +248,115 @@ pub struct StrParseReport {
     /// Wall-clock time spent on this input.
     pub duration: Duration,
     /// Per-request stage trace, when the serving engine was built with
-    /// [`crate::ObsConfig::tracing`]; `None` otherwise (including on
-    /// the engine-less [`parse_batch_str`] baseline).
+    /// [`crate::ObsConfig::tracing`]; `None` otherwise.
     pub trace: Option<Trace>,
 }
 
-/// [`parse_one_str`] behind an admission check: shed requests carry a
-/// structured outcome and a near-zero duration. `obs` is the engine's
-/// per-batch context (`None` from the engine-less baselines).
-pub(crate) fn parse_one_str_limited(
+/// What [`serve`] hands back for one request: the mapped outcome (or
+/// the shed outcome the admission check returned instead), the parse
+/// wall time, and the completed trace when the engine traces.
+struct Served<O> {
+    outcome: Result<O, ReportOutcome>,
+    duration: Duration,
+    trace: Option<Trace>,
+}
+
+/// The one request path both batch entrances serve: count the request,
+/// check admission, run `parse` (the pipeline call) and `finish` (the
+/// report mapping). Tracing changes what gets recorded, never which
+/// code runs: with tracing on, the request's trace carries the batch's
+/// cache (and compile) spans, its queue wait ending at pickup, one
+/// exact `parse` span around `parse` and one `finish` span around
+/// `finish`. A shed request is never parsed; its trace ends at the
+/// queue wait.
+fn serve<R, O>(
+    obs: Option<&ObsCtx>,
+    index: usize,
+    size: usize,
+    limits: &RequestLimits,
+    parse: impl FnOnce() -> R,
+    finish: impl FnOnce(R) -> O,
+) -> Served<O> {
+    let mut traced = obs.filter(|o| o.metrics.tracing).map(|o| {
+        let trace = o.begin_trace(index, size, o.epoch.elapsed());
+        (o, trace)
+    });
+    if let Some(o) = obs {
+        o.metrics.requests.inc();
+    }
+    if let Some(shed) = limits.admit(size) {
+        return Served {
+            outcome: Err(shed),
+            duration: Duration::ZERO,
+            trace: close(traced),
+        };
+    }
+    let start = Instant::now();
+    let result = span(&mut traced, Stage::Parse, parse);
+    let outcome = span(&mut traced, Stage::Finish, || finish(result));
+    let duration = start.elapsed();
+    Served {
+        outcome: Ok(outcome),
+        duration,
+        trace: close(traced),
+    }
+}
+
+/// Completes a traced request's trace (see [`ObsCtx::finish_trace`]).
+fn close(traced: Option<(&ObsCtx, Trace)>) -> Option<Trace> {
+    traced.map(|(o, t)| o.finish_trace(t))
+}
+
+/// Runs `f`, recording it as one `stage` span on a traced request.
+fn span<T>(traced: &mut Option<(&ObsCtx, Trace)>, stage: Stage, f: impl FnOnce() -> T) -> T {
+    let Some((o, trace)) = traced else {
+        return f();
+    };
+    let s0 = o.epoch.elapsed();
+    let out = f();
+    trace.record(stage, s0, o.epoch.elapsed().saturating_sub(s0));
+    out
+}
+
+/// Serves one raw-text request of a batch: [`CompiledPipeline::parse_str`]
+/// behind an admission check (shed requests carry a structured outcome
+/// and a zero duration). `obs` is the engine's per-batch context (`None`
+/// in unit tests).
+pub(crate) fn parse_one_str(
     pipeline: &CompiledPipeline,
     index: usize,
     input: &str,
     limits: &RequestLimits,
     obs: Option<&ObsCtx>,
 ) -> StrParseReport {
-    let pickup = obs.map(|o| o.epoch.elapsed());
-    if let Some(o) = obs {
-        o.metrics.requests.inc();
-    }
-    if let Some(shed) = limits.admit(input.len()) {
-        let outcome = match shed {
-            ReportOutcome::BudgetExceeded { budget, required } => {
-                StrReportOutcome::BudgetExceeded { budget, required }
-            }
-            _ => StrReportOutcome::DeadlineExceeded,
-        };
-        // A shed request's trace is just its queue wait: it was never
-        // parsed, so there are no pipeline stages to time.
-        let trace = match obs {
-            Some(o) if o.metrics.tracing => {
-                let t = o.begin_trace(index, input.len(), pickup.unwrap_or_default());
-                Some(o.finish_trace(t))
-            }
-            _ => None,
-        };
-        return StrParseReport {
-            index,
-            input_bytes: input.len(),
-            outcome,
-            duration: Duration::ZERO,
-            trace,
-        };
-    }
-    let report = match obs {
-        Some(o) if o.metrics.tracing => {
-            parse_one_str_traced(pipeline, index, input, o, pickup.unwrap_or_default())
+    let served = serve(
+        obs,
+        index,
+        input.len(),
+        limits,
+        || pipeline.parse_str(input),
+        |result| str_outcome(pipeline, result),
+    );
+    let outcome = match served.outcome {
+        Ok(outcome) => outcome,
+        Err(ReportOutcome::BudgetExceeded { budget, required }) => {
+            StrReportOutcome::BudgetExceeded { budget, required }
         }
-        _ => parse_one_str(pipeline, index, input),
+        Err(_) => StrReportOutcome::DeadlineExceeded,
     };
-    if let Some(o) = obs {
-        if let StrReportOutcome::Accepted { tokens, .. } = report.outcome {
-            o.metrics.tokens.add(tokens as u64);
-        }
+    if let (Some(o), StrReportOutcome::Accepted { tokens, .. }) = (obs, &outcome) {
+        o.metrics.tokens.add(*tokens as u64);
     }
-    report
+    StrParseReport {
+        index,
+        input_bytes: input.len(),
+        outcome,
+        duration: served.duration,
+        trace: served.trace,
+    }
 }
 
-/// Maps a pipeline's raw-text result to the report outcome. Shared by
-/// the fused and the traced (staged) request paths, which by
-/// construction produce the same [`StrOutcome`] on every input.
+/// Maps a pipeline's raw-text result to the report outcome.
 fn str_outcome(
     pipeline: &CompiledPipeline,
     result: Result<StrOutcome, TransformError>,
@@ -338,139 +387,33 @@ fn str_outcome(
     }
 }
 
-fn parse_one_str(pipeline: &CompiledPipeline, index: usize, input: &str) -> StrParseReport {
-    let start = Instant::now();
-    let outcome = str_outcome(pipeline, pipeline.parse_str(input));
-    StrParseReport {
-        index,
-        input_bytes: input.len(),
-        outcome,
-        duration: start.elapsed(),
-        trace: None,
-    }
-}
-
-/// [`parse_one_str`] with stage tracing: runs the pipeline's staged
-/// traced path (scan / certify / parse timed separately) and attaches
-/// the completed trace to the report.
-fn parse_one_str_traced(
-    pipeline: &CompiledPipeline,
-    index: usize,
-    input: &str,
-    obs: &ObsCtx,
-    pickup: Duration,
-) -> StrParseReport {
-    let mut trace = obs.begin_trace(index, input.len(), pickup);
-    let start = Instant::now();
-    let result = pipeline.parse_str_traced(input, obs.epoch, &mut trace);
-    let duration = start.elapsed();
-    let f0 = obs.epoch.elapsed();
-    let outcome = str_outcome(pipeline, result);
-    trace.record(Stage::Finish, f0, obs.epoch.elapsed().saturating_sub(f0));
-    let trace = obs.finish_trace(trace);
-    StrParseReport {
-        index,
-        input_bytes: input.len(),
-        outcome,
-        duration,
-        trace: Some(trace),
-    }
-}
-
-/// The shared worker fan-out both batch entrances ride: `0` workers =
-/// one per available core, `1` = sequential in the calling thread;
-/// inputs split into contiguous chunks (remainder spread over the
-/// first few workers) so results reassemble in input order with no
-/// synchronization beyond the scope join.
-fn fan_out<T: Sync, R: Send>(
-    inputs: &[T],
-    workers: usize,
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        workers
-    };
-    let workers = workers.clamp(1, inputs.len().max(1));
-    if workers == 1 {
-        return inputs.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let base = inputs.len() / workers;
-    let extra = inputs.len() % workers;
-    let mut results = Vec::with_capacity(inputs.len());
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut handles = Vec::with_capacity(workers);
-        let mut offset = 0;
-        for k in 0..workers {
-            let len = base + usize::from(k < extra);
-            let chunk = &inputs[offset..offset + len];
-            let chunk_offset = offset;
-            offset += len;
-            handles.push(scope.spawn(move || {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| f(chunk_offset + i, x))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            results.extend(h.join().expect("batch worker panicked"));
-        }
-    });
-    results
-}
-
-/// Parses every raw-text input against a shared compiled pipeline, with
-/// the same worker-fan-out contract as [`parse_batch`] (`1` =
-/// sequential, `0` = one worker per core; reports in input order).
-pub fn parse_batch_str(
-    pipeline: &CompiledPipeline,
-    inputs: &[&str],
-    workers: usize,
-) -> Vec<StrParseReport> {
-    fan_out(inputs, workers, |i, s| parse_one_str(pipeline, i, s))
-}
-
-/// [`parse_one`] behind an admission check. A shed request's
-/// `yield_ok` is vacuously `true`: no tree was produced, so no yield
-/// obligation was violated. `obs` is the engine's per-batch context
-/// (`None` from the engine-less baselines).
-pub(crate) fn parse_one_limited(
+/// Serves one symbolic request of a batch: [`CompiledPipeline::parse`]
+/// behind an admission check. A shed request's `yield_ok` is vacuously
+/// `true`: no tree was produced, so no yield obligation was violated.
+/// `obs` as for [`parse_one_str`].
+pub(crate) fn parse_one(
     pipeline: &CompiledPipeline,
     index: usize,
     w: &GString,
     limits: &RequestLimits,
     obs: Option<&ObsCtx>,
 ) -> ParseReport {
-    let pickup = obs.map(|o| o.epoch.elapsed());
-    if let Some(o) = obs {
-        o.metrics.requests.inc();
-    }
-    if let Some(outcome) = limits.admit(w.len()) {
-        let trace = match obs {
-            Some(o) if o.metrics.tracing => {
-                let t = o.begin_trace(index, w.len(), pickup.unwrap_or_default());
-                Some(o.finish_trace(t))
-            }
-            _ => None,
-        };
-        return ParseReport {
-            index,
-            input_len: w.len(),
-            outcome,
-            yield_ok: true,
-            duration: Duration::ZERO,
-            trace,
-        };
-    }
-    match obs {
-        Some(o) if o.metrics.tracing => {
-            parse_one_traced(pipeline, index, w, o, pickup.unwrap_or_default())
-        }
-        _ => parse_one(pipeline, index, w),
+    let served = serve(
+        obs,
+        index,
+        w.len(),
+        limits,
+        || pipeline.parse(w),
+        |result| sym_outcome(w, result),
+    );
+    let (outcome, yield_ok) = served.outcome.unwrap_or_else(|shed| (shed, true));
+    ParseReport {
+        index,
+        input_len: w.len(),
+        outcome,
+        yield_ok,
+        duration: served.duration,
+        trace: served.trace,
     }
 }
 
@@ -493,79 +436,22 @@ fn sym_outcome(w: &GString, result: Result<ParseOutcome, TransformError>) -> (Re
     }
 }
 
-fn parse_one(pipeline: &CompiledPipeline, index: usize, w: &GString) -> ParseReport {
-    let start = Instant::now();
-    let (outcome, yield_ok) = sym_outcome(w, pipeline.parse(w));
-    ParseReport {
-        index,
-        input_len: w.len(),
-        outcome,
-        yield_ok,
-        duration: start.elapsed(),
-        trace: None,
-    }
-}
-
-/// [`parse_one`] with stage tracing: symbolic inputs have no lex
-/// stages, so the trace is queue/cache(/compile) plus one parse span
-/// and the finish span.
-fn parse_one_traced(
-    pipeline: &CompiledPipeline,
-    index: usize,
-    w: &GString,
-    obs: &ObsCtx,
-    pickup: Duration,
-) -> ParseReport {
-    let mut trace = obs.begin_trace(index, w.len(), pickup);
-    let start = Instant::now();
-    let p0 = obs.epoch.elapsed();
-    let result = pipeline.parse(w);
-    trace.record(Stage::Parse, p0, obs.epoch.elapsed().saturating_sub(p0));
-    let duration = start.elapsed();
-    let f0 = obs.epoch.elapsed();
-    let (outcome, yield_ok) = sym_outcome(w, result);
-    trace.record(Stage::Finish, f0, obs.epoch.elapsed().saturating_sub(f0));
-    let trace = obs.finish_trace(trace);
-    ParseReport {
-        index,
-        input_len: w.len(),
-        outcome,
-        yield_ok,
-        duration,
-        trace: Some(trace),
-    }
-}
-
-/// Parses every input against a shared compiled pipeline, using up to
-/// `workers` scoped threads (`1` means sequential in the calling thread;
-/// `0` means one worker per available core). Reports are returned in
-/// input order.
-///
-/// Worker threads only help when cores are available — on a single-core
-/// host the fan-out degrades gracefully to sequential-plus-overhead.
-pub fn parse_batch(
-    pipeline: &CompiledPipeline,
-    inputs: &[GString],
-    workers: usize,
-) -> Vec<ParseReport> {
-    fan_out(inputs, workers, |i, w| parse_one(pipeline, i, w))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PipelineSpec;
+    use crate::{Engine, PipelineSpec};
     use lambek_core::alphabet::Alphabet;
 
     #[test]
     fn reports_come_back_in_input_order() {
-        let p = PipelineSpec::dyck(12).compile().unwrap();
-        let sigma = p.alphabet().clone();
+        let engine = Engine::new();
+        let spec = PipelineSpec::dyck(12);
+        let sigma = engine.get_or_compile(&spec).unwrap().alphabet().clone();
         let inputs: Vec<GString> = ["", "()", ")(", "(())", "(()", "()()()"]
             .iter()
             .map(|s| sigma.parse_str(s).unwrap())
             .collect();
-        let reports = parse_batch(&p, &inputs, 3);
+        let reports = engine.parse_many(&spec, &inputs, 3).unwrap();
         assert_eq!(reports.len(), inputs.len());
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.index, i);
@@ -578,7 +464,6 @@ mod tests {
 
     #[test]
     fn truncation_overflow_is_a_failed_report_not_a_panic() {
-        let p = PipelineSpec::expr(2).compile().unwrap();
         let sigma = Alphabet::arith();
         // n+n has length 3 > the bound 2.
         let w = {
@@ -586,14 +471,15 @@ mod tests {
             let plus = sigma.symbol("+").unwrap();
             GString::from_symbols(vec![n, plus, n])
         };
-        let reports = parse_batch(&p, &[w], 1);
+        let reports = Engine::new()
+            .parse_many(&PipelineSpec::expr(2), &[w], 1)
+            .unwrap();
         assert!(matches!(reports[0].outcome, ReportOutcome::Failed(_)));
         assert!(!reports[0].yield_ok);
     }
 
     #[test]
     fn str_batches_report_all_three_rejection_shapes() {
-        let p = PipelineSpec::json_lexed().compile().unwrap();
         let inputs = [
             "{\"a\": 1}",
             "[true, null, {\"x\": []}]",
@@ -601,7 +487,9 @@ mod tests {
             "{?}",       // lex error at '?'
             "",          // lexes to zero tokens, rejected by the grammar
         ];
-        let reports = parse_batch_str(&p, &inputs, 2);
+        let reports = Engine::new()
+            .parse_many_str(&PipelineSpec::json_lexed(), &inputs, 2)
+            .unwrap();
         assert_eq!(reports.len(), inputs.len());
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.index, i);
@@ -630,8 +518,9 @@ mod tests {
 
     #[test]
     fn str_batches_work_for_char_pipelines_too() {
-        let p = PipelineSpec::dyck_cfg().compile().unwrap();
-        let reports = parse_batch_str(&p, &["()", ")(", "(z)"], 1);
+        let reports = Engine::new()
+            .parse_many_str(&PipelineSpec::dyck_cfg(), &["()", ")(", "(z)"], 1)
+            .unwrap();
         assert!(reports[0].outcome.is_accept());
         assert!(matches!(
             reports[1].outcome,
@@ -652,7 +541,7 @@ mod tests {
             token_budget: Some(3),
             deadline: None,
         };
-        let r = parse_one_limited(&p, 0, &w, &over, None);
+        let r = parse_one(&p, 0, &w, &over, None);
         assert_eq!(
             r.outcome,
             ReportOutcome::BudgetExceeded {
@@ -667,14 +556,14 @@ mod tests {
             token_budget: None,
             deadline: Some(Instant::now() - Duration::from_millis(1)),
         };
-        let r = parse_one_limited(&p, 1, &w, &expired, None);
+        let r = parse_one(&p, 1, &w, &expired, None);
         assert_eq!(r.outcome, ReportOutcome::DeadlineExceeded);
 
         let roomy = RequestLimits {
             token_budget: Some(6),
             deadline: Some(Instant::now() + Duration::from_secs(3600)),
         };
-        let r = parse_one_limited(&p, 2, &w, &roomy, None);
+        let r = parse_one(&p, 2, &w, &roomy, None);
         assert!(r.outcome.is_accept(), "in-budget requests parse normally");
     }
 
@@ -685,7 +574,7 @@ mod tests {
             token_budget: Some(4),
             deadline: None,
         };
-        let r = parse_one_str_limited(&p, 0, "[1, 2, 3]", &limits, None);
+        let r = parse_one_str(&p, 0, "[1, 2, 3]", &limits, None);
         assert_eq!(
             r.outcome,
             StrReportOutcome::BudgetExceeded {
@@ -693,18 +582,19 @@ mod tests {
                 required: 9
             }
         );
-        let r = parse_one_str_limited(&p, 1, "[1]", &limits, None);
+        let r = parse_one_str(&p, 1, "[1]", &limits, None);
         assert!(r.outcome.is_accept());
     }
 
     #[test]
     fn more_workers_than_inputs_is_fine() {
-        let p = PipelineSpec::dyck(4).compile().unwrap();
-        let sigma = p.alphabet().clone();
+        let engine = Engine::new();
+        let spec = PipelineSpec::dyck(4);
+        let sigma = engine.get_or_compile(&spec).unwrap().alphabet().clone();
         let inputs = vec![sigma.parse_str("()").unwrap()];
-        let reports = parse_batch(&p, &inputs, 64);
+        let reports = engine.parse_many(&spec, &inputs, 64).unwrap();
         assert_eq!(reports.len(), 1);
         assert!(reports[0].outcome.is_accept());
-        assert!(parse_batch(&p, &[], 8).is_empty());
+        assert!(engine.parse_many(&spec, &[], 8).unwrap().is_empty());
     }
 }

@@ -16,8 +16,6 @@
 //! * [`Engine::parse_many`] — batch parsing sharded over the engine's
 //!   persistent work-stealing worker pool, returning one structured
 //!   [`ParseReport`] per input (outcome, intrinsic yield check, timing);
-//!   the per-call [`std::thread::scope`] baseline survives as
-//!   [`parse_batch`];
 //! * [`StreamParser`] — push-style incremental input for DFA-backed and
 //!   LR-backed pipelines: each pushed symbol is one dense-table
 //!   transition (or one LR shift plus its pending reductions), and
@@ -82,10 +80,7 @@ mod session;
 mod stream;
 mod text;
 
-pub use batch::{
-    parse_batch, parse_batch_str, ParseReport, ReportOutcome, RequestLimits, StrParseReport,
-    StrReportOutcome,
-};
+pub use batch::{ParseReport, ReportOutcome, RequestLimits, StrParseReport, StrReportOutcome};
 pub use cache::CacheConfig;
 pub use pipeline::{
     CfgBackend, CfgMode, CompiledPipeline, Derivation, DfaBackend, LexedCfgBackend, PipelineSpec,
@@ -101,6 +96,7 @@ pub use lambek_frontend::{
     Budgets, ConflictReport, ConflictSite, FrontendError, FrontendErrorKind, FrontendReport,
 };
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -163,11 +159,13 @@ pub use lambek_obs::HISTOGRAM_BUCKETS as LATENCY_BUCKETS;
 /// [`Engine::recent_traces`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Record per-request stage traces (default `false`). Tracing runs
-    /// the lexed str path in staged form (scan, certify, then parse as
-    /// separate passes) so the stages can be timed individually — the
-    /// staged path is observationally identical to the fused one and
-    /// within a few percent of its throughput.
+    /// Record per-request stage traces (default `false`). Tracing
+    /// changes only what gets recorded, never which code runs: a traced
+    /// request runs the same pipeline call as an untraced one, wrapped
+    /// in one `parse` span (plus the cache, compile, queue and finish
+    /// spans around it). The split of a parse into scan / certify / LR
+    /// drive is measured by timing those layers' public calls
+    /// separately, not by tracing.
     pub tracing: bool,
     /// How many completed traces [`Engine::recent_traces`] retains
     /// (default 32; minimum 1).
@@ -432,34 +430,14 @@ impl Engine {
         workers: usize,
         limits: RequestLimits,
     ) -> Result<Vec<ParseReport>, EngineError> {
-        let epoch = Instant::now();
-        let (pipeline, lookup, compile) = self.get_or_compile_timed(spec)?;
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut ctx = batch::ObsCtx {
-            metrics: self.metrics.clone(),
-            label: spec.label(),
-            epoch,
-            cache_lookup: lookup,
-            compile,
-            enqueue: epoch.elapsed(),
-        };
-        if workers == 1 {
-            return Ok(inputs
-                .iter()
-                .enumerate()
-                .map(|(i, w)| batch::parse_one_limited(&pipeline, i, w, &limits, Some(&ctx)))
-                .collect());
-        }
-        // The pool's workers are long-lived ('static), so shards own
-        // their inputs: one GString clone per request, paid against the
-        // per-call thread spawn/join the pool amortizes away.
-        let items: Vec<GString> = inputs.to_vec();
-        ctx.enqueue = epoch.elapsed();
-        Ok(self.pool().run_batch(items, workers, move |i, w| {
-            batch::parse_one_limited(&pipeline, i, w, &limits, Some(&ctx))
-        }))
+        self.serve_batch(
+            spec,
+            inputs,
+            workers,
+            limits,
+            GString::clone,
+            batch::parse_one,
+        )
     }
 
     /// Parses every *raw-text* input against the pipeline for `spec`
@@ -495,6 +473,37 @@ impl Engine {
         workers: usize,
         limits: RequestLimits,
     ) -> Result<Vec<StrParseReport>, EngineError> {
+        self.serve_batch(
+            spec,
+            inputs,
+            workers,
+            limits,
+            |s: &&str| (*s).to_owned(),
+            batch::parse_one_str,
+        )
+    }
+
+    /// The body both batch entrances share: look the pipeline up (or
+    /// compile it), then serve each input with `serve` — sequentially
+    /// in the calling thread for `workers == 1`, otherwise sharded over
+    /// the pool. The pool's workers are long-lived (`'static`), so
+    /// shards own their inputs: one `own` copy per request, paid
+    /// against the per-call thread spawn/join the pool amortizes away.
+    fn serve_batch<T, I, Q, R>(
+        &self,
+        spec: &PipelineSpec,
+        inputs: &[T],
+        workers: usize,
+        limits: RequestLimits,
+        own: impl Fn(&T) -> I,
+        serve: fn(&CompiledPipeline, usize, &Q, &RequestLimits, Option<&batch::ObsCtx>) -> R,
+    ) -> Result<Vec<R>, EngineError>
+    where
+        T: Borrow<Q>,
+        I: Borrow<Q> + Send + 'static,
+        Q: ?Sized + 'static,
+        R: Send + 'static,
+    {
         let epoch = Instant::now();
         let (pipeline, lookup, compile) = self.get_or_compile_timed(spec)?;
         if inputs.is_empty() {
@@ -512,13 +521,13 @@ impl Engine {
             return Ok(inputs
                 .iter()
                 .enumerate()
-                .map(|(i, s)| batch::parse_one_str_limited(&pipeline, i, s, &limits, Some(&ctx)))
+                .map(|(i, x)| serve(&pipeline, i, x.borrow(), &limits, Some(&ctx)))
                 .collect());
         }
-        let items: Vec<String> = inputs.iter().map(|s| (*s).to_owned()).collect();
+        let items: Vec<I> = inputs.iter().map(own).collect();
         ctx.enqueue = epoch.elapsed();
-        Ok(self.pool().run_batch(items, workers, move |i, s| {
-            batch::parse_one_str_limited(&pipeline, i, s, &limits, Some(&ctx))
+        Ok(self.pool().run_batch(items, workers, move |i, x| {
+            serve(&pipeline, i, x.borrow(), &limits, Some(&ctx))
         }))
     }
 

@@ -37,9 +37,9 @@ use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog};
 use lambek_core::theory::parser::{ParseOutcome, VerifiedParser};
 use lambek_core::transform::TransformError;
 use lambek_lex::{
-    CertifiedLexer, LexCertifier, LexError, LexSpec, RawLexeme, Span, TokenSink, TokenStream,
+    CertifiedLexer, LexCertifyError, LexError, LexSpec, LexedOutcome, Span, TokenStream,
 };
-use lambek_lr::{CertifiedLrParser, LrConflictReport, LrOutcome, LrSink};
+use lambek_lr::{CertifiedLrParser, CertifyError, LrConflictReport, LrOutcome};
 use regex_grammars::ast::parse_regex;
 use regex_grammars::pipeline::RegexParser;
 
@@ -655,40 +655,6 @@ pub struct LexedCfgBackend {
     inner: CfgBackend,
 }
 
-/// The fused lex→certify→LR consumer: the byte-sliced scanner's
-/// [`TokenSink`] for [`LexedCfgBackend::parse_str`]. Each lexeme is
-/// certified *by span* (no text materialized) and its symbol shifted
-/// straight into the LR machine; skip lexemes certify and vanish.
-///
-/// A certification failure aborts the lex (the sink's error plane); an
-/// LR rejection does *not* — the LR side goes dead, lexing continues
-/// to its own verdict so a later unlexable byte keeps priority, and
-/// the span of the first refused shift is kept for the rejection
-/// report.
-struct FusedSink {
-    cert: LexCertifier,
-    lrs: LrSink,
-    /// Span (in the raw input) of the yield token whose shift the LR
-    /// machine first refused, if any.
-    reject_span: Option<Span>,
-}
-
-impl TokenSink for FusedSink {
-    type Err = TransformError;
-
-    fn lexeme(&mut self, input: &str, lexeme: RawLexeme) -> Result<(), TransformError> {
-        self.cert.check_raw(input, &lexeme).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })?;
-        if let Some(sym) = lexeme.sym {
-            if !self.lrs.push(sym) && self.reject_span.is_none() {
-                self.reject_span = Some(lexeme.span);
-            }
-        }
-        Ok(())
-    }
-}
-
 impl LexedCfgBackend {
     /// The certified lexer.
     pub fn lexer(&self) -> &CertifiedLexer {
@@ -703,18 +669,15 @@ impl LexedCfgBackend {
     /// Lexes `input` and parses the token string, certifying both
     /// layers. Rejections carry byte offsets into `input`.
     ///
-    /// On LR-backed grammars this is the *fused* hot path: the
-    /// byte-sliced scanner pushes each lexeme through span-based
-    /// certification (running tiling cursor plus memoized derivative
-    /// re-match, no text copied) and shifts its symbol straight into
-    /// the LR stack — whose reductions are themselves certified as
-    /// performed — with no `Vec<Token>`, no [`TokenStream`] and no
-    /// per-token `String` ever allocated; accordingly the outcome's
-    /// `tokens` field is `None`. Use
-    /// [`LexedCfgBackend::parse_str_tokens`] when the caller wants the
-    /// certified stream itself. The Earley fallback (and
-    /// [`LexedCfgBackend::parse_str_full`]) still runs the original
-    /// two-pass form.
+    /// On LR-backed grammars this is the *fused* hot path: each lexeme
+    /// the byte-sliced scanner yields is certified by span (running
+    /// tiling cursor plus memoized derivative re-match, no text copied)
+    /// and its symbol shifted straight into the LR stack — whose
+    /// reductions are themselves certified as performed — with no
+    /// `Vec<Token>`, no [`TokenStream`] and no per-token `String` ever
+    /// allocated; accordingly the outcome's `tokens` field is `None`.
+    /// The Earley fallback needs the whole token string anyway and
+    /// runs [`LexedCfgBackend::parse_str_tokens`].
     ///
     /// # Errors
     ///
@@ -723,185 +686,49 @@ impl LexedCfgBackend {
     /// rejection.
     pub fn parse_str(&self, input: &str) -> Result<StrOutcome, TransformError> {
         let CfgMode::Lr(lr) = &self.inner.mode else {
-            // Earley needs the whole token string anyway.
-            return self.parse_str_full(input);
+            return self.parse_str_tokens(input);
         };
-        let mut sink = FusedSink {
-            cert: self.lexer.certifier(),
-            // A loose lower bound on the yield length: arithmetic-style
-            // inputs average a handful of bytes per yield token, so the
-            // LR machine's stacks mostly avoid regrowth without
-            // over-reserving on token-sparse inputs.
-            lrs: lr.sink_with_capacity(input.len() / 8),
-            reject_span: None,
-        };
-        // Lex errors keep priority over LR rejections, exactly as in
-        // the two-pass form (where lexing ran to completion first) — a
-        // doomed LR stack never masks a later unlexable byte, because
-        // the sink's LR side just goes (and stays) dead while lexing
-        // continues.
-        if let Err(e) = self.lexer.automaton().lex_into(input, &mut sink)? {
-            return Ok(StrOutcome::RejectLex(e));
-        }
-        sink.cert.finish(input).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })?;
-        match sink.lrs.finish().map_err(lr_fault)? {
-            LrOutcome::Accept(log) => Ok(StrOutcome::Accept {
-                derivation: Derivation::Log(log),
-                tokens: None,
-            }),
-            LrOutcome::Reject(r) => Ok(StrOutcome::RejectParse {
-                // The span of the yield token whose shift the LR stack
-                // first refused — the same token `span_of_yield` finds
-                // on the materializing paths — or the empty span at the
-                // end of input when every shift succeeded and only the
-                // final accept was refused.
-                span: sink.reject_span.unwrap_or_else(|| Span::empty(input.len())),
-                message: r.to_string(),
-                tokens: None,
-            }),
-        }
-    }
-
-    /// [`LexedCfgBackend::parse_str`] in *staged* form with per-stage
-    /// spans recorded into `rec` (offsets measured from `epoch`): the
-    /// scan collects the whole lexeme chain, certification re-validates
-    /// it in a second pass, and the parse drives the LR machine (or the
-    /// Earley fallback) in a third — so the scan / certify / parse
-    /// stages can be timed separately, which the fused single-pass form
-    /// cannot do. Observationally identical to
-    /// [`LexedCfgBackend::parse_str`]: same outcome — verdict,
-    /// derivation, spans, token reporting — on every input (asserted by
-    /// the `prop_obs` differential suite).
-    ///
-    /// # Errors
-    ///
-    /// As [`LexedCfgBackend::parse_str`].
-    pub(crate) fn parse_str_staged<R: lambek_obs::Recorder>(
-        &self,
-        input: &str,
-        epoch: Instant,
-        rec: &mut R,
-    ) -> Result<StrOutcome, TransformError> {
-        use lambek_obs::Stage;
-        let s0 = epoch.elapsed();
-        let scanned: Result<Vec<RawLexeme>, LexError> =
-            self.lexer.automaton().raw_lexemes(input).collect();
-        rec.record(Stage::Scan, s0, epoch.elapsed().saturating_sub(s0));
-        let lexemes = match scanned {
-            Ok(ls) => ls,
-            Err(e) => return Ok(StrOutcome::RejectLex(e)),
-        };
-        let c0 = epoch.elapsed();
         let mut cert = self.lexer.certifier();
-        for l in &lexemes {
-            cert.check_raw(input, l).map_err(|e| {
-                TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-            })?;
-        }
-        cert.finish(input).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })?;
-        rec.record(Stage::Certify, c0, epoch.elapsed().saturating_sub(c0));
-        let p0 = epoch.elapsed();
-        let out = self.parse_lexeme_chain(input, &lexemes);
-        rec.record(Stage::Parse, p0, epoch.elapsed().saturating_sub(p0));
-        out
-    }
-
-    /// The parse stage of [`LexedCfgBackend::parse_str_staged`]: drives
-    /// an already-certified lexeme chain through the CFG backend,
-    /// reproducing [`LexedCfgBackend::parse_str`]'s outcomes exactly
-    /// (LR: token stream never materialized, rejection span = first
-    /// refused shift; Earley: materializing, as `parse_str_full`).
-    fn parse_lexeme_chain(
-        &self,
-        input: &str,
-        lexemes: &[RawLexeme],
-    ) -> Result<StrOutcome, TransformError> {
-        match &self.inner.mode {
-            CfgMode::Lr(lr) => {
-                let mut lrs = lr.sink_with_capacity(lexemes.len());
-                let mut reject_span = None;
-                for l in lexemes {
-                    if let Some(sym) = l.sym {
-                        if !lrs.push(sym) && reject_span.is_none() {
-                            reject_span = Some(l.span);
-                        }
-                    }
-                }
-                match lrs.finish().map_err(lr_fault)? {
-                    LrOutcome::Accept(log) => Ok(StrOutcome::Accept {
-                        derivation: Derivation::Log(log),
-                        tokens: None,
-                    }),
-                    LrOutcome::Reject(r) => Ok(StrOutcome::RejectParse {
-                        span: reject_span.unwrap_or_else(|| Span::empty(input.len())),
-                        message: r.to_string(),
-                        tokens: None,
-                    }),
+        // A loose lower bound on the yield length: arithmetic-style
+        // inputs average a handful of bytes per yield token, so the LR
+        // machine's stacks mostly avoid regrowth without over-reserving
+        // on token-sparse inputs.
+        let mut lrs = lr.sink_with_capacity(input.len() / 8);
+        // Span of the yield token whose shift the LR machine first
+        // refused. Lex errors keep priority over LR rejections, exactly
+        // as when lexing runs to completion first: a doomed LR stack
+        // just goes (and stays) dead while lexing continues, so it
+        // never masks a later unlexable byte.
+        let mut refused = None;
+        for item in self.lexer.automaton().raw_lexemes(input) {
+            let lexeme = match item {
+                Ok(l) => l,
+                Err(e) => return Ok(StrOutcome::RejectLex(e)),
+            };
+            cert.check_raw(input, &lexeme).map_err(lex_fault)?;
+            if let Some(sym) = lexeme.sym {
+                if !lrs.push(sym) && refused.is_none() {
+                    refused = Some(lexeme.span);
                 }
             }
-            CfgMode::Earley { cfg, grammar, .. } => {
-                let tokens =
-                    TokenStream::from_tokens(lexemes.iter().map(|l| l.to_token(input)).collect());
-                earley_str_outcome(cfg, grammar, input, tokens)
-            }
         }
+        cert.finish(input).map_err(lex_fault)?;
+        let outcome = lrs.finish().map_err(lr_fault)?;
+        Ok(lr_str_outcome(input, outcome, None, refused))
     }
 
     /// [`LexedCfgBackend::parse_str`] materializing the certified
-    /// [`TokenStream`] alongside the outcome — the original incremental
-    /// two-layer path: each token is certified at its munch boundary
-    /// and shifted into the LR stream, and the collected tokens ride
-    /// along in the outcome's `tokens` field. Callers that only need
-    /// the verdict and derivation should prefer the fused
-    /// [`LexedCfgBackend::parse_str`].
+    /// [`TokenStream`] alongside the outcome: the certified lexer's
+    /// [`CertifiedLexer::lex`], then the backend over the token string
+    /// (the certified LR [`CertifiedLrParser::parse`], or the Earley
+    /// fallback). Callers that only need the verdict and derivation
+    /// should prefer the fused [`LexedCfgBackend::parse_str`].
     ///
     /// # Errors
     ///
     /// As [`LexedCfgBackend::parse_str`].
     pub fn parse_str_tokens(&self, input: &str) -> Result<StrOutcome, TransformError> {
-        let CfgMode::Lr(lr) = &self.inner.mode else {
-            // Earley needs the whole token string anyway.
-            return self.parse_str_full(input);
-        };
-        let mut cert = self.lexer.certifier();
-        let mut lrs = lr.stream();
-        let mut tokens = Vec::new();
-        for item in self.lexer.automaton().lexemes(input) {
-            match item {
-                Err(e) => return Ok(StrOutcome::RejectLex(e)),
-                Ok(t) => {
-                    cert.check(input, &t).map_err(|e| {
-                        TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-                    })?;
-                    if let Some(sym) = t.sym {
-                        lrs.push(sym);
-                    }
-                    tokens.push(t);
-                }
-            }
-        }
-        cert.finish(input).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })?;
-        let tokens = TokenStream::from_tokens(tokens);
-        match lrs.finish().map_err(lr_fault)? {
-            LrOutcome::Accept(log) => Ok(StrOutcome::Accept {
-                derivation: Derivation::Log(log),
-                tokens: Some(tokens),
-            }),
-            LrOutcome::Reject(r) => {
-                let span = tokens.span_of_yield(r.at, input.len());
-                Ok(StrOutcome::RejectParse {
-                    span,
-                    message: r.to_string(),
-                    tokens: Some(tokens),
-                })
-            }
-        }
+        self.parse_lexed(input, self.lexer.lex(input), CertifiedLrParser::parse)
     }
 
     /// [`LexedCfgBackend::parse_str`] with both layers on their full
@@ -914,30 +741,64 @@ impl LexedCfgBackend {
     ///
     /// As [`LexedCfgBackend::parse_str`].
     pub fn parse_str_full(&self, input: &str) -> Result<StrOutcome, TransformError> {
-        let tokens = match self.lexer.lex_full(input).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })? {
-            lambek_lex::LexedOutcome::Reject(e) => return Ok(StrOutcome::RejectLex(e)),
-            lambek_lex::LexedOutcome::Tokens(ts) => ts,
+        self.parse_lexed(
+            input,
+            self.lexer.lex_full(input),
+            CertifiedLrParser::parse_full,
+        )
+    }
+
+    /// Parses a certified lex of `input` with `lr_parse` (or the Earley
+    /// fallback), the token stream riding along in the outcome.
+    fn parse_lexed(
+        &self,
+        input: &str,
+        lexed: Result<LexedOutcome, LexCertifyError>,
+        lr_parse: fn(&CertifiedLrParser, &GString) -> Result<LrOutcome, CertifyError>,
+    ) -> Result<StrOutcome, TransformError> {
+        let tokens = match lexed.map_err(lex_fault)? {
+            LexedOutcome::Reject(e) => return Ok(StrOutcome::RejectLex(e)),
+            LexedOutcome::Tokens(ts) => ts,
         };
-        let w = tokens.yield_string();
         match &self.inner.mode {
-            CfgMode::Lr(lr) => match lr.parse_full(w).map_err(lr_fault)? {
-                LrOutcome::Accept(log) => Ok(StrOutcome::Accept {
-                    derivation: Derivation::Log(log),
-                    tokens: Some(tokens),
-                }),
-                LrOutcome::Reject(r) => {
-                    let span = tokens.span_of_yield(r.at, input.len());
-                    Ok(StrOutcome::RejectParse {
-                        span,
-                        message: r.to_string(),
-                        tokens: Some(tokens),
-                    })
-                }
-            },
+            CfgMode::Lr(lr) => {
+                let outcome = lr_parse(lr, tokens.yield_string()).map_err(lr_fault)?;
+                Ok(lr_str_outcome(input, outcome, Some(tokens), None))
+            }
             CfgMode::Earley { cfg, grammar, .. } => earley_str_outcome(cfg, grammar, input, tokens),
         }
+    }
+}
+
+/// Maps a lexer certification fault to the engine's error plane.
+fn lex_fault(e: LexCertifyError) -> TransformError {
+    TransformError::Custom(format!("certified-lexer contract violation: {e}"))
+}
+
+/// An LR run over a lexed token string as a raw-text outcome. A
+/// rejection spans the yield token the run refused — `refused` when the
+/// caller tracked it while feeding, else looked up in `tokens` — or the
+/// empty span at the end when every shift succeeded and only the final
+/// accept was refused.
+fn lr_str_outcome(
+    input: &str,
+    outcome: LrOutcome,
+    tokens: Option<TokenStream>,
+    refused: Option<Span>,
+) -> StrOutcome {
+    match outcome {
+        LrOutcome::Accept(log) => StrOutcome::Accept {
+            derivation: Derivation::Log(log),
+            tokens,
+        },
+        LrOutcome::Reject(r) => StrOutcome::RejectParse {
+            span: refused.unwrap_or_else(|| match &tokens {
+                Some(ts) => ts.span_of_yield(r.at, input.len()),
+                None => Span::empty(input.len()),
+            }),
+            message: r.to_string(),
+            tokens,
+        },
     }
 }
 
@@ -1120,40 +981,6 @@ impl CompiledPipeline {
             Ok(w) => Ok(char_outcome(input, self.derive(&w)?)),
             Err(e) => Ok(StrOutcome::RejectLex(e)),
         }
-    }
-
-    /// [`CompiledPipeline::parse_str`] with per-stage spans recorded
-    /// into `rec` (offsets measured from `epoch`). Observationally
-    /// identical — same outcome on every input — but lexed LR
-    /// pipelines run in staged form
-    /// ([`LexedCfgBackend::parse_str_staged`]) so scan, certify and
-    /// parse are timed as separate spans; other pipelines record a
-    /// scan span (char-per-symbol reading) and a parse span.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledPipeline::parse_str`].
-    pub(crate) fn parse_str_traced<R: lambek_obs::Recorder>(
-        &self,
-        input: &str,
-        epoch: Instant,
-        rec: &mut R,
-    ) -> Result<StrOutcome, TransformError> {
-        use lambek_obs::Stage;
-        if let ParserImpl::LexedCfg(b) = &self.imp {
-            return b.parse_str_staged(input, epoch, rec);
-        }
-        let s0 = epoch.elapsed();
-        let read = self.read_chars(input);
-        rec.record(Stage::Scan, s0, epoch.elapsed().saturating_sub(s0));
-        let w = match read {
-            Ok(w) => w,
-            Err(e) => return Ok(StrOutcome::RejectLex(e)),
-        };
-        let p0 = epoch.elapsed();
-        let derived = self.derive(&w)?;
-        rec.record(Stage::Parse, p0, epoch.elapsed().saturating_sub(p0));
-        Ok(char_outcome(input, derived))
     }
 
     /// The char-per-symbol reading of raw text through the parser's

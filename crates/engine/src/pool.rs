@@ -19,8 +19,9 @@
 //!   update, and park otherwise;
 //! * batches are submitted as contiguous *shards* of the input range and
 //!   reassembled in input order on the calling thread, so pool results
-//!   are indistinguishable (modulo timings) from the scoped-thread
-//!   baseline — the property suites assert exactly that.
+//!   are indistinguishable (modulo timings) from a sequential batch
+//!   served on the calling thread — the property suites assert exactly
+//!   that.
 //!
 //! The pool is not reentrant: a job must never submit a batch to the
 //! pool that runs it (the calling thread blocks until its batch

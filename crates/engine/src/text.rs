@@ -22,7 +22,7 @@ use lambek_frontend::{
     Budgets, FrontendError, FrontendErrorKind, FrontendReport,
 };
 use lambek_lex::Span;
-use lambek_obs::{Recorder, Stage, Trace};
+use lambek_obs::{Stage, Trace};
 
 use crate::{CompiledPipeline, Engine, PipelineSpec, StrOutcome};
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use lambek_core::alphabet::{Alphabet, GString, Symbol};
-use lambek_engine::{parse_batch, Engine, PipelineSpec};
+use lambek_engine::{Engine, PipelineSpec};
 
 #[test]
 fn second_get_or_compile_performs_no_recompilation() {
@@ -154,9 +154,10 @@ proptest! {
         inputs in proptest::collection::vec(arb_paren_string(10), 0..24),
         workers in 1usize..6,
     ) {
-        let pipeline = PipelineSpec::dyck(10).compile().unwrap();
-        let sequential = parse_batch(&pipeline, &inputs, 1);
-        let parallel = parse_batch(&pipeline, &inputs, workers);
+        let engine = Engine::new();
+        let spec = PipelineSpec::dyck(10);
+        let sequential = engine.parse_many(&spec, &inputs, 1).unwrap();
+        let parallel = engine.parse_many(&spec, &inputs, workers).unwrap();
         prop_assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             prop_assert_eq!(s.index, p.index);
@@ -171,8 +172,10 @@ proptest! {
     fn batch_outcomes_match_fast_accepts(
         inputs in proptest::collection::vec(arb_paren_string(12), 1..16),
     ) {
-        let pipeline = PipelineSpec::dyck(12).compile().unwrap();
-        let reports = parse_batch(&pipeline, &inputs, 4);
+        let engine = Engine::new();
+        let spec = PipelineSpec::dyck(12);
+        let pipeline = engine.get_or_compile(&spec).unwrap();
+        let reports = engine.parse_many(&spec, &inputs, 4).unwrap();
         for (w, r) in inputs.iter().zip(&reports) {
             prop_assert_eq!(r.outcome.is_accept(), pipeline.accepts(w));
             prop_assert!(r.yield_ok);

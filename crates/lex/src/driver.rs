@@ -171,26 +171,6 @@ impl RawLexeme {
     }
 }
 
-/// A consumer of lexemes for the fused paths: [`LexAutomaton::lex_into`]
-/// hands each maximal-munch lexeme to the sink as it is produced, in
-/// input order, without materializing a token list in between. The
-/// engine's fused text→tree pipeline implements this to certify each
-/// lexeme and shift its symbol into the LR machine directly from the
-/// scanner's hot loop.
-pub trait TokenSink {
-    /// The sink's own failure type. Returning `Err` aborts the lex
-    /// immediately — the fused pipeline uses this for certification
-    /// faults, which invalidate everything downstream. Recoverable
-    /// conditions (e.g. the parser rejecting a prefix while later input
-    /// could still fail to lex) should be recorded inside the sink
-    /// instead, so lexing runs to its own verdict.
-    type Err;
-
-    /// Consumes the next lexeme. `input` is the full text being lexed —
-    /// the lexeme's text is `&input[lexeme.span.start..lexeme.span.end]`.
-    fn lexeme(&mut self, input: &str, lexeme: RawLexeme) -> Result<(), Self::Err>;
-}
-
 /// Why a `scan_token` stopped consuming input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScanStop {
@@ -372,64 +352,14 @@ impl LexAutomaton {
     }
 
     /// Lexes `input` lazily, one maximal-munch lexeme per `next` call —
-    /// the pull-mode form of [`LexAutomaton::lex_raw`]. The fused
-    /// engine paths consume this to certify and parse each token as it
-    /// is produced, without ever materializing the whole token list.
+    /// the pull-mode form of [`LexAutomaton::lex_raw`].
+    /// [`CertifiedLexer::lex`](crate::CertifiedLexer::lex) consumes this
+    /// to certify each token as it is produced.
     /// After the first `Err` the iterator is exhausted.
     pub fn lexemes<'a>(&'a self, input: &'a str) -> Lexemes<'a> {
         Lexemes {
             raw: self.raw_lexemes(input),
         }
-    }
-
-    /// Lexes `input` straight into `sink`, one [`TokenSink::lexeme`]
-    /// call per maximal-munch lexeme — the push-based spine of the
-    /// fused lex→certify→LR pipeline: no `Vec<Token>`, no
-    /// [`TokenStream`], no per-token `String`.
-    ///
-    /// The nested result separates the two failure planes: the outer
-    /// `Err` is the sink's (certification faults — lexing aborted), the
-    /// inner one is the lexer's own verdict on the input. When the sink
-    /// never fails, `Ok(Ok(()))` means every lexeme was delivered and
-    /// the lexemes tile the input; `Ok(Err(e))` means the input stopped
-    /// lexing at `e.at` *after* the delivered lexemes.
-    ///
-    /// # Errors
-    ///
-    /// Outer: whatever `sink.lexeme` returns. Inner: [`LexError`] at
-    /// the byte offset where no rule matches, exactly as
-    /// [`LexAutomaton::lex_raw`].
-    pub fn lex_into<S: TokenSink>(
-        &self,
-        input: &str,
-        sink: &mut S,
-    ) -> Result<Result<(), LexError>, S::Err> {
-        let core = self.core();
-        // Probe accounting is batched in a stack tally and flushed (by
-        // its Drop) once per lex run — every exit path, including the
-        // sink's `?`, publishes without touching the scan loop.
-        let mut tally = crate::probes::ScanTally::default();
-        let mut pos = 0usize;
-        while pos < input.len() {
-            let scan = scan_token(core, input, pos);
-            tally.scan(&scan, pos, input.len());
-            let Some((rule, end)) = scan.last else {
-                let found = input[pos..]
-                    .chars()
-                    .next()
-                    .expect("lexeme starts are char boundaries");
-                return Ok(Err(LexError { at: pos, found }));
-            };
-            tally.settled(&scan, input.len());
-            let lexeme = RawLexeme {
-                rule,
-                span: Span { start: pos, end },
-                sym: core.spec.token_symbol(rule),
-            };
-            sink.lexeme(input, lexeme)?;
-            pos = end;
-        }
-        Ok(Ok(()))
     }
 
     /// Opens a push-mode lexer stream over this automaton.

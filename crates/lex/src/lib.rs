@@ -64,7 +64,7 @@ pub use certified::{CertifiedLexer, LexCertifier, LexCertifyError, LexedOutcome}
 pub use compile::LexAutomaton;
 pub use driver::{
     CharwiseLexemes, LexError, LexResumeError, LexStream, LexStreamState, Lexemes, RawLexeme,
-    RawLexemes, SabotageLex, Span, Token, TokenSink, TokenStream,
+    RawLexemes, SabotageLex, Span, Token, TokenStream,
 };
 pub use parallel::{chunk_starts, LexChunk};
 pub use probes::LexProbes;

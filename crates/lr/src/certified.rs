@@ -234,20 +234,16 @@ impl CertifiedLrParser {
         }
     }
 
-    /// Opens a fused-path sink over this parser: the incremental-
-    /// certification machine and nothing else. Unlike [`LrStream`], a
-    /// sink does not retain the pushed input (no per-push `GString`
-    /// growth) and supports no snapshot/resume or acceptance probes —
-    /// it exists so a lexer can feed shifts straight into the LR stack
-    /// with zero bookkeeping beyond the parse itself. Rejections carry
-    /// the *index* of the offending pushed symbol; the caller (which
-    /// knows each symbol's provenance) maps that back to source spans.
-    pub fn sink(&self) -> LrSink {
-        self.sink_with_capacity(0)
-    }
-
-    /// [`CertifiedLrParser::sink`] with the state stack and the log
-    /// pre-sized for roughly `n` pushes (a hint, not a bound).
+    /// Opens a fused-path sink over this parser, with the state stack
+    /// and the log pre-sized for roughly `n` pushes (a hint, not a
+    /// bound): the incremental-certification machine and nothing else.
+    /// Unlike [`LrStream`], a sink does not retain the pushed input (no
+    /// per-push `GString` growth) and supports no snapshot/resume or
+    /// acceptance probes — it exists so a lexer can feed shifts
+    /// straight into the LR stack with zero bookkeeping beyond the
+    /// parse itself. Rejections carry the *index* of the offending
+    /// pushed symbol; the caller (which knows each symbol's provenance)
+    /// maps that back to source spans.
     pub fn sink_with_capacity(&self, n: usize) -> LrSink {
         LrSink {
             core: self.core.clone(),
@@ -259,7 +255,7 @@ impl CertifiedLrParser {
     }
 }
 
-/// The fused lex→LR feed (see [`CertifiedLrParser::sink`]): every push
+/// The fused lex→LR feed (see [`CertifiedLrParser::sink_with_capacity`]): every push
 /// is a certified shift (plus its pending certified reductions) into
 /// the machine, with no input retention and no other state. Once a
 /// rejection or fault is recorded, later pushes only advance the index.
@@ -312,20 +308,9 @@ impl LrSink {
         }
     }
 
-    /// Number of symbols pushed so far (rejected ones included).
-    pub fn pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// `true` while the pushed sequence is still a viable prefix (and no
-    /// certification fault has been recorded).
-    pub fn is_viable(&self) -> bool {
-        self.dead.is_none() && self.fault.is_none()
-    }
-
     /// Ends the input: runs the remaining certified reductions.
-    /// Rejections report `at` as a pushed-symbol index (`pushed()` for
-    /// "the input ended while more was expected").
+    /// Rejections report `at` as a pushed-symbol index (the number of
+    /// pushes for "the input ended while more was expected").
     ///
     /// # Errors
     ///

@@ -12,11 +12,10 @@
 //!   them into [`Metric`] samples, which [`prometheus_text`] and
 //!   [`json_text`] encode with zero dependencies.
 //! * **Traces** — a [`Trace`] is a per-request sequence of timestamped
-//!   stage spans ([`TraceSpan`]), recorded through the [`Recorder`]
-//!   trait so instrumented code can be generic over "tracing on"
-//!   ([`Trace`]) and "tracing off" ([`NoopRecorder`], which compiles to
-//!   nothing). A [`TraceRing`] retains the last N completed traces for
-//!   post-mortem inspection.
+//!   stage spans ([`TraceSpan`]), appended with [`Trace::record`] by
+//!   code that wraps a stage's call in a span; the traced call is the
+//!   same one an untraced request makes. A [`TraceRing`] retains the
+//!   last N completed traces for post-mortem inspection.
 //!
 //! Everything here is `std`-only and allocation-free on the record
 //! path (traces allocate only when spans are appended, which only
@@ -607,11 +606,8 @@ pub enum Stage {
     Cache,
     /// Grammar/automaton compilation on a cache miss.
     Compile,
-    /// DFA scan of the raw text (lexing).
-    Scan,
-    /// Lexeme re-validation by the certified-lexer contract.
-    Certify,
-    /// The LR (or Earley) parse drive.
+    /// The pipeline's parse call: for raw text, lexing, lexeme
+    /// certification and the LR (or Earley) drive together.
     Parse,
     /// Report assembly after the drive returns.
     Finish,
@@ -629,8 +625,6 @@ impl Stage {
             Stage::Queue => "queue",
             Stage::Cache => "cache",
             Stage::Compile => "compile",
-            Stage::Scan => "scan",
-            Stage::Certify => "certify",
             Stage::Parse => "parse",
             Stage::Finish => "finish",
             Stage::Frontend => "frontend",
@@ -660,8 +654,8 @@ pub struct TraceSpan {
 }
 
 /// A completed per-request trace: an ordered list of stage spans plus
-/// request identity. Spans are appended through the [`Recorder`]
-/// impl and never overlap — their durations sum to at most
+/// request identity. Spans are appended with [`Trace::record`] and
+/// never overlap — their durations sum to at most
 /// [`Trace::total`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
@@ -687,6 +681,16 @@ impl Trace {
             input_bytes,
             ..Trace::default()
         }
+    }
+
+    /// Appends one stage span: `start` is the offset from the trace
+    /// epoch, `duration` the stage's wall time.
+    pub fn record(&mut self, stage: Stage, start: Duration, duration: Duration) {
+        self.spans.push(TraceSpan {
+            stage,
+            start,
+            duration,
+        });
     }
 
     /// The duration of the first span covering `stage`, if recorded.
@@ -716,34 +720,6 @@ impl fmt::Display for Trace {
         }
         Ok(())
     }
-}
-
-/// The sink instrumented code records stage spans into. Implemented by
-/// [`Trace`] (appends a span) and [`NoopRecorder`] (does nothing, so
-/// the disabled path optimizes out).
-pub trait Recorder {
-    /// Records one stage span: `start` is the offset from the trace
-    /// epoch, `duration` the stage's wall time.
-    fn record(&mut self, stage: Stage, start: Duration, duration: Duration);
-}
-
-impl Recorder for Trace {
-    fn record(&mut self, stage: Stage, start: Duration, duration: Duration) {
-        self.spans.push(TraceSpan {
-            stage,
-            start,
-            duration,
-        });
-    }
-}
-
-/// A [`Recorder`] that discards everything — the "tracing off" path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline]
-    fn record(&mut self, _stage: Stage, _start: Duration, _duration: Duration) {}
 }
 
 /// A bounded ring of the most recently completed traces.
@@ -902,7 +878,7 @@ mod tests {
     fn trace_records_spans_in_order() {
         let mut t = Trace::new("demo", 3, 128);
         t.record(
-            Stage::Scan,
+            Stage::Queue,
             Duration::from_micros(1),
             Duration::from_micros(5),
         );
@@ -912,10 +888,13 @@ mod tests {
             Duration::from_micros(9),
         );
         t.total = Duration::from_micros(20);
-        assert_eq!(t.span_duration(Stage::Scan), Some(Duration::from_micros(5)));
-        assert_eq!(t.span_duration(Stage::Queue), None);
+        assert_eq!(
+            t.span_duration(Stage::Queue),
+            Some(Duration::from_micros(5))
+        );
+        assert_eq!(t.span_duration(Stage::Cache), None);
         assert!(t.spans_total() <= t.total);
-        assert!(format!("{t}").contains("scan="));
+        assert!(format!("{t}").contains("queue="));
     }
 
     #[test]

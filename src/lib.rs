@@ -28,7 +28,7 @@
 //!   latency histograms, atomic counters/gauges, a metrics registry
 //!   with Prometheus/JSON encoders, and per-request stage traces;
 //! * [`engine`] (`lambek-engine`) — the serving layer: a compile-once
-//!   pipeline cache, batch parsing over scoped threads, push-mode
+//!   pipeline cache, batch parsing over a persistent worker pool, push-mode
 //!   streaming for DFA-backed parsers, and the metrics/tracing surface
 //!   (`Engine::metrics_text`, `Engine::recent_traces`);
 //! * [`frontend`] (`lambek-frontend`) — the grammar language: BNF-style
