@@ -1,4 +1,4 @@
-//! Ablations for the design choices of DESIGN.md §6:
+//! Ablations for three design choices:
 //!
 //! * `chart_vs_topdown` — the memoized-chart recognizer versus the
 //!   memo-free top-down recognizer on the running-example grammar
@@ -9,38 +9,34 @@
 //!   raw determinized DFA versus the minimized one (expect: smaller trace
 //!   grammar, cheaper construction).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
 use lambek_automata::determinize::determinize;
 use lambek_automata::gen::blowup_nfa;
 use lambek_automata::minimize::minimize;
 use lambek_automata::run::dfa_trace_parser;
+use lambek_bench::bench;
 use lambek_core::alphabet::Alphabet;
 use lambek_core::grammar::compile::CompiledGrammar;
 use lambek_core::grammar::recognize::recognizes_topdown;
 use regex_grammars::ast::parse_regex;
 use regex_grammars::thompson::thompson_strong_equiv;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let sigma = Alphabet::abc();
 
     // (a) chart vs top-down recognition.
     let re = parse_regex(&sigma, "(a|b)*(ab|ba)*c").unwrap();
     let cg = CompiledGrammar::new(&re.to_grammar());
-    let mut group = c.benchmark_group("ablate_recognizer");
-    group.sample_size(10);
     for n in [4usize, 8, 12] {
         let w = sigma
             .parse_str(&format!("{}c", "ab".repeat(n / 2)))
             .unwrap();
-        group.bench_with_input(BenchmarkId::new("chart", n), &w, |b, w| {
-            b.iter(|| cg.recognizes(w))
+        bench(&format!("ablate_recognizer/chart/{n}"), || {
+            cg.recognizes(&w)
         });
-        group.bench_with_input(BenchmarkId::new("topdown", n), &w, |b, w| {
-            b.iter(|| recognizes_topdown(&cg, w))
+        bench(&format!("ablate_recognizer/topdown/{n}"), || {
+            recognizes_topdown(&cg, &w)
         });
     }
-    group.finish();
 
     // (b) checked vs unchecked transformer application.
     let re = parse_regex(&sigma, "(a*b)|c").unwrap();
@@ -50,15 +46,12 @@ fn bench(c: &mut Criterion) {
         .parses(&w, 2)
         .trees
         .remove(0);
-    let mut group = c.benchmark_group("ablate_checking");
-    group.sample_size(20);
-    group.bench_function("apply_unchecked", |b| {
-        b.iter(|| eq.weak().fwd.apply(&tree).unwrap())
+    bench("ablate_checking/apply_unchecked", || {
+        eq.weak().fwd.apply(&tree).unwrap()
     });
-    group.bench_function("apply_checked", |b| {
-        b.iter(|| eq.weak().fwd.apply_checked(&tree).unwrap())
+    bench("ablate_checking/apply_checked", || {
+        eq.weak().fwd.apply_checked(&tree).unwrap()
     });
-    group.finish();
 
     // (c) trace parser from raw vs minimized DFA.
     let nfa = blowup_nfa(6);
@@ -69,16 +62,10 @@ fn bench(c: &mut Criterion) {
         det.dfa.num_states(),
         min.num_states()
     );
-    let mut group = c.benchmark_group("ablate_minimize");
-    group.sample_size(10);
-    group.bench_function("trace_parser_raw", |b| {
-        b.iter(|| dfa_trace_parser(&det.dfa, det.dfa.init()))
+    bench("ablate_minimize/trace_parser_raw", || {
+        dfa_trace_parser(&det.dfa, det.dfa.init())
     });
-    group.bench_function("trace_parser_minimized", |b| {
-        b.iter(|| dfa_trace_parser(&min, min.init()))
+    bench("ablate_minimize/trace_parser_minimized", || {
+        dfa_trace_parser(&min, min.init())
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,17 +2,15 @@
 //!
 //! Two series: random NFAs (mild growth) and the classic worst-case
 //! family `(a|b)* a (a|b)^k`, whose minimal DFA needs `2^(k+1)` states.
-//! The printed `k=…` rows record the measured blow-up shape for
-//! EXPERIMENTS.md.
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+//! The printed `k=…` rows record the measured blow-up shape.
 
 use lambek_automata::determinize::determinize;
 use lambek_automata::gen::{blowup_nfa, random_nfa};
 use lambek_automata::minimize::minimize;
+use lambek_bench::bench;
 use lambek_core::alphabet::Alphabet;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     println!("determinization blow-up (worst-case family):");
     for k in 1..=8 {
         let nfa = blowup_nfa(k);
@@ -27,23 +25,17 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    let mut group = c.benchmark_group("c410_determinize");
-    group.sample_size(15);
     for k in [4usize, 6, 8, 10] {
         let nfa = blowup_nfa(k);
-        group.bench_with_input(BenchmarkId::new("blowup_family", k), &nfa, |b, nfa| {
-            b.iter(|| determinize(nfa))
+        bench(&format!("c410_determinize/blowup_family/{k}"), || {
+            determinize(&nfa)
         });
     }
     let sigma = Alphabet::abc();
     for n in [4usize, 8, 16, 32] {
         let nfa = random_nfa(&sigma, n, 1.5, 99);
-        group.bench_with_input(BenchmarkId::new("random_nfa", n), &nfa, |b, nfa| {
-            b.iter(|| determinize(nfa))
+        bench(&format!("c410_determinize/random_nfa/{n}"), || {
+            determinize(&nfa)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -3,13 +3,12 @@
 //! Expected shape: both linear in the regex size (the construction adds
 //! at most two states and four ε-transitions per node).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use lambek_bench::bench;
 use lambek_core::alphabet::Alphabet;
 use regex_grammars::gen::random_regex;
 use regex_grammars::thompson::thompson;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let sigma = Alphabet::abc();
 
     println!("thompson NFA size vs regex size:");
@@ -25,16 +24,10 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    let mut group = c.benchmark_group("c411_thompson");
-    group.sample_size(30);
     for size in [8usize, 32, 128, 512] {
         let re = random_regex(&sigma, size, 11);
-        group.bench_with_input(BenchmarkId::new("construct", size), &re, |b, re| {
-            b.iter(|| thompson(&sigma, re))
+        bench(&format!("c411_thompson/construct/{size}"), || {
+            thompson(&sigma, &re)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

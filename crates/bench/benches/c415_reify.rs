@@ -8,26 +8,21 @@
 //! input (marker passes), through the compiled reified grammar it
 //! reflects chart recognition.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use lambek_bench::bench;
 use lambek_core::grammar::compile::CompiledGrammar;
 use lambek_turing::machine::anbncn_machine;
 use lambek_turing::reify::reify_machine;
 
 const FUEL: usize = 100_000;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let tm = anbncn_machine();
     let sigma = tm.input_alphabet().clone();
 
-    let mut group = c.benchmark_group("c415_reify");
-    group.sample_size(10);
     for max_len in [3usize, 6, 9] {
-        group.bench_with_input(
-            BenchmarkId::new("construct", max_len),
-            &max_len,
-            |b, &ml| b.iter(|| reify_machine(&tm, FUEL, ml)),
-        );
+        bench(&format!("c415_reify/construct/{max_len}"), || {
+            reify_machine(&tm, FUEL, max_len)
+        });
     }
 
     let reified = reify_machine(&tm, FUEL, 9);
@@ -41,15 +36,11 @@ fn bench(c: &mut Criterion) {
                 "c".repeat(n)
             ))
             .unwrap();
-        group.bench_with_input(BenchmarkId::new("machine_accepts", 3 * n), &w, |b, w| {
-            b.iter(|| tm.accepts(w, FUEL))
+        bench(&format!("c415_reify/machine_accepts/{}", 3 * n), || {
+            tm.accepts(&w, FUEL)
         });
-        group.bench_with_input(BenchmarkId::new("grammar_recognizes", 3 * n), &w, |b, w| {
-            b.iter(|| cg.recognizes(w))
+        bench(&format!("c415_reify/grammar_recognizes/{}", 3 * n), || {
+            cg.recognizes(&w)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

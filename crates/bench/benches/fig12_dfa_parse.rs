@@ -8,10 +8,9 @@
 
 use std::collections::HashMap;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
 use lambek_automata::dfa::{parse_dfa, print_dfa, Dfa};
 use lambek_automata::gen::{random_dfa, random_string};
+use lambek_bench::bench;
 use lambek_core::alphabet::{Alphabet, GString, Symbol};
 
 /// Hash-probed transition table: the representation the dense flat table
@@ -34,32 +33,26 @@ fn run_hashmap(table: &HashMap<(usize, Symbol), usize>, start: usize, w: &GStrin
     s
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let sigma = Alphabet::abc();
     let dfa = random_dfa(&sigma, 8, 7);
     let tg = dfa.trace_grammar();
     let table = hashmap_table(&dfa);
 
-    let mut group = c.benchmark_group("fig12_parseD");
-    group.sample_size(20);
     for n in [16usize, 64, 256, 1024] {
         let w = random_string(&sigma, n, n as u64);
-        group.bench_with_input(BenchmarkId::new("parseD", n), &w, |b, w| {
-            b.iter(|| parse_dfa(&dfa, &tg, dfa.init(), w))
+        bench(&format!("fig12_parseD/parseD/{n}"), || {
+            parse_dfa(&dfa, &tg, dfa.init(), &w)
         });
         let (bit, trace) = parse_dfa(&dfa, &tg, dfa.init(), &w);
-        group.bench_with_input(BenchmarkId::new("printD", n), &trace, |b, t| {
-            b.iter(|| print_dfa(&dfa, &tg, dfa.init(), bit, t))
+        bench(&format!("fig12_parseD/printD/{n}"), || {
+            print_dfa(&dfa, &tg, dfa.init(), bit, &trace)
         });
-        group.bench_with_input(BenchmarkId::new("run_dense", n), &w, |b, w| {
-            b.iter(|| dfa.final_state(dfa.init(), w))
+        bench(&format!("fig12_parseD/run_dense/{n}"), || {
+            dfa.final_state(dfa.init(), &w)
         });
-        group.bench_with_input(BenchmarkId::new("run_hashmap", n), &w, |b, w| {
-            b.iter(|| run_hashmap(&table, dfa.init(), w))
+        bench(&format!("fig12_parseD/run_hashmap/{n}"), || {
+            run_hashmap(&table, dfa.init(), &w)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -11,38 +11,31 @@
 //! nesting) — the automaton-based pipeline wins, as the paper's design
 //! intends.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
 use lambek_automata::counter::CounterMachine;
 use lambek_automata::gen::random_dyck;
+use lambek_bench::bench;
 use lambek_cfg::dyck::{dyck_cfg, dyck_parser, parse_dyck_string, Parens};
 use lambek_cfg::earley::earley_recognize;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let p = Parens::new();
     let machine = CounterMachine::new();
     let cfg = dyck_cfg(&p);
 
-    let mut group = c.benchmark_group("fig14_dyck");
-    group.sample_size(15);
     for pairs in [8usize, 32, 128] {
         let w = random_dyck(pairs, pairs as u64);
         let parser = dyck_parser(w.len());
-        group.bench_with_input(BenchmarkId::new("counter_machine", pairs), &w, |b, w| {
-            b.iter(|| machine.accepts(w))
+        bench(&format!("fig14_dyck/counter_machine/{pairs}"), || {
+            machine.accepts(&w)
         });
-        group.bench_with_input(BenchmarkId::new("verified_parse", pairs), &w, |b, w| {
-            b.iter(|| parser.parse(w).unwrap())
+        bench(&format!("fig14_dyck/verified_parse/{pairs}"), || {
+            parser.parse(&w).unwrap()
         });
-        group.bench_with_input(BenchmarkId::new("recursive_descent", pairs), &w, |b, w| {
-            b.iter(|| parse_dyck_string(&p, w).unwrap())
+        bench(&format!("fig14_dyck/recursive_descent/{pairs}"), || {
+            parse_dyck_string(&p, &w).unwrap()
         });
-        group.bench_with_input(BenchmarkId::new("earley", pairs), &w, |b, w| {
-            b.iter(|| earley_recognize(&cfg, w))
+        bench(&format!("fig14_dyck/earley/{pairs}"), || {
+            earley_recognize(&cfg, &w)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -5,37 +5,30 @@
 //! Earley is super-linear. The verified parser's constant factor is the
 //! price of building the trace plus the `Exp` tree.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
 use lambek_automata::gen::random_arith;
 use lambek_automata::lookahead::{simulate, ArithTokens};
+use lambek_bench::bench;
 use lambek_cfg::earley::earley_recognize;
 use lambek_cfg::expr::{exp_cfg, exp_parser, parse_exp_string};
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let t = ArithTokens::new();
     let cfg = exp_cfg(&t);
 
-    let mut group = c.benchmark_group("fig15_expr");
-    group.sample_size(15);
     for atoms in [8usize, 32, 128] {
         let w = random_arith(atoms, 3, atoms as u64);
         let parser = exp_parser(w.len());
-        group.bench_with_input(BenchmarkId::new("lookahead_machine", atoms), &w, |b, w| {
-            b.iter(|| simulate(&t, w))
+        bench(&format!("fig15_expr/lookahead_machine/{atoms}"), || {
+            simulate(&t, &w)
         });
-        group.bench_with_input(BenchmarkId::new("ll1_tree", atoms), &w, |b, w| {
-            b.iter(|| parse_exp_string(&t, w).unwrap())
+        bench(&format!("fig15_expr/ll1_tree/{atoms}"), || {
+            parse_exp_string(&t, &w).unwrap()
         });
-        group.bench_with_input(BenchmarkId::new("verified_parse", atoms), &w, |b, w| {
-            b.iter(|| parser.parse(w).unwrap())
+        bench(&format!("fig15_expr/verified_parse/{atoms}"), || {
+            parser.parse(&w).unwrap()
         });
-        group.bench_with_input(BenchmarkId::new("earley", atoms), &w, |b, w| {
-            b.iter(|| earley_recognize(&cfg, w))
+        bench(&format!("fig15_expr/earley/{atoms}"), || {
+            earley_recognize(&cfg, &w)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -11,8 +11,7 @@
 //! fastest recognizer, the derivative matcher the slowest; the verified
 //! parse pays a constant-factor tree-building overhead.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use lambek_bench::bench;
 use lambek_core::alphabet::{Alphabet, GString};
 use regex_grammars::ast::parse_regex;
 use regex_grammars::derivative::matches;
@@ -24,31 +23,21 @@ fn input(n: usize, sigma: &Alphabet) -> GString {
     sigma.parse_str(&format!("{}b", "a".repeat(n - 1))).unwrap()
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let sigma = Alphabet::abc();
     let re = parse_regex(&sigma, "(a*b)|c").unwrap();
     let (th, _) = thompson_strong_equiv(&sigma, &re);
     let parser = RegexParser::compile(&sigma, re.clone()).unwrap();
 
-    let mut group = c.benchmark_group("fig3_regex");
-    group.sample_size(20);
     for n in [8usize, 32, 128, 512] {
         let w = input(n, &sigma);
-        group.bench_with_input(BenchmarkId::new("derivative", n), &w, |b, w| {
-            b.iter(|| matches(&re, w))
+        bench(&format!("fig3_regex/derivative/{n}"), || matches(&re, &w));
+        bench(&format!("fig3_regex/nfa_subset/{n}"), || {
+            th.nfa().accepts(&w)
         });
-        group.bench_with_input(BenchmarkId::new("nfa_subset", n), &w, |b, w| {
-            b.iter(|| th.nfa().accepts(w))
-        });
-        group.bench_with_input(BenchmarkId::new("dfa_run", n), &w, |b, w| {
-            b.iter(|| parser.accepts(w))
-        });
-        group.bench_with_input(BenchmarkId::new("verified_parse", n), &w, |b, w| {
-            b.iter(|| parser.parse(w).unwrap())
+        bench(&format!("fig3_regex/dfa_run/{n}"), || parser.accepts(&w));
+        bench(&format!("fig3_regex/verified_parse/{n}"), || {
+            parser.parse(&w).unwrap()
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -5,9 +5,9 @@
 //! recursion; each cons cell is visited once). The `checked` series adds
 //! the dynamic intrinsic-verification overhead (validate + yield check).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 
+use lambek_bench::bench;
 use lambek_core::alphabet::Alphabet;
 use lambek_core::grammar::expr::{
     alt, chr, eps, star, tensor, var, Grammar, GrammarExpr, MuSystem,
@@ -55,24 +55,18 @@ fn list_of_pairs(n: usize, a: lambek_core::alphabet::Symbol) -> ParseTree {
     t
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let sigma = Alphabet::abc();
     let a = sigma.symbol("a").unwrap();
     let h = fig4(chr(a));
 
-    let mut group = c.benchmark_group("fig4_fold");
-    group.sample_size(20);
     for n in [16usize, 64, 256, 1024] {
         let input = list_of_pairs(n, a);
-        group.bench_with_input(BenchmarkId::new("h_pairs_to_star", n), &input, |b, t| {
-            b.iter(|| h.apply(t).unwrap())
+        bench(&format!("fig4_fold/h_pairs_to_star/{n}"), || {
+            h.apply(&input).unwrap()
         });
-        group.bench_with_input(BenchmarkId::new("h_checked", n), &input, |b, t| {
-            b.iter(|| h.apply_checked(t).unwrap())
+        bench(&format!("fig4_fold/h_checked/{n}"), || {
+            h.apply_checked(&input).unwrap()
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

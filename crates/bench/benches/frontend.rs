@@ -14,44 +14,14 @@
 //!   sessions) across submitters, not shaving the compile;
 //! * parse throughput of the compiled pipeline over a corpus document
 //!   in the preset's own format.
-//!
-//! Timing is hand-rolled (median of five samples) like `serving.rs`.
-//! `FRONTEND_SAMPLE_MS` overrides the per-sample budget (default 20 ms).
 
-use std::time::Instant;
-
+use lambek_bench::{row, run_sections, time};
 use lambek_engine::Engine;
 use lambek_frontend::{compile_text, presets, Budgets};
 
-/// Median seconds-per-iteration over five samples; each sample runs
-/// iterations until the budget elapses.
-fn time<R>(mut f: impl FnMut() -> R) -> f64 {
-    let budget_ms: u128 = std::env::var("FRONTEND_SAMPLE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    std::hint::black_box(f()); // warm-up
-    let mut samples = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let start = Instant::now();
-        let mut iters = 0u64;
-        loop {
-            std::hint::black_box(f());
-            iters += 1;
-            if start.elapsed().as_millis() >= budget_ms {
-                break;
-            }
-        }
-        samples.push(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn row(name: &str, pairs: &[(&str, f64)]) -> String {
-    let mut fields = vec![format!("\"preset\": \"{name}\"")];
-    fields.extend(pairs.iter().map(|(k, v)| format!("\"{k}\": {v:.9}")));
-    format!("    {{ {} }}", fields.join(", "))
+/// A row tagged with the preset it measures.
+fn preset_row(name: &str, pairs: &[(&str, f64)]) -> String {
+    row(pairs).replacen("{ ", &format!("{{ \"preset\": \"{name}\", "), 1)
 }
 
 /// A corpus document in each preset's own format, sized to make parse
@@ -86,23 +56,21 @@ fn corpus_doc(name: &str) -> String {
     }
 }
 
-fn main() {
+fn compile_section() -> Vec<String> {
     let engine = Engine::new();
     let budgets = Budgets::default();
-    let mut compile_rows = Vec::new();
-    let mut parse_rows = Vec::new();
-
+    let mut rows = Vec::new();
     for (name, text) in presets::all() {
         // Cold: the whole frontend stack, table build included.
         let cold = time(|| compile_text(text, &budgets).expect("preset compiles"));
         // Resubmission: meta parse + elaboration, table from the cache.
-        let handle = engine.compile_text(text).expect("preset compiles");
+        engine.compile_text(text).expect("preset compiles");
         let resubmit = time(|| engine.compile_text(text).expect("cached").cache_hit);
         eprintln!(
             "{name:>5}: cold {cold:.3e}s  resubmit {resubmit:.3e}s ({:.1}x)",
             cold / resubmit
         );
-        compile_rows.push(row(
+        rows.push(preset_row(
             name,
             &[
                 ("spec_bytes", text.len() as f64),
@@ -111,7 +79,15 @@ fn main() {
                 ("cold_over_resubmit", cold / resubmit),
             ],
         ));
+    }
+    rows
+}
 
+fn parse_section() -> Vec<String> {
+    let engine = Engine::new();
+    let mut rows = Vec::new();
+    for (name, text) in presets::all() {
+        let handle = engine.compile_text(text).expect("preset compiles");
         let doc = corpus_doc(name);
         let backend = handle.pipeline.lexed_backend().expect("text pipeline");
         assert!(
@@ -133,7 +109,7 @@ fn main() {
             doc.len(),
             bytes / parse / (1024.0 * 1024.0),
         );
-        parse_rows.push(row(
+        rows.push(preset_row(
             name,
             &[
                 ("doc_bytes", bytes),
@@ -142,11 +118,12 @@ fn main() {
             ],
         ));
     }
+    rows
+}
 
-    let compile = compile_rows.join(",\n");
-    let parse = parse_rows.join(",\n");
-    let json = format!("{{\n  \"compile\": [\n{compile}\n  ],\n  \"parse\": [\n{parse}\n  ]\n}}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_frontend.json");
-    std::fs::write(path, json).expect("write BENCH_frontend.json");
-    println!("wrote {path}");
+fn main() {
+    run_sections(
+        "frontend",
+        &[("compile", compile_section), ("parse", parse_section)],
+    );
 }

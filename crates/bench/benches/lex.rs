@@ -17,39 +17,30 @@
 //! * `lex_compile` — spec → tagged DFA construction vs a warm engine
 //!   cache hit for the same lexed spec.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use lambek_bench::bench;
 use lambek_cfg::earley::earley_recognize;
 use lambek_engine::{Engine, PipelineSpec};
 use lambek_lex::demo::{arith_char_cfg, arith_spec, arith_text, arith_token_cfg};
 use lambek_lex::{CertifiedLexer, LexAutomaton};
 use lambek_lr::CertifiedLrParser;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let auto = LexAutomaton::compile(arith_spec());
     let certified = CertifiedLexer::from_automaton(auto.clone());
 
-    let mut g = c.benchmark_group("lex_throughput");
-    g.sample_size(10);
     for kib in [1usize, 64, 1024] {
         let text = arith_text(kib * 1024);
-        g.bench_with_input(
-            BenchmarkId::new("raw_driver", format!("{kib}KiB")),
-            &text,
-            |b, t| b.iter(|| auto.lex_raw(t).unwrap().len()),
+        bench(&format!("lex_throughput/raw_driver/{kib}KiB"), || {
+            auto.lex_raw(&text).unwrap().len()
+        });
+        bench(
+            &format!("lex_throughput/certified_incremental/{kib}KiB"),
+            || certified.lex(&text).unwrap().is_accept(),
         );
-        g.bench_with_input(
-            BenchmarkId::new("certified_incremental", format!("{kib}KiB")),
-            &text,
-            |b, t| b.iter(|| certified.lex(t).unwrap().is_accept()),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("certified_full", format!("{kib}KiB")),
-            &text,
-            |b, t| b.iter(|| certified.lex_full(t).unwrap().is_accept()),
-        );
+        bench(&format!("lex_throughput/certified_full/{kib}KiB"), || {
+            certified.lex_full(&text).unwrap().is_accept()
+        });
     }
-    g.finish();
 
     // The composed raw-text pipeline against the char-level baseline,
     // on the *same* language and the same inputs (no whitespace: the
@@ -58,45 +49,30 @@ fn bench(c: &mut Criterion) {
     let lr = CertifiedLrParser::compile(&token_cfg).expect("Fig. 15 is LALR(1)");
     let char_cfg = arith_char_cfg();
     let char_alphabet = char_cfg.alphabet().clone();
-    let mut g = c.benchmark_group("lex_vs_char_earley");
-    g.sample_size(10);
     for kib in [1usize, 4] {
         let text = arith_text(kib * 1024);
-        g.bench_with_input(
-            BenchmarkId::new("lex_lr_parse_certified", format!("{kib}KiB")),
-            &text,
-            |b, t| {
-                b.iter(|| {
-                    let out = certified.lex(t).unwrap();
-                    let tokens = out.tokens().expect("arith text lexes");
-                    lr.parse(tokens.yield_string()).unwrap().is_accept()
-                })
+        bench(
+            &format!("lex_vs_char_earley/lex_lr_parse_certified/{kib}KiB"),
+            || {
+                let out = certified.lex(&text).unwrap();
+                let tokens = out.tokens().expect("arith text lexes");
+                lr.parse(tokens.yield_string()).unwrap().is_accept()
             },
         );
-        g.bench_with_input(
-            BenchmarkId::new("char_earley_recognize", format!("{kib}KiB")),
-            &text,
-            |b, t| {
-                let w = char_alphabet.parse_str(t).expect("chars in alphabet");
-                b.iter(|| earley_recognize(&char_cfg, &w))
-            },
+        let w = char_alphabet.parse_str(&text).expect("chars in alphabet");
+        bench(
+            &format!("lex_vs_char_earley/char_earley_recognize/{kib}KiB"),
+            || earley_recognize(&char_cfg, &w),
         );
     }
-    g.finish();
 
-    let mut g = c.benchmark_group("lex_compile");
-    g.sample_size(10);
-    g.bench_function("spec_to_tagged_dfa", |b| {
-        b.iter(|| LexAutomaton::compile(arith_spec()).dfa().num_states())
+    bench("lex_compile/spec_to_tagged_dfa", || {
+        LexAutomaton::compile(arith_spec()).dfa().num_states()
     });
     let engine = Engine::new();
     let spec = PipelineSpec::arith_lexed();
     engine.get_or_compile(&spec).unwrap();
-    g.bench_function("engine_cached_hit", |b| {
-        b.iter(|| engine.get_or_compile(&spec).unwrap())
+    bench("lex_compile/engine_cached_hit", || {
+        engine.get_or_compile(&spec).unwrap()
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,66 +1,22 @@
 //! The lexer hot-loop throughput numbers, emitted as machine-readable
 //! JSON (`BENCH_lex_hot.json` at the repo root) so CI and the README
-//! table can track the byte-sliced / parallel / fused speedups.
+//! table can track the byte-sliced and fused speedups.
 //!
-//! Three families, each at three input sizes (arith text,
-//! 1 KiB / 64 KiB / 1 MiB):
+//! Two families, each at three input sizes (arith text,
+//! 1 KiB / 64 KiB / 1 MiB), each in its own child process
+//! ([`lambek_bench::run_sections`]):
 //!
 //! * **scan** — the raw maximal-munch driver: the charwise reference
 //!   loop, the byte-sliced token materializer, and the allocation-free
 //!   spans-only iterator (the true hot-loop floor);
-//! * **parallel** — speculative chunked lexing through
-//!   `Engine::lex_str_parallel` at 1/2/4/8 chunks (the 1-chunk row is
-//!   the sequential baseline on the same code path). The JSON carries
-//!   a `cores` field: on a single-core host every chunk count runs on
-//!   one worker and the numbers measure seam overhead, not scaling;
 //! * **e2e** — certified text→tree: the fused lex→LR `parse_str`
 //!   (no token materialization), the materializing
 //!   `parse_str_tokens`, and the post-hoc `parse_str_full` pass.
-//!
-//! Timing is hand-rolled (median of five samples) rather than Criterion
-//! so the binary can write one flat JSON file without a report
-//! directory. `CERTIFY_SAMPLE_MS` overrides the per-sample budget.
-//! Sections run in child processes (`LEX_HOT_SECTION`) so each family
-//! measures on a fresh heap, exactly like the certify harness.
 
-use std::time::Instant;
-
-use lambek_engine::{Engine, PipelineSpec};
+use lambek_bench::{row, run_sections, time};
+use lambek_engine::PipelineSpec;
 use lambek_lex::demo::{arith_spec, arith_text};
 use lambek_lex::CertifiedLexer;
-
-/// Median seconds-per-iteration over five samples; each sample runs
-/// iterations until the budget (default 20 ms) elapses.
-fn time<R>(mut f: impl FnMut() -> R) -> f64 {
-    let budget_ms: u128 = std::env::var("CERTIFY_SAMPLE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    std::hint::black_box(f()); // warm-up
-    let mut samples = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let start = Instant::now();
-        let mut iters = 0u64;
-        loop {
-            std::hint::black_box(f());
-            iters += 1;
-            if start.elapsed().as_millis() >= budget_ms {
-                break;
-            }
-        }
-        samples.push(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn row(pairs: &[(&str, f64)]) -> String {
-    let fields: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v:.9}"))
-        .collect();
-    format!("    {{ {} }}", fields.join(", "))
-}
 
 const GIB: f64 = (1u64 << 30) as f64;
 
@@ -100,50 +56,6 @@ fn scan_section() -> Vec<String> {
     rows
 }
 
-fn parallel_section() -> Vec<String> {
-    let engine = Engine::new();
-    let spec = PipelineSpec::arith_lexed();
-    engine.get_or_compile(&spec).expect("arith compiles");
-    let mut rows = Vec::new();
-    for kib in [1usize, 64, 1024] {
-        let text = arith_text(kib * 1024);
-        let secs: Vec<f64> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&chunks| {
-                time(|| {
-                    engine
-                        .lex_str_parallel(&spec, &text, chunks)
-                        .unwrap()
-                        .tokens()
-                        .is_some()
-                })
-            })
-            .collect();
-        eprintln!(
-            "parallel {kib:>5} KiB: 1-chunk {:.3e}s  2 {:.3e}s ({:.2}x)  \
-             4 {:.3e}s ({:.2}x)  8 {:.3e}s ({:.2}x)",
-            secs[0],
-            secs[1],
-            secs[0] / secs[1],
-            secs[2],
-            secs[0] / secs[2],
-            secs[3],
-            secs[0] / secs[3],
-        );
-        rows.push(row(&[
-            ("bytes", (kib * 1024) as f64),
-            ("chunks1_s", secs[0]),
-            ("chunks2_s", secs[1]),
-            ("chunks4_s", secs[2]),
-            ("chunks8_s", secs[3]),
-            ("speedup2", secs[0] / secs[1]),
-            ("speedup4", secs[0] / secs[2]),
-            ("speedup8", secs[0] / secs[3]),
-        ]));
-    }
-    rows
-}
-
 fn e2e_section() -> Vec<String> {
     let pipeline = PipelineSpec::arith_lexed()
         .compile()
@@ -174,34 +86,5 @@ fn e2e_section() -> Vec<String> {
 }
 
 fn main() {
-    match std::env::var("LEX_HOT_SECTION").as_deref() {
-        Ok("scan") => print!("{}", scan_section().join(",\n")),
-        Ok("parallel") => print!("{}", parallel_section().join(",\n")),
-        Ok("e2e") => print!("{}", e2e_section().join(",\n")),
-        _ => {
-            let exe = std::env::current_exe().expect("own executable path");
-            let section = |name: &str| {
-                let out = std::process::Command::new(&exe)
-                    .env("LEX_HOT_SECTION", name)
-                    .stderr(std::process::Stdio::inherit())
-                    .output()
-                    .unwrap_or_else(|e| panic!("spawn {name} section: {e}"));
-                assert!(out.status.success(), "{name} section failed");
-                String::from_utf8(out.stdout).expect("section rows are UTF-8")
-            };
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let scan = section("scan");
-            let parallel = section("parallel");
-            let e2e = section("e2e");
-            let json = format!(
-                "{{\n  \"cores\": {cores},\n  \"scan\": [\n{scan}\n  ],\n  \
-                 \"parallel\": [\n{parallel}\n  ],\n  \"e2e\": [\n{e2e}\n  ]\n}}\n"
-            );
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lex_hot.json");
-            std::fs::write(path, json).expect("write BENCH_lex_hot.json");
-            println!("wrote {path}");
-        }
-    }
+    run_sections("lex_hot", &[("scan", scan_section), ("e2e", e2e_section)]);
 }

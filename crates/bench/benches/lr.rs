@@ -17,10 +17,9 @@
 //! measures what the engine amortizes: LALR table construction from
 //! scratch vs a cached `get_or_compile` hit.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
 use lambek_automata::gen::random_dyck;
 use lambek_automata::lookahead::ArithTokens;
+use lambek_bench::bench;
 use lambek_cfg::dyck::{dyck_cfg, Parens};
 use lambek_cfg::earley::{earley_parse, earley_recognize};
 use lambek_cfg::expr::exp_cfg;
@@ -39,38 +38,35 @@ fn chain_expr(t: &ArithTokens, n: usize) -> GString {
     w
 }
 
-fn bench_grammar(c: &mut Criterion, group: &str, cfg: &Cfg, inputs: &[(usize, GString)]) {
+fn bench_grammar(group: &str, cfg: &Cfg, inputs: &[(usize, GString)]) {
     let parser = CertifiedLrParser::compile(cfg).expect("deterministic standard");
-    let mut g = c.benchmark_group(group);
-    g.sample_size(10);
     for (n, w) in inputs {
-        g.bench_with_input(BenchmarkId::new("lr_recognize", n), w, |b, w| {
-            b.iter(|| parser.recognizes(w))
+        bench(&format!("{group}/lr_recognize/{n}"), || {
+            parser.recognizes(w)
         });
-        g.bench_with_input(BenchmarkId::new("lr_parse", n), w, |b, w| {
-            b.iter(|| parser.parse(w).unwrap())
+        bench(&format!("{group}/lr_parse/{n}"), || {
+            parser.parse(w).unwrap()
         });
-        g.bench_with_input(BenchmarkId::new("lr_parse_full", n), w, |b, w| {
-            b.iter(|| parser.parse_full(w).unwrap())
+        bench(&format!("{group}/lr_parse_full/{n}"), || {
+            parser.parse_full(w).unwrap()
         });
-        g.bench_with_input(BenchmarkId::new("earley_recognize", n), w, |b, w| {
-            b.iter(|| earley_recognize(cfg, w))
+        bench(&format!("{group}/earley_recognize/{n}"), || {
+            earley_recognize(cfg, w)
         });
-        g.bench_with_input(BenchmarkId::new("earley_parse", n), w, |b, w| {
-            b.iter(|| earley_parse(cfg, w).tree().unwrap())
+        bench(&format!("{group}/earley_parse/{n}"), || {
+            earley_parse(cfg, w).tree().unwrap()
         });
     }
-    g.finish();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let p = Parens::new();
     let dyck = dyck_cfg(&p);
     let dyck_inputs: Vec<(usize, GString)> = [64usize, 256, 1024]
         .iter()
         .map(|&n| (n, random_dyck(n / 2, n as u64)))
         .collect();
-    bench_grammar(c, "lr_dyck", &dyck, &dyck_inputs);
+    bench_grammar("lr_dyck", &dyck, &dyck_inputs);
 
     let t = ArithTokens::new();
     let expr = exp_cfg(&t);
@@ -78,26 +74,20 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|&n| (n, chain_expr(&t, n)))
         .collect();
-    bench_grammar(c, "lr_expr", &expr, &expr_inputs);
+    bench_grammar("lr_expr", &expr, &expr_inputs);
 
     // Construction vs amortization: building the LALR tables from
     // scratch against a warm engine cache hit for the same spec.
-    let mut g = c.benchmark_group("lr_tables");
-    g.sample_size(10);
-    g.bench_function("build_dyck_tables", |b| {
-        b.iter(|| CertifiedLrParser::compile(&dyck).unwrap())
+    bench("lr_tables/build_dyck_tables", || {
+        CertifiedLrParser::compile(&dyck).unwrap()
     });
-    g.bench_function("build_expr_tables", |b| {
-        b.iter(|| CertifiedLrParser::compile(&expr).unwrap())
+    bench("lr_tables/build_expr_tables", || {
+        CertifiedLrParser::compile(&expr).unwrap()
     });
     let engine = Engine::new();
     let spec = PipelineSpec::dyck_cfg();
     engine.get_or_compile(&spec).unwrap();
-    g.bench_function("engine_cached_hit", |b| {
-        b.iter(|| engine.get_or_compile(&spec).unwrap())
+    bench("lr_tables/engine_cached_hit", || {
+        engine.get_or_compile(&spec).unwrap()
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

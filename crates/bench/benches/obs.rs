@@ -5,11 +5,10 @@
 //! request/token counters) and through a default engine with tracing
 //! off, so the delta *is* the price of watching.
 //!
-//! Three serving paths, at 64 KiB and 1 MiB of arith text:
+//! Two serving paths, at 64 KiB and 1 MiB of arith text, each in its
+//! own child process ([`lambek_bench::run_sections`]); the JSON's
+//! `cores` field matters here because queue effects depend on it:
 //!
-//! * **scan** — certified lexing only (`Engine::lex_str_parallel`,
-//!   one chunk): tracing never touches this path, so the delta bounds
-//!   the noise floor plus the always-on process-wide probe cost;
 //! * **fused** — a one-request `parse_many_str` batch: tracing runs
 //!   the same fused lex→certify→LR call and wraps it in a `parse`
 //!   span, so the delta is the cost of recording, the headline ≤ 3%
@@ -17,36 +16,10 @@
 //! * **parse_many** — a pooled batch of ~1 KiB requests over four
 //!   workers: per-request traces, queue spans and counter updates all
 //!   enabled at once.
-//!
-//! Timing is hand-rolled (median of five samples, `CERTIFY_SAMPLE_MS`
-//! per-sample budget) like the other JSON harnesses; sections run in
-//! child processes (`OBS_SECTION`) so each path measures on a fresh
-//! heap, and the JSON carries a `cores` field because queue effects
-//! depend on it.
 
-use std::time::Instant;
-
+use lambek_bench::{row, run_sections, sample};
 use lambek_engine::{CacheConfig, Engine, ObsConfig, PipelineSpec};
 use lambek_lex::demo::arith_text;
-
-/// One timed sample: runs `f` repeatedly until the budget (default
-/// 20 ms, `CERTIFY_SAMPLE_MS`) elapses, returns seconds-per-iteration.
-fn sample<R>(f: &mut impl FnMut() -> R) -> f64 {
-    let budget_ms: u128 = std::env::var("CERTIFY_SAMPLE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let start = Instant::now();
-    let mut iters = 0u64;
-    loop {
-        std::hint::black_box(f());
-        iters += 1;
-        if start.elapsed().as_millis() >= budget_ms {
-            break;
-        }
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
 
 /// Times the disabled and enabled variants *interleaved* (eight sample
 /// rounds, alternating which variant goes first) and returns each
@@ -55,11 +28,9 @@ fn sample<R>(f: &mut impl FnMut() -> R) -> f64 {
 ///
 /// * interleaving — measuring one variant wholly after the other
 ///   systematically favors the second (warmed heap, hot pages), which
-///   on the tracing-independent scan path showed up as a fictitious
+///   on a tracing-independent path showed up as a fictitious
 ///   double-digit "speedup";
-/// * min, not median — scheduler preemption and VM steal time are
-///   strictly one-sided (they only ever slow a sample down), so each
-///   variant's fastest observed run is its least-contaminated one, and
+/// * min, not median — for the reason [`lambek_bench::time`] gives:
 ///   comparing minima compares the code paths rather than the noise.
 fn time_pair<A, B>(mut off: impl FnMut() -> A, mut on: impl FnMut() -> B) -> (f64, f64) {
     std::hint::black_box(off()); // warm-up, both variants
@@ -75,14 +46,6 @@ fn time_pair<A, B>(mut off: impl FnMut() -> A, mut on: impl FnMut() -> B) -> (f6
         }
     }
     (off_best, on_best)
-}
-
-fn row(pairs: &[(&str, f64)]) -> String {
-    let fields: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v:.9}"))
-        .collect();
-    format!("    {{ {} }}", fields.join(", "))
 }
 
 /// A default engine (tracing off) and a fully-enabled one, both with
@@ -114,31 +77,6 @@ fn delta_row(kib: usize, off_s: f64, on_s: f64, name: &str) -> String {
         ("on_s", on_s),
         ("overhead", overhead),
     ])
-}
-
-fn scan_section() -> Vec<String> {
-    let spec = PipelineSpec::arith_lexed();
-    let (off, on) = engine_pair(&spec);
-    let mut rows = Vec::new();
-    for kib in [64usize, 1024] {
-        let text = arith_text(kib * 1024);
-        let (off_s, on_s) = time_pair(
-            || {
-                off.lex_str_parallel(&spec, &text, 1)
-                    .unwrap()
-                    .tokens()
-                    .is_some()
-            },
-            || {
-                on.lex_str_parallel(&spec, &text, 1)
-                    .unwrap()
-                    .tokens()
-                    .is_some()
-            },
-        );
-        rows.push(delta_row(kib, off_s, on_s, "scan      "));
-    }
-    rows
 }
 
 fn fused_section() -> Vec<String> {
@@ -196,34 +134,8 @@ fn parse_many_section() -> Vec<String> {
 }
 
 fn main() {
-    match std::env::var("OBS_SECTION").as_deref() {
-        Ok("scan") => print!("{}", scan_section().join(",\n")),
-        Ok("fused") => print!("{}", fused_section().join(",\n")),
-        Ok("parse_many") => print!("{}", parse_many_section().join(",\n")),
-        _ => {
-            let exe = std::env::current_exe().expect("own executable path");
-            let section = |name: &str| {
-                let out = std::process::Command::new(&exe)
-                    .env("OBS_SECTION", name)
-                    .stderr(std::process::Stdio::inherit())
-                    .output()
-                    .unwrap_or_else(|e| panic!("spawn {name} section: {e}"));
-                assert!(out.status.success(), "{name} section failed");
-                String::from_utf8(out.stdout).expect("section rows are UTF-8")
-            };
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let scan = section("scan");
-            let fused = section("fused");
-            let parse_many = section("parse_many");
-            let json = format!(
-                "{{\n  \"cores\": {cores},\n  \"scan\": [\n{scan}\n  ],\n  \
-                 \"fused\": [\n{fused}\n  ],\n  \"parse_many\": [\n{parse_many}\n  ]\n}}\n"
-            );
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-            std::fs::write(path, json).expect("write BENCH_obs.json");
-            println!("wrote {path}");
-        }
-    }
+    run_sections(
+        "obs",
+        &[("fused", fused_section), ("parse_many", parse_many_section)],
+    );
 }

@@ -8,48 +8,10 @@
 //! * cache latency asymmetry: a hit on a resident pipeline vs the
 //!   evict-and-recompile path a thrashing working set pays, plus the
 //!   single-lookup hit latency the cost-weighted policy protects.
-//!
-//! Timing is hand-rolled (median of five samples) like `certify.rs`, so
-//! the binary writes one flat JSON file. `SERVING_SAMPLE_MS` overrides
-//! the per-sample budget (default 20 ms).
 
-use std::time::Instant;
-
+use lambek_bench::{row, run_sections, time};
 use lambek_engine::{CacheConfig, Engine, PipelineSpec};
 use lambek_lex::demo::arith_text;
-
-/// Median seconds-per-iteration over five samples; each sample runs
-/// iterations until the budget elapses.
-fn time<R>(mut f: impl FnMut() -> R) -> f64 {
-    let budget_ms: u128 = std::env::var("SERVING_SAMPLE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    std::hint::black_box(f()); // warm-up
-    let mut samples = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let start = Instant::now();
-        let mut iters = 0u64;
-        loop {
-            std::hint::black_box(f());
-            iters += 1;
-            if start.elapsed().as_millis() >= budget_ms {
-                break;
-            }
-        }
-        samples.push(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn row(pairs: &[(&str, f64)]) -> String {
-    let fields: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v:.9}"))
-        .collect();
-    format!("    {{ {} }}", fields.join(", "))
-}
 
 /// Pool batch throughput on 4 KiB arith documents, N workers vs one.
 fn pool_section() -> Vec<String> {
@@ -135,16 +97,8 @@ fn cache_section() -> Vec<String> {
 }
 
 fn main() {
-    let pool = pool_section().join(",\n");
-    let cache = cache_section().join(",\n");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"cores\": {cores},\n  \"pool_one_vs_n\": [\n{pool}\n  ],\n  \
-         \"cache\": [\n{cache}\n  ]\n}}\n"
+    run_sections(
+        "serving",
+        &[("pool_one_vs_n", pool_section), ("cache", cache_section)],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, json).expect("write BENCH_serving.json");
-    println!("wrote {path}");
 }

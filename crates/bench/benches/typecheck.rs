@@ -16,9 +16,9 @@
 //! * `check_wide_with` — the checker's conversion checks on a wide `&`
 //!   of a shared component type, end to end.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 
+use lambek_bench::bench;
 use lambek_core::alphabet::Alphabet;
 use lambek_core::check::Checker;
 use lambek_core::syntax::nonlinear::{NlCtx, NlTerm};
@@ -108,76 +108,64 @@ fn repeated(
     mkw((0..k).map(|_| deep(d, mk2)).collect())
 }
 
-fn bench_lambda_chain(c: &mut Criterion) {
+fn bench_lambda_chain() {
     let sigma = Alphabet::abc();
     let a = LinType::Char(sigma.symbol("a").unwrap());
     let sig = Signature::new();
     let checker = Checker::new(&sig);
 
-    let mut group = c.benchmark_group("typecheck");
-    group.sample_size(20);
     for n in [4usize, 16, 64, 128] {
         let (term, ty) = chain(n, &a);
-        group.bench_with_input(BenchmarkId::new("lambda_chain", n), &term, |b, t| {
-            b.iter(|| checker.check(&NlCtx::new(), &[], t, &ty).unwrap())
+        bench(&format!("typecheck/lambda_chain/{n}"), || {
+            checker.check(&NlCtx::new(), &[], &term, &ty).unwrap()
         });
     }
-    group.finish();
 }
 
-fn bench_type_equality(c: &mut Criterion) {
+fn bench_type_equality() {
     let raw2: &dyn Fn(LinType, LinType) -> LinType = &raw::tensor;
     let int2: &dyn Fn(LinType, LinType) -> LinType = &LinType::tensor;
 
-    let mut group = c.benchmark_group("type_eq_deep");
-    group.sample_size(20);
     for n in [64usize, 256, 1024] {
         let (r1, r2) = (deep(n, raw2), deep(n, raw2));
-        group.bench_with_input(BenchmarkId::new("baseline", n), &n, |b, _| {
-            b.iter(|| assert!(lin_type_equal(&r1, &r2)))
+        bench(&format!("type_eq_deep/baseline/{n}"), || {
+            assert!(lin_type_equal(&r1, &r2))
         });
         let (i1, i2) = (deep(n, int2), deep(n, int2));
-        group.bench_with_input(BenchmarkId::new("interned", n), &n, |b, _| {
-            b.iter(|| assert!(lin_type_equal(&i1, &i2)))
+        bench(&format!("type_eq_deep/interned/{n}"), || {
+            assert!(lin_type_equal(&i1, &i2))
         });
     }
-    group.finish();
 
-    let mut group = c.benchmark_group("type_eq_wide");
-    group.sample_size(20);
     for n in [64usize, 256, 1024] {
         let (r1, r2) = (wide(n, &raw::plus, raw2), wide(n, &raw::plus, raw2));
-        group.bench_with_input(BenchmarkId::new("baseline", n), &n, |b, _| {
-            b.iter(|| assert!(lin_type_equal(&r1, &r2)))
+        bench(&format!("type_eq_wide/baseline/{n}"), || {
+            assert!(lin_type_equal(&r1, &r2))
         });
         let mk = |v: Vec<LinType>| LinType::Plus(v).interned();
         let (i1, i2) = (wide(n, &mk, int2), wide(n, &mk, int2));
-        group.bench_with_input(BenchmarkId::new("interned", n), &n, |b, _| {
-            b.iter(|| assert!(lin_type_equal(&i1, &i2)))
+        bench(&format!("type_eq_wide/interned/{n}"), || {
+            assert!(lin_type_equal(&i1, &i2))
         });
     }
-    group.finish();
 
-    let mut group = c.benchmark_group("type_eq_repeated");
-    group.sample_size(20);
     for k in [16usize, 64, 256] {
         let (r1, r2) = (
             repeated(k, 8, &raw::with, raw2),
             repeated(k, 8, &raw::with, raw2),
         );
-        group.bench_with_input(BenchmarkId::new("baseline", k), &k, |b, _| {
-            b.iter(|| assert!(lin_type_equal(&r1, &r2)))
+        bench(&format!("type_eq_repeated/baseline/{k}"), || {
+            assert!(lin_type_equal(&r1, &r2))
         });
         let mk = |v: Vec<LinType>| LinType::With(v).interned();
         let (i1, i2) = (repeated(k, 8, &mk, int2), repeated(k, 8, &mk, int2));
-        group.bench_with_input(BenchmarkId::new("interned", k), &k, |b, _| {
-            b.iter(|| assert!(lin_type_equal(&i1, &i2)))
+        bench(&format!("type_eq_repeated/interned/{k}"), || {
+            assert!(lin_type_equal(&i1, &i2))
         });
     }
-    group.finish();
 }
 
-fn bench_subst(c: &mut Criterion) {
+fn bench_subst() {
     // A type whose index expressions mention `n` under every node, so
     // substitution must touch the whole tree.
     fn indexed(depth: usize) -> LinType {
@@ -196,8 +184,6 @@ fn bench_subst(c: &mut Criterion) {
         )
     }
 
-    let mut group = c.benchmark_group("subst_repeated");
-    group.sample_size(20);
     for d in [16usize, 64, 256] {
         // Same canonical input for both: `uncached` re-runs the
         // structural recursion every time, `cached` hits the id-keyed
@@ -205,24 +191,21 @@ fn bench_subst(c: &mut Criterion) {
         // O(1) address lookup).
         let ty = indexed(d).interned();
         let four = NlTerm::NatLit(4);
-        group.bench_with_input(BenchmarkId::new("uncached", d), &d, |b, _| {
-            b.iter(|| subst_lin_type_uncached(&ty, "n", &four))
+        bench(&format!("subst_repeated/uncached/{d}"), || {
+            subst_lin_type_uncached(&ty, "n", &four)
         });
-        group.bench_with_input(BenchmarkId::new("cached", d), &d, |b, _| {
-            b.iter(|| subst_lin_type(&ty, "n", &four))
+        bench(&format!("subst_repeated/cached/{d}"), || {
+            subst_lin_type(&ty, "n", &four)
         });
     }
-    group.finish();
 }
 
-fn bench_check_wide_with(c: &mut Criterion) {
+fn bench_check_wide_with() {
     let sig = Signature::new();
     let checker = Checker::new(&sig);
     let raw2: &dyn Fn(LinType, LinType) -> LinType = &raw::tensor;
     let int2: &dyn Fn(LinType, LinType) -> LinType = &LinType::tensor;
 
-    let mut group = c.benchmark_group("check_wide_with");
-    group.sample_size(20);
     for k in [16usize, 64, 256] {
         // x : T ⊢ ⟨x, …, x⟩ ⇐ &ᵏ T: one conversion check per component.
         let term = LinTerm::Tuple(vec![LinTerm::var("x"); k]);
@@ -233,33 +216,25 @@ fn bench_check_wide_with(c: &mut Criterion) {
         // canonical allocation.
         let ctx = vec![("x".to_owned(), deep(64, raw2))];
         let expected = raw::with((0..k).map(|_| deep(64, raw2)).collect());
-        group.bench_with_input(BenchmarkId::new("baseline", k), &k, |b, _| {
-            b.iter(|| {
-                checker
-                    .check(&NlCtx::new(), &ctx, &term, &expected)
-                    .unwrap()
-            })
+        bench(&format!("check_wide_with/baseline/{k}"), || {
+            checker
+                .check(&NlCtx::new(), &ctx, &term, &expected)
+                .unwrap()
         });
 
         let ctx = vec![("x".to_owned(), deep(64, int2))];
         let expected = LinType::With((0..k).map(|_| deep(64, int2)).collect()).interned();
-        group.bench_with_input(BenchmarkId::new("interned", k), &k, |b, _| {
-            b.iter(|| {
-                checker
-                    .check(&NlCtx::new(), &ctx, &term, &expected)
-                    .unwrap()
-            })
+        bench(&format!("check_wide_with/interned/{k}"), || {
+            checker
+                .check(&NlCtx::new(), &ctx, &term, &expected)
+                .unwrap()
         });
     }
-    group.finish();
 }
 
-fn bench(c: &mut Criterion) {
-    bench_lambda_chain(c);
-    bench_type_equality(c);
-    bench_subst(c);
-    bench_check_wide_with(c);
+fn main() {
+    bench_lambda_chain();
+    bench_type_equality();
+    bench_subst();
+    bench_check_wide_with();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

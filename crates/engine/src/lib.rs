@@ -102,7 +102,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use lambek_core::alphabet::GString;
-use lambek_lex::{LexChunk, LexedOutcome, TokenStream};
 
 use cache::PipelineCache;
 use pool::WorkerPool;
@@ -116,14 +115,6 @@ pub enum EngineError {
     /// A streaming parser was requested for a pipeline with no DFA
     /// backend (e.g. the lookahead-automaton expression pipeline).
     NoStreamingBackend(String),
-    /// Parallel lexing ([`Engine::lex_str_parallel`]) was requested for
-    /// a pipeline that is not a lexed CFG pipeline.
-    NotLexed(String),
-    /// A certified component violated its own contract at serve time
-    /// (e.g. the lexer emitted a lexeme the derivative checker rejects).
-    /// This signals a bug in the serving layer, never an input error —
-    /// malformed inputs come back as structured rejections.
-    Contract(String),
 }
 
 impl fmt::Display for EngineError {
@@ -133,10 +124,6 @@ impl fmt::Display for EngineError {
             EngineError::NoStreamingBackend(m) => {
                 write!(f, "pipeline {m} has no DFA backend for streaming")
             }
-            EngineError::NotLexed(m) => {
-                write!(f, "pipeline {m} has no certified lexer for parallel lexing")
-            }
-            EngineError::Contract(m) => write!(f, "certification contract violated: {m}"),
         }
     }
 }
@@ -531,78 +518,6 @@ impl Engine {
         }))
     }
 
-    /// Certified lexing with speculative parallel chunked scanning:
-    /// splits `input` at guessed char-boundary seams, fans the
-    /// byte-sliced chunk scans ([`lambek_lex::LexAutomaton::lex_chunk`])
-    /// across the engine's persistent worker pool, joins them by
-    /// memoized replay ([`lambek_lex::LexAutomaton::join_chunks`] —
-    /// re-munching only seam-straddling lexemes), and feeds the joined
-    /// chain through the incremental span-based certifier. The outcome
-    /// is observationally identical to the sequential
-    /// [`lambek_lex::CertifiedLexer::lex`]: same tokens, same spans,
-    /// same lex error — only the wall-clock differs.
-    ///
-    /// `chunks` caps the split (1 = sequential on the calling thread;
-    /// tiny inputs collapse to fewer chunks). The pool is not
-    /// reentrant, so do not call this from inside a pooled batch job.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Compile`] if the pipeline cannot be built,
-    /// [`EngineError::NotLexed`] if `spec` is not a lexed CFG pipeline,
-    /// and [`EngineError::Contract`] if certification of the joined
-    /// chain fails (a serving-layer bug, never an input error — inputs
-    /// that do not lex come back as [`LexedOutcome::Reject`]).
-    pub fn lex_str_parallel(
-        &self,
-        spec: &PipelineSpec,
-        input: &str,
-        chunks: usize,
-    ) -> Result<LexedOutcome, EngineError> {
-        let pipeline = self.get_or_compile(spec)?;
-        let Some(backend) = pipeline.lexed_backend() else {
-            return Err(EngineError::NotLexed(spec.label()));
-        };
-        let lexer = backend.lexer();
-        let starts = lambek_lex::chunk_starts(input, chunks);
-        let scanned: Vec<LexChunk> = if starts.len() <= 1 {
-            // Nothing to fan out: one chunk covering the whole input is
-            // exactly the sequential scan.
-            vec![lexer.automaton().lex_chunk(input, 0, input.len())]
-        } else {
-            // Pool jobs are 'static: share the text via Arc and clone
-            // the (Arc-backed) automaton into the closure. One shard
-            // per chunk so distinct workers can steal distinct seams.
-            let text: Arc<str> = Arc::from(input);
-            let auto = lexer.automaton().clone();
-            let ranges: Vec<(usize, usize)> = starts
-                .iter()
-                .enumerate()
-                .map(|(k, &s)| (s, starts.get(k + 1).copied().unwrap_or(input.len())))
-                .collect();
-            let shards = ranges.len();
-            self.pool().run_batch(ranges, shards, move |_, &(s, e)| {
-                auto.lex_chunk(&text, s, e)
-            })
-        };
-        let joined = match lexer.automaton().join_chunks(input, &scanned) {
-            Ok(lexemes) => lexemes,
-            Err(e) => return Ok(LexedOutcome::Reject(e)),
-        };
-        // Certify the joined chain exactly as the sequential lexer
-        // would: span tiling plus per-lexeme derivative membership,
-        // then materialize the certified token stream.
-        let mut cert = lexer.certifier();
-        for l in &joined {
-            cert.check_raw(input, l)
-                .map_err(|e| EngineError::Contract(e.to_string()))?;
-        }
-        cert.finish(input)
-            .map_err(|e| EngineError::Contract(e.to_string()))?;
-        let tokens: Vec<_> = joined.into_iter().map(|l| l.to_token(input)).collect();
-        Ok(LexedOutcome::Tokens(TokenStream::from_tokens(tokens)))
-    }
-
     /// Opens a push-mode streaming parser for `spec`.
     ///
     /// # Errors
@@ -914,43 +829,6 @@ mod tests {
         // The failure is re-attempted (and re-fails) on the next call.
         assert!(engine.get_or_compile(&spec).is_err());
         assert_eq!(engine.stats().misses, 2);
-    }
-
-    #[test]
-    fn lex_str_parallel_matches_the_sequential_lexer() {
-        let engine = Engine::new();
-        let spec = PipelineSpec::arith_lexed();
-        let pipeline = engine.get_or_compile(&spec).unwrap();
-        let lexer = pipeline.lexed_backend().unwrap().lexer();
-        let good = "12 + (345 + 6) + 78";
-        let bad = "12 + X + 34";
-        for chunks in [1, 2, 3, 4, 8, 64] {
-            assert_eq!(
-                engine.lex_str_parallel(&spec, good, chunks).unwrap(),
-                lexer.lex(good).unwrap(),
-                "{chunks} chunks on accepting input"
-            );
-            assert_eq!(
-                engine.lex_str_parallel(&spec, bad, chunks).unwrap(),
-                lexer.lex(bad).unwrap(),
-                "{chunks} chunks on rejecting input"
-            );
-            assert_eq!(
-                engine.lex_str_parallel(&spec, "", chunks).unwrap(),
-                lexer.lex("").unwrap(),
-                "{chunks} chunks on empty input"
-            );
-        }
-    }
-
-    #[test]
-    fn lex_str_parallel_rejects_unlexed_pipelines() {
-        let engine = Engine::new();
-        let spec = PipelineSpec::regex(Alphabet::abc(), "a*b");
-        assert!(matches!(
-            engine.lex_str_parallel(&spec, "aab", 4),
-            Err(EngineError::NotLexed(_))
-        ));
     }
 
     #[test]

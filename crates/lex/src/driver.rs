@@ -145,8 +145,8 @@ impl TokenStream {
 
 /// A lexeme without its materialized text: rule, byte span, and the
 /// token-alphabet symbol (`None` for skip rules). This is what the
-/// byte-sliced scanner produces natively — the fused and parallel paths
-/// consume it directly, and [`Token`] is just a `RawLexeme` plus the
+/// byte-sliced scanner produces natively — the fused lex→LR path
+/// consumes it directly, and [`Token`] is just a `RawLexeme` plus the
 /// `String` copy of its span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawLexeme {
@@ -199,8 +199,8 @@ pub(crate) struct Scan {
 /// One maximal-munch scan from byte offset `start`: steps the
 /// byte-sliced tables until the automaton dies or the input ends,
 /// tracking the last accept. This is THE hot loop — everything else
-/// (one-shot lexing, the push stream's bulk path, parallel chunk
-/// workers, the fused lex→LR feed) is a driver around it.
+/// (one-shot lexing, the push stream's bulk path, the fused lex→LR
+/// feed) is a driver around it.
 ///
 /// The fast lane dispatches 8 bytes per lap entirely inside the flat
 /// `[state × class]` table (one `u64` load decides the whole lap is
@@ -339,7 +339,7 @@ impl LexAutomaton {
 
     /// Lexes `input` lazily into [`RawLexeme`]s — the allocation-free
     /// form of [`LexAutomaton::lexemes`] (no `String` per token). The
-    /// fused lex→LR path and the parallel chunk workers run on this.
+    /// fused lex→LR path runs on this.
     /// After the first `Err` the iterator is exhausted.
     pub fn raw_lexemes<'a>(&'a self, input: &'a str) -> RawLexemes<'a> {
         RawLexemes {

@@ -56,7 +56,6 @@ pub mod compile;
 pub mod demo;
 pub mod driver;
 mod fnv;
-pub mod parallel;
 pub mod probes;
 pub mod spec;
 
@@ -66,6 +65,5 @@ pub use driver::{
     CharwiseLexemes, LexError, LexResumeError, LexStream, LexStreamState, Lexemes, RawLexeme,
     RawLexemes, SabotageLex, Span, Token, TokenStream,
 };
-pub use parallel::{chunk_starts, LexChunk};
 pub use probes::LexProbes;
 pub use spec::{class, literal, plus, LexRule, LexSpec, LexSpecBuilder, SpecError};

@@ -1,6 +1,6 @@
 //! Property suite for the certified lexing subsystem.
 //!
-//! Four families of properties:
+//! Six families of properties:
 //!
 //! 1. on random token specs and random rule-shaped inputs, whenever the
 //!    maximal-munch driver accepts, the lexeme spans concatenate back to
@@ -14,7 +14,12 @@
 //!    nothing about the language);
 //! 4. skip rules never change the token-level yield: inserting skipped
 //!    whitespace at token boundaries leaves the parser-visible string
-//!    untouched.
+//!    untouched;
+//! 5. the byte-sliced scanner agrees with the charwise reference loop
+//!    (acceptance, boundaries, rule choice), over 1-byte and mixed
+//!    1/2/3-byte alphabets;
+//! 6. the bulk `push_str` path agrees with per-char pushes — tokens,
+//!    errors, and retained stream state — under random slicings.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,12 +47,12 @@ fn random_rule_regex(alphabet: &Alphabet, size: usize, rng: &mut StdRng) -> Rege
     }
 }
 
-/// A random spec: 2–4 prioritized rules over {a, b} (a tiny alphabet
+/// A random spec: 2–4 prioritized rules over `chars` (a tiny alphabet
 /// maximizes overlap between rules, which is where priorities and
 /// backtracking actually get exercised).
-fn random_spec(seed: u64) -> (LexAutomaton, Vec<Regex>) {
+fn random_spec(chars: &str, seed: u64) -> (LexAutomaton, Vec<Regex>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let sigma = Alphabet::from_chars("ab");
+    let sigma = Alphabet::from_chars(chars);
     let num_rules = rng.gen_range(2..5);
     let mut builder = LexSpecBuilder::new(sigma.clone());
     let mut regexes = Vec::new();
@@ -141,6 +146,15 @@ fn render(w: &GString, sigma: &Alphabet) -> String {
     sigma.display(w)
 }
 
+/// A random string over `chars` (not rule-shaped on purpose: rejecting
+/// inputs must agree too).
+fn random_text(chars: &str, len: usize, rng: &mut StdRng) -> String {
+    let pool: Vec<char> = chars.chars().collect();
+    (0..len)
+        .map(|_| pool[rng.gen_range(0..pool.len())])
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -150,7 +164,7 @@ proptest! {
     /// re-asserts them from the outside on random specs).
     #[test]
     fn lexeme_concatenation_roundtrips(seed in 0u64..300) {
-        let (auto, _) = random_spec(seed);
+        let (auto, _) = random_spec("ab", seed);
         let sigma = auto.spec().alphabet().clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
         let regexes: Vec<Regex> = auto.spec().rules().iter().map(|r| r.regex.clone()).collect();
@@ -173,7 +187,7 @@ proptest! {
     /// rule choice — and the push-mode stream agrees with both.
     #[test]
     fn driver_agrees_with_naive_reference(seed in 0u64..300) {
-        let (auto, regexes) = random_spec(seed);
+        let (auto, regexes) = random_spec("ab", seed);
         let sigma = auto.spec().alphabet().clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51f1);
         for k in 0..4 {
@@ -295,5 +309,83 @@ proptest! {
             unreachable!("asserted accepted above")
         };
         prop_assert_eq!(a.yield_string(), b.yield_string(), "{:?} vs {:?}", base, spaced);
+    }
+
+    /// Property 5: the byte-sliced scanner is observationally equal to
+    /// the charwise reference loop. The multi-byte alphabet mixes 1-, 2-
+    /// and 3-byte chars, so the scanner's non-ASCII fallback runs too.
+    #[test]
+    fn byte_sliced_agrees_with_charwise(seed in 0u64..300) {
+        for chars in ["ab", "aß∂"] {
+            let (auto, _) = random_spec(chars, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            for len in [0usize, 1, 4, 9, 33] {
+                let input = random_text(chars, len, &mut rng);
+                prop_assert_eq!(
+                    auto.lex_raw(&input),
+                    auto.lex_raw_charwise(&input),
+                    "on {:?}",
+                    input
+                );
+            }
+        }
+    }
+
+    /// Property 6: bulk `push_str` ≡ per-char pushes under random
+    /// slicings — same tokens, same error, same exported stream state.
+    #[test]
+    fn bulk_push_str_agrees_with_per_char(seed in 0u64..300) {
+        let (auto, _) = random_spec("ab", seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xb01d);
+        let input = random_text("ab", rng.gen_range(0..40), &mut rng);
+        // Random slicing of the input into pushes.
+        let mut slices: Vec<String> = Vec::new();
+        {
+            let mut rest = input.as_str();
+            while !rest.is_empty() {
+                let mut cut = rng.gen_range(1..=rest.len());
+                while !rest.is_char_boundary(cut) {
+                    cut += 1;
+                }
+                slices.push(rest[..cut].to_owned());
+                rest = &rest[cut..];
+            }
+        }
+        let mut bulk = auto.stream();
+        let mut charwise = auto.stream();
+        let mut bulk_out: Vec<Token> = Vec::new();
+        let mut char_out: Vec<Token> = Vec::new();
+        let mut bulk_err = None;
+        let mut char_err = None;
+        for s in &slices {
+            if bulk_err.is_none() {
+                if let Err(e) = bulk.push_str_into(s, &mut bulk_out) {
+                    bulk_err = Some(e);
+                }
+            }
+            if char_err.is_none() {
+                for c in s.chars() {
+                    match charwise.push(c) {
+                        Ok(t) => char_out.extend(t),
+                        Err(e) => {
+                            char_err = Some(e);
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(&bulk_err, &char_err, "errors differ on {:?} / {:?}", input, slices);
+        if bulk_err.is_none() {
+            prop_assert_eq!(&bulk_out, &char_out, "tokens differ on {:?} / {:?}", input, slices);
+            prop_assert_eq!(
+                bulk.export_state(),
+                charwise.export_state(),
+                "state differs on {:?} / {:?}",
+                input,
+                slices
+            );
+            prop_assert_eq!(bulk.finish(), charwise.finish(), "finish differs on {:?}", input);
+        }
     }
 }
