@@ -5,9 +5,9 @@
 //! Two families, each at three input sizes:
 //!
 //! * lexing (arith text, 1 KiB / 64 KiB / 1 MiB): the raw maximal-munch
-//!   driver, the incremental certifier (running span cursor + memoized
-//!   derivative re-match per munch boundary), and the full post-hoc
-//!   re-validation pass it replaced;
+//!   driver, the incremental certifier (running span cursor + a walk
+//!   over the rule's eager derivative table per munch boundary), and the
+//!   full post-hoc re-validation pass it replaced;
 //! * LR parsing (Dyck, 1 Ki / 64 Ki / 1 Mi symbols): bare recognition,
 //!   the certified parse (reduction log with per-step certification),
 //!   and the blind parse finished by materializing the tree and running
@@ -25,7 +25,7 @@ use lambek_lex::CertifiedLexer;
 use lambek_lr::CertifiedLrParser;
 
 fn lex_section() -> Vec<String> {
-    let lexer = CertifiedLexer::compile(arith_spec());
+    let lexer = CertifiedLexer::compile(arith_spec()).unwrap();
     let auto = lexer.automaton().clone();
     let mut rows = Vec::new();
     for kib in [1usize, 64, 1024] {

@@ -7,8 +7,8 @@
 //! * `lex_throughput` — the maximal-munch tagged-DFA driver over
 //!   arithmetic text at 1 KiB / 64 KiB / 1 MiB (MB/s is the number to
 //!   read off: bytes ÷ time): the raw driver, the incremental certifier
-//!   (span tiling as a running cursor, memoized derivative re-match at
-//!   each munch boundary), and the full post-hoc re-validation pass;
+//!   (span tiling as a running cursor, derivative-table walk at each
+//!   munch boundary), and the full post-hoc re-validation pass;
 //! * `lex_vs_char_earley` — the same raw arithmetic language parsed two
 //!   ways: certified lex + certified LR over tokens (the new
 //!   subsystem), against Earley over the character-level grammar with
@@ -26,7 +26,7 @@ use lambek_lr::CertifiedLrParser;
 
 fn main() {
     let auto = LexAutomaton::compile(arith_spec());
-    let certified = CertifiedLexer::from_automaton(auto.clone());
+    let certified = CertifiedLexer::from_automaton(auto.clone()).unwrap();
 
     for kib in [1usize, 64, 1024] {
         let text = arith_text(kib * 1024);

@@ -21,7 +21,7 @@ use lambek_lex::CertifiedLexer;
 const GIB: f64 = (1u64 << 30) as f64;
 
 fn scan_section() -> Vec<String> {
-    let lexer = CertifiedLexer::compile(arith_spec());
+    let lexer = CertifiedLexer::compile(arith_spec()).unwrap();
     let auto = lexer.automaton().clone();
     let mut rows = Vec::new();
     for kib in [1usize, 64, 1024] {

@@ -85,6 +85,36 @@ fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The CPU model (`/proc/cpuinfo`'s first `model name`), or `"unknown"`.
+fn cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The compiler that built the bench (`rustc -V`), or `"unknown"`.
+fn rustc() -> String {
+    std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|v| v.trim().to_owned())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
 /// A named section of a JSON bench and the function producing its rows.
 pub type Section = (&'static str, fn() -> Vec<String>);
 
@@ -94,8 +124,8 @@ pub type Section = (&'static str, fn() -> Vec<String>);
 /// allocator with millions of short-lived tokens otherwise inflates the
 /// next one's numbers by up to ~2.5×. Sections print human-readable
 /// lines on stderr and their rows on stdout; the parent writes
-/// `BENCH_<name>.json` at the repo root, one key per section plus
-/// `cores`.
+/// `BENCH_<name>.json` at the repo root, one key per section plus the
+/// machine it ran on: `cores`, `cpu` and `rustc`.
 pub fn run_sections(name: &str, sections: &[Section]) {
     if let Ok(wanted) = std::env::var("BENCH_SECTION") {
         let (_, run) = sections
@@ -106,7 +136,12 @@ pub fn run_sections(name: &str, sections: &[Section]) {
         return;
     }
     let exe = std::env::current_exe().expect("own executable path");
-    let mut json = format!("{{\n  \"cores\": {}", cores());
+    let mut json = format!(
+        "{{\n  \"cores\": {},\n  \"cpu\": {},\n  \"rustc\": {}",
+        cores(),
+        json_str(&cpu()),
+        json_str(&rustc())
+    );
     for (key, _) in sections {
         let out = std::process::Command::new(&exe)
             .env("BENCH_SECTION", key)
@@ -135,6 +170,11 @@ mod tests {
             n
         });
         assert!(secs.is_finite() && secs > 0.0, "{secs}");
+    }
+
+    #[test]
+    fn json_str_escapes_quotes_and_backslashes() {
+        assert_eq!(json_str(r#"a "b" \c"#), r#""a \"b\" \\c""#);
     }
 
     #[test]

@@ -104,6 +104,7 @@ use std::time::{Duration, Instant};
 use lambek_core::alphabet::GString;
 
 use cache::PipelineCache;
+use pipeline::CompileFailure;
 use pool::WorkerPool;
 
 /// Errors surfaced by the engine.
@@ -345,7 +346,9 @@ impl Engine {
         &self,
         spec: &PipelineSpec,
     ) -> Result<Arc<CompiledPipeline>, EngineError> {
-        self.get_or_compile_timed(spec).map(|(p, _, _)| p)
+        self.get_or_compile_timed(spec)
+            .map(|(p, _, _)| p)
+            .map_err(EngineError::from)
     }
 
     /// [`Engine::get_or_compile`] reporting how the time was spent:
@@ -355,7 +358,7 @@ impl Engine {
     fn get_or_compile_timed(
         &self,
         spec: &PipelineSpec,
-    ) -> Result<(Arc<CompiledPipeline>, Duration, Option<Duration>), EngineError> {
+    ) -> Result<(Arc<CompiledPipeline>, Duration, Option<Duration>), CompileFailure> {
         // One mutex for the whole probe-or-compile: concurrent misses
         // on the same spec compile exactly once, which keeps the
         // compile-once contract strict (not merely eventual). The
@@ -375,7 +378,7 @@ impl Engine {
         self.metrics.compiles.inc();
         let lookup = t0.elapsed();
         let tc = std::time::Instant::now();
-        let compiled = Arc::new(spec.compile()?);
+        let compiled = Arc::new(spec.compile_or_shed()?);
         let compile = tc.elapsed();
         cache.insert(spec.clone(), compiled.clone());
         self.metrics.miss_lat.record(t0.elapsed());
@@ -713,17 +716,22 @@ impl Engine {
             "Maximal-munch backtracks (scans read past the accepted end; process-wide)",
             MetricValue::Counter(lex.backtracks),
         ));
+        // Every certifier verdict is a read from tables built at compile
+        // time, so no lookup misses. The series stays because repobench
+        // derives `lex.verdict_hit_ratio` from it.
         out.push(Metric {
             name: "lambekd_certifier_verdict_lookups_total".to_string(),
-            help: "Certifier derivative-cache lookups, by result (process-wide)".to_string(),
+            help: "Certifier verdicts read from the eager derivative tables, by result: \
+                   hit = certified lexemes; miss is always 0 (process-wide)"
+                .to_string(),
             samples: vec![
                 Sample {
                     labels: vec![("result".to_string(), "hit".to_string())],
-                    value: MetricValue::Counter(lex.verdict_cache_hits),
+                    value: MetricValue::Counter(lex.certified_lexemes),
                 },
                 Sample {
                     labels: vec![("result".to_string(), "miss".to_string())],
-                    value: MetricValue::Counter(lex.verdict_cache_misses),
+                    value: MetricValue::Counter(0),
                 },
             ],
         });

@@ -37,7 +37,8 @@ use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog};
 use lambek_core::theory::parser::{ParseOutcome, VerifiedParser};
 use lambek_core::transform::TransformError;
 use lambek_lex::{
-    CertifiedLexer, LexCertifyError, LexError, LexSpec, LexedOutcome, Span, TokenStream,
+    CertifiedLexer, LexCertifyError, LexError, LexSpec, LexedOutcome, Span, StateBudgetExceeded,
+    TokenStream,
 };
 use lambek_lr::{CertifiedLrParser, CertifyError, LrConflictReport, LrOutcome};
 use regex_grammars::ast::parse_regex;
@@ -336,11 +337,19 @@ impl PipelineSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Compile`] on regex syntax errors or if the
-    /// underlying equivalences fail to compose. A CFG spec never fails
-    /// to compile: LR conflicts fall back to Earley, with the conflict
+    /// Returns [`EngineError::Compile`] on regex syntax errors, if the
+    /// underlying equivalences fail to compose, or if a lexed spec's
+    /// certifier tables exceed [`lambek_lex::MAX_CERTIFIER_STATES`] (the
+    /// message names the rule and the cap). A CFG spec never fails to
+    /// compile: LR conflicts fall back to Earley, with the conflict
     /// report preserved on the [`CfgBackend`].
     pub fn compile(&self) -> Result<CompiledPipeline, EngineError> {
+        self.compile_or_shed().map_err(EngineError::from)
+    }
+
+    /// [`PipelineSpec::compile`], keeping a shed lexer apart from a
+    /// broken spec so text submissions can report it as a budget.
+    pub(crate) fn compile_or_shed(&self) -> Result<CompiledPipeline, CompileFailure> {
         let start = Instant::now();
         let imp = match &self.kind {
             SpecKind::Regex { alphabet, pattern } => {
@@ -370,15 +379,15 @@ impl PipelineSpec {
             SpecKind::Cfg { cfg, .. } => ParserImpl::Cfg(compile_cfg_backend(cfg)),
             SpecKind::LexedCfg { name, spec, cfg } => {
                 if spec.token_alphabet() != cfg.alphabet() {
-                    return Err(EngineError::Compile(format!(
+                    return Err(CompileFailure::Error(EngineError::Compile(format!(
                         "lexed pipeline {name}: the spec's token alphabet {:?} does not match \
                          the grammar's alphabet {:?}",
                         spec.token_alphabet().names(),
                         cfg.alphabet().names(),
-                    )));
+                    ))));
                 }
                 ParserImpl::LexedCfg(LexedCfgBackend {
-                    lexer: CertifiedLexer::compile(spec.clone()),
+                    lexer: CertifiedLexer::compile(spec.clone()).map_err(CompileFailure::Shed)?,
                     inner: compile_cfg_backend(cfg),
                 })
             }
@@ -388,6 +397,31 @@ impl PipelineSpec {
             imp,
             compile_time: start.elapsed(),
         })
+    }
+}
+
+/// Why [`PipelineSpec::compile_or_shed`] failed.
+#[derive(Debug)]
+pub(crate) enum CompileFailure {
+    /// The spec does not compile.
+    Error(EngineError),
+    /// The spec compiles, but its lexer's certifier tables would exceed
+    /// the state cap.
+    Shed(StateBudgetExceeded),
+}
+
+impl From<EngineError> for CompileFailure {
+    fn from(e: EngineError) -> CompileFailure {
+        CompileFailure::Error(e)
+    }
+}
+
+impl From<CompileFailure> for EngineError {
+    fn from(failure: CompileFailure) -> EngineError {
+        match failure {
+            CompileFailure::Error(e) => e,
+            CompileFailure::Shed(shed) => EngineError::Compile(shed.to_string()),
+        }
     }
 }
 

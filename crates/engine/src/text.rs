@@ -24,12 +24,16 @@ use lambek_frontend::{
 use lambek_lex::Span;
 use lambek_obs::{Stage, Trace};
 
+use crate::pipeline::CompileFailure;
 use crate::{CompiledPipeline, Engine, PipelineSpec, StrOutcome};
 
 /// Options for [`Engine::compile_text_with`].
 #[derive(Debug, Clone, Default)]
 pub struct CompileTextOptions {
     /// Compile-time budgets (production count, LALR states, deadline).
+    /// Certifier derivative tables have a fixed cap of their own
+    /// ([`lambek_lex::MAX_CERTIFIER_STATES`] state units), shed as
+    /// [`BudgetKind::States`] too.
     pub budgets: Budgets,
     /// Serve grammars with LALR conflicts through the Earley fallback
     /// instead of rejecting them (default `false`: conflicts come back
@@ -177,9 +181,20 @@ impl Engine {
             elab.spec.clone(),
             elab.cfg.clone(),
         );
-        let (pipeline, lookup, compile) = self
-            .get_or_compile_timed(&spec)
-            .map_err(|e| FrontendReport::Internal(format!("user pipeline: {e}")))?;
+        let (pipeline, lookup, compile) = match self.get_or_compile_timed(&spec) {
+            Ok(compiled) => compiled,
+            Err(CompileFailure::Shed(shed)) => {
+                probes::note_budget_shed();
+                return Err(FrontendReport::Budget(BudgetExceeded {
+                    kind: BudgetKind::States,
+                    limit: shed.cap as u64,
+                    actual: shed.needed as u64,
+                }));
+            }
+            Err(CompileFailure::Error(e)) => {
+                return Err(FrontendReport::Internal(format!("user pipeline: {e}")));
+            }
+        };
         let cfg_backend = pipeline
             .lexed_backend()
             .expect("a text pipeline is a lexed-cfg pipeline")
@@ -314,5 +329,39 @@ mod tests {
             .cfg_backend()
             .conflicts()
             .is_some());
+    }
+
+    #[test]
+    fn an_oversized_certifier_table_is_shed_as_a_state_budget() {
+        // "The 13th symbol from the end is an a": 2¹³ derivatives, more
+        // state units than the certifier cap allows.
+        let text = format!(
+            "token LONG = ('a'|'b')* 'a' {};\nS ::= LONG ;\n",
+            "('a'|'b') ".repeat(12)
+        );
+        let engine = Engine::new();
+        match engine.compile_text(&text) {
+            Err(FrontendReport::Budget(shed)) => {
+                assert_eq!(shed.kind, BudgetKind::States);
+                assert_eq!(shed.limit, lambek_lex::MAX_CERTIFIER_STATES as u64);
+                assert!(shed.actual > shed.limit, "{shed}");
+            }
+            other => panic!("expected a state-budget shed, got {other:?}"),
+        }
+        assert_eq!(
+            engine.stats().entries,
+            1,
+            "only the meta pipeline is resident"
+        );
+        // The same spec through the spec-level API: a compile error
+        // that names the rule and the cap.
+        let ast = lambek_frontend::parse_text(&text).expect("parses");
+        let elab = lambek_frontend::elaborate(&text, &ast).expect("elaborates");
+        match PipelineSpec::lexed_cfg("long", elab.spec, elab.cfg).compile() {
+            Err(crate::EngineError::Compile(m)) => {
+                assert!(m.contains("\"LONG\"") && m.contains("65536"), "{m}");
+            }
+            other => panic!("expected a compile error, got {:?}", other.err()),
+        }
     }
 }

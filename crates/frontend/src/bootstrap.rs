@@ -262,7 +262,8 @@ pub fn bootstrap() -> &'static Bootstrap {
     BOOT.get_or_init(|| {
         let cfg = meta_cfg();
         Bootstrap {
-            lexer: CertifiedLexer::compile(meta_spec()),
+            lexer: CertifiedLexer::compile(meta_spec())
+                .expect("the bootstrap meta lexer's tables fit the state cap"),
             parser: CertifiedLrParser::compile(&cfg)
                 .expect("the bootstrap meta grammar is LALR(1)"),
             cfg,

@@ -311,7 +311,11 @@ impl Default for Budgets {
 pub enum BudgetKind {
     /// [`Budgets::max_productions`].
     Productions,
-    /// [`Budgets::max_states`].
+    /// [`Budgets::max_states`] LALR states, or the lexer's fixed cap on
+    /// certifier derivative states (`lambek_lex::MAX_CERTIFIER_STATES`,
+    /// in state units: a state costs one unit per 16 regex nodes it
+    /// derives, at least one). For the certifier, the observed value is
+    /// the units its tables had spent when the cap stopped the build.
     States,
     /// [`Budgets::deadline`] (values in microseconds).
     Deadline,
@@ -333,7 +337,7 @@ impl fmt::Display for BudgetExceeded {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let what = match self.kind {
             BudgetKind::Productions => "productions",
-            BudgetKind::States => "LALR states",
+            BudgetKind::States => "LALR or certifier states",
             BudgetKind::Deadline => "compile deadline (µs)",
         };
         write!(
@@ -495,7 +499,7 @@ mod tests {
 
     /// End-to-end accept/reject through the frontend-built pipeline.
     fn accepts(compiled: &CompiledText, input: &str) -> bool {
-        let lexer = lambek_lex::CertifiedLexer::compile(compiled.elab.spec.clone());
+        let lexer = lambek_lex::CertifiedLexer::compile(compiled.elab.spec.clone()).unwrap();
         match lexer.lex(input).expect("lexer is honest") {
             lambek_lex::LexedOutcome::Tokens(stream) => matches!(
                 compiled

@@ -25,21 +25,32 @@
 //! obligation per token at its munch boundary, so [`CertifiedLexer::lex`]
 //! and the streaming pipelines certify in O(lexeme) amortized work per
 //! token instead of re-walking the whole stream at the end. The
-//! re-match runs on [`LazyDerivMatcher`]s — the same derivatives,
-//! memoized — and verdicts are cached per `(rule, lexeme)`.
+//! re-match walks a [`DerivTable`] per rule: the same derivatives, all
+//! computed when the lexer compiles, over the symbol classes read off
+//! the rule's own regex. The walk is one array load per character, with
+//! no lock, no hashing and no allocation, and the tables are immutable,
+//! so certifiers on different threads share them without contention.
 //! [`CertifiedLexer::lex_full`] keeps the original whole-stream
-//! re-validation as the slow differential reference.
+//! re-validation, on [`regex_grammars::derivative::matches`], as the
+//! slow differential reference.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use regex_grammars::deriv_table::{DerivTable, StateCapExceeded, SymbolClasses};
 use regex_grammars::derivative::matches;
-use regex_grammars::lazy::LazyDerivMatcher;
 
 use crate::compile::LexAutomaton;
 use crate::driver::{LexError, RawLexeme, Token, TokenStream};
-use crate::fnv::FnvMap;
 use crate::spec::LexSpec;
+
+/// The most derivative state units one lexer's certifier tables may
+/// cost, all rules together (a state costs one unit per
+/// [`NODES_PER_STATE`](regex_grammars::deriv_table::NODES_PER_STATE)
+/// regex nodes it derives, at least one). A spec
+/// that needs more is refused at compile time with
+/// [`StateBudgetExceeded`].
+pub const MAX_CERTIFIER_STATES: usize = 65_536;
 
 /// The outcome of a certified lex.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +96,33 @@ impl fmt::Display for LexCertifyError {
 
 impl std::error::Error for LexCertifyError {}
 
+/// A spec whose certifier tables would cost more than
+/// [`MAX_CERTIFIER_STATES`] state units: refused when the lexer
+/// compiles, so no request ever walks a partial table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StateBudgetExceeded {
+    /// The rule whose table crossed the cap.
+    pub rule: String,
+    /// The cap, in state units over all rules of the spec.
+    pub cap: usize,
+    /// The units spent when the build stopped: every earlier rule's
+    /// table, plus this rule's states up to and including the one the
+    /// cap refused. Always more than `cap`.
+    pub needed: usize,
+}
+
+impl fmt::Display for StateBudgetExceeded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let exceeded = StateCapExceeded {
+            cap: self.cap,
+            needed: self.needed,
+        };
+        write!(f, "lexer rule {:?}: certifier {exceeded}", self.rule)
+    }
+}
+
+impl std::error::Error for StateBudgetExceeded {}
+
 /// A maximal-munch lexer whose every output is re-validated: spans must
 /// tile the input and every lexeme must independently re-match its
 /// rule's regex.
@@ -103,7 +141,7 @@ impl std::error::Error for LexCertifyError {}
 ///     .token("B", "b")?
 ///     .skip("WS", "  *")?
 ///     .build()?;
-/// let lexer = CertifiedLexer::compile(spec);
+/// let lexer = CertifiedLexer::compile(spec).expect("tables fit the cap");
 /// let out = lexer.lex("aa b").unwrap();
 /// let stream = out.tokens().expect("lexes");
 /// assert_eq!(stream.yield_string().len(), 2); // A B — the skip is gone
@@ -112,45 +150,58 @@ impl std::error::Error for LexCertifyError {}
 #[derive(Debug, Clone)]
 pub struct CertifiedLexer {
     auto: LexAutomaton,
-    /// One memoized derivative matcher per rule, shared by every
-    /// certifier this lexer hands out — the lazily discovered
-    /// derivative states persist across inputs.
-    matchers: Arc<Vec<LazyDerivMatcher>>,
-    /// Shared membership verdicts, one map per rule keyed by lexeme
-    /// text. A lexeme's membership in a rule's regex is deterministic,
-    /// so verdicts persist across inputs (the same reasoning that lets
-    /// the derivative states persist) — in steady state a repeated
-    /// lexeme certifies with a single hash lookup.
-    verdicts: Arc<Vec<Mutex<FnvMap<String, bool>>>>,
+    /// One eager derivative table per rule, in rule order, shared by
+    /// every certifier this lexer hands out.
+    tables: Arc<[DerivTable]>,
 }
 
 impl CertifiedLexer {
     /// Compiles `spec` (Thompson → tagged determinize → minimize) and
     /// wraps it with the certification layer.
-    pub fn compile(spec: LexSpec) -> CertifiedLexer {
+    ///
+    /// # Errors
+    ///
+    /// [`StateBudgetExceeded`] if the rules' derivative tables cost
+    /// more than [`MAX_CERTIFIER_STATES`] state units.
+    pub fn compile(spec: LexSpec) -> Result<CertifiedLexer, StateBudgetExceeded> {
         CertifiedLexer::from_automaton(LexAutomaton::compile(spec))
     }
 
-    /// Wraps an already-compiled automaton.
-    pub fn from_automaton(auto: LexAutomaton) -> CertifiedLexer {
+    /// Wraps an already-compiled automaton, building each rule's
+    /// derivative table from the rule's regex alone.
+    ///
+    /// # Errors
+    ///
+    /// As [`CertifiedLexer::compile`].
+    pub fn from_automaton(auto: LexAutomaton) -> Result<CertifiedLexer, StateBudgetExceeded> {
+        CertifiedLexer::with_state_cap(auto, MAX_CERTIFIER_STATES)
+    }
+
+    /// [`CertifiedLexer::from_automaton`] under an explicit state cap.
+    fn with_state_cap(
+        auto: LexAutomaton,
+        cap: usize,
+    ) -> Result<CertifiedLexer, StateBudgetExceeded> {
         let sigma_len = auto.spec().alphabet().len();
-        let matchers = auto
+        let mut left = cap;
+        let tables = auto
             .spec()
             .rules()
             .iter()
-            .map(|r| LazyDerivMatcher::new(r.regex.clone(), sigma_len))
-            .collect();
-        let verdicts = auto
-            .spec()
-            .rules()
-            .iter()
-            .map(|_| Mutex::new(FnvMap::default()))
-            .collect();
-        CertifiedLexer {
-            auto,
-            matchers: Arc::new(matchers),
-            verdicts: Arc::new(verdicts),
-        }
+            .map(|rule| {
+                let classes = SymbolClasses::of_regex(&rule.regex, sigma_len);
+                let table = DerivTable::build(&rule.regex, classes, left).map_err(|e| {
+                    StateBudgetExceeded {
+                        rule: rule.name.clone(),
+                        cap,
+                        needed: cap - left + e.needed,
+                    }
+                })?;
+                left -= table.cost();
+                Ok(table)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(CertifiedLexer { auto, tables })
     }
 
     /// The spec being served.
@@ -215,10 +266,9 @@ impl CertifiedLexer {
     pub fn certifier(&self) -> LexCertifier {
         LexCertifier {
             auto: self.auto.clone(),
-            matchers: self.matchers.clone(),
+            tables: self.tables.clone(),
             cursor: 0,
             index: 0,
-            verdicts: self.verdicts.clone(),
         }
     }
 
@@ -307,24 +357,20 @@ impl CertifiedLexer {
 /// exactly where the previous lexeme ended and its text must be
 /// literally the input bytes its span points at; [`LexCertifier::finish`]
 /// closes the invariant by demanding the cursor reached the end of the
-/// input. Membership re-matches each lexeme against its rule's regex on
-/// a memoized derivative matcher, with verdicts cached per
-/// `(rule, lexeme)` so repeated lexemes (operators, short numerals)
-/// certify in O(1).
+/// input. Membership re-matches each lexeme against its rule's regex by
+/// walking the rule's [`DerivTable`]: O(lexeme) array loads, no lock,
+/// no hashing and no allocation. The certifier adds the tokens it
+/// certified to the process-wide [`crate::probes`] once, when it drops
+/// (a clone adds its own count).
 #[derive(Debug, Clone)]
 pub struct LexCertifier {
     auto: LexAutomaton,
-    matchers: Arc<Vec<LazyDerivMatcher>>,
+    /// The lexer's immutable per-rule derivative tables.
+    tables: Arc<[DerivTable]>,
     /// Where the next token must start: the running tiling invariant.
     cursor: usize,
     /// How many tokens have been checked (for error messages).
     index: usize,
-    /// The lexer-wide verdict cache: one map per rule keyed by lexeme
-    /// text — split per rule so lookups borrow `&str` with no
-    /// allocation. Shared across certifiers (membership is
-    /// deterministic), so in steady state a token certifies with one
-    /// uncontended lock and one hash lookup.
-    verdicts: Arc<Vec<Mutex<FnvMap<String, bool>>>>,
 }
 
 impl LexCertifier {
@@ -398,9 +444,8 @@ impl LexCertifier {
 
     /// The membership half shared by [`LexCertifier::check`] and
     /// [`LexCertifier::check_raw`]: rule/symbol bookkeeping plus the
-    /// independent derivative re-match, memoized per `(rule, text)`.
-    /// The cache probe borrows `text` — a miss is the only path that
-    /// allocates (to own the cache key).
+    /// independent derivative re-match, a walk over `text`'s characters
+    /// in the rule's table.
     fn check_membership(
         &self,
         i: usize,
@@ -419,35 +464,7 @@ impl LexCertifier {
                 rule.name
             ));
         }
-        let cached = {
-            let verdicts = self.verdicts[rule_idx]
-                .lock()
-                .expect("verdict cache poisoned");
-            verdicts.get(text).copied()
-        };
-        {
-            use std::sync::atomic::Ordering;
-            let probe = if cached.is_some() {
-                &crate::probes::VERDICT_HITS
-            } else {
-                &crate::probes::VERDICT_MISSES
-            };
-            probe.fetch_add(1, Ordering::Relaxed);
-        }
-        let ok = cached.unwrap_or_else(|| {
-            // Compute outside the lock: the matcher memoizes its own
-            // derivative states behind its own lock.
-            let ok = spec
-                .alphabet()
-                .parse_str(text)
-                .is_some_and(|w| self.matchers[rule_idx].matches(&w));
-            self.verdicts[rule_idx]
-                .lock()
-                .expect("verdict cache poisoned")
-                .insert(text.to_owned(), ok);
-            ok
-        });
-        if !ok {
+        if !self.tables[rule_idx].matches_str(spec.alphabet(), text) {
             return err(format!(
                 "token {i} lexeme {text:?} is not in rule {:?} (derivative re-match failed)",
                 rule.name
@@ -486,6 +503,12 @@ impl LexCertifier {
     }
 }
 
+impl Drop for LexCertifier {
+    fn drop(&mut self) {
+        crate::probes::note_certified(self.index);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,6 +529,7 @@ mod tests {
                 .build()
                 .unwrap(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -518,6 +542,19 @@ mod tests {
         // …and the yield drops them: A B A B.
         assert_eq!(ts.yield_string().len(), 4);
         assert!(out.is_accept());
+    }
+
+    #[test]
+    fn a_certifier_adds_its_tokens_to_the_probe_when_it_drops() {
+        let lexer = lexer();
+        let mut cert = lexer.certifier();
+        for l in lexer.automaton().raw_lexemes("aab b") {
+            cert.check_raw("aab b", &l.unwrap()).unwrap();
+        }
+        let before = crate::probes::snapshot().certified_lexemes;
+        drop(cert);
+        // Other tests certify concurrently: at least these 4 land.
+        assert!(crate::probes::snapshot().certified_lexemes >= before + 4);
     }
 
     #[test]
@@ -590,5 +627,29 @@ mod tests {
         assert!(ts.tokens().is_empty());
         assert!(ts.yield_string().is_empty());
         assert_eq!(ts.span_of_yield(0, 0), Span::empty(0));
+    }
+
+    #[test]
+    fn a_table_over_the_cap_sheds_with_the_rule_named() {
+        let sigma = Alphabet::from_chars("ab");
+        let spec = LexSpecBuilder::new(sigma)
+            .token("B", "b")
+            .unwrap()
+            .token("FOURTH_A", "(a|b)*a(a|b)(a|b)(a|b)")
+            .unwrap()
+            .build()
+            .unwrap();
+        let auto = LexAutomaton::compile(spec);
+        let shed = CertifiedLexer::with_state_cap(auto.clone(), 8).unwrap_err();
+        assert_eq!((shed.rule.as_str(), shed.cap), ("FOURTH_A", 8));
+        assert!(shed.needed > 8, "{shed}");
+        let shown = shed.to_string();
+        assert!(
+            shown.contains("\"FOURTH_A\"") && shown.contains('8'),
+            "{shown}"
+        );
+        // Under the real cap the same spec compiles and certifies.
+        let lexer = CertifiedLexer::from_automaton(auto).unwrap();
+        assert!(lexer.lex("babbb").unwrap().is_accept());
     }
 }

@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn json_text_lexes() {
-        let lexer = CertifiedLexer::compile(json_spec());
+        let lexer = CertifiedLexer::compile(json_spec()).unwrap();
         let out = lexer
             .lex("{\"name\": \"ada\", \"age\": 36, \"tags\": [true, null]}")
             .unwrap();
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn arith_text_is_lexable_at_every_size() {
-        let lexer = CertifiedLexer::compile(arith_spec());
+        let lexer = CertifiedLexer::compile(arith_spec()).unwrap();
         for bytes in [16, 256, 1024] {
             let text = arith_text(bytes);
             assert!(text.len() >= bytes);

@@ -19,21 +19,20 @@
 //! against its rule's regex by the Brzozowski-derivative checker. Since
 //! PR 6 the re-validation is *incremental*: a [`LexCertifier`] carries
 //! the tiling cursor as a running invariant and discharges membership
-//! per token on memoized derivative matchers, so certification costs
-//! O(lexeme) amortized at each munch boundary instead of a second
-//! whole-input pass (`lex_full` keeps the old pass as the differential
-//! reference). The
-//! certified token-level `GString` then flows into the workspace's
-//! certified CFG backends (LR or Earley), giving raw-text → certified
-//! parse tree end to end; `lambek-engine` packages that composition as
-//! `lexed_cfg` pipelines.
+//! per token by walking per-rule derivative tables built when the
+//! lexer compiles, so certification costs O(lexeme) at each munch
+//! boundary instead of a second whole-input pass (`lex_full` keeps the
+//! old pass as the differential reference). The certified token-level
+//! `GString` then flows into the workspace's certified CFG backends (LR
+//! or Earley), giving raw-text → certified parse tree end to end;
+//! `lambek-engine` packages that composition as `lexed_cfg` pipelines.
 //!
 //! ```
 //! use lambek_lex::demo::{arith_spec, arith_token_cfg};
 //! use lambek_lex::CertifiedLexer;
 //! use lambek_lr::CertifiedLrParser;
 //!
-//! let lexer = CertifiedLexer::compile(arith_spec());
+//! let lexer = CertifiedLexer::compile(arith_spec()).unwrap();
 //! let parser = CertifiedLrParser::compile(&arith_token_cfg()).unwrap();
 //! let out = lexer.lex("12 + (345 + 6)").unwrap();
 //! let tokens = out.tokens().expect("lexes");
@@ -55,11 +54,13 @@ pub mod certified;
 pub mod compile;
 pub mod demo;
 pub mod driver;
-mod fnv;
 pub mod probes;
 pub mod spec;
 
-pub use certified::{CertifiedLexer, LexCertifier, LexCertifyError, LexedOutcome};
+pub use certified::{
+    CertifiedLexer, LexCertifier, LexCertifyError, LexedOutcome, StateBudgetExceeded,
+    MAX_CERTIFIER_STATES,
+};
 pub use compile::LexAutomaton;
 pub use driver::{
     CharwiseLexemes, LexError, LexResumeError, LexStream, LexStreamState, Lexemes, RawLexeme,

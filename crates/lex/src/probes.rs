@@ -11,8 +11,9 @@
 //! `ScanTally`) and flush it to
 //! the statics once per driver call (or iterator drop), so the probe
 //! cost is a handful of `fetch_add`s per *lex run*, not per byte or per
-//! token. The certifier's verdict-cache probe is one `fetch_add` per
-//! token — noise next to the hash lookup it annotates.
+//! token. The certifier likewise counts in its own field and adds the
+//! total once, when it drops: its table walk never writes shared
+//! memory.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,8 +23,7 @@ pub(crate) static SCAN_BYTES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static FAST_LANE_TOKENS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static FALLBACK_TOKENS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static BACKTRACKS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static VERDICT_HITS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static VERDICT_MISSES: AtomicU64 = AtomicU64::new(0);
+static CERTIFIED_LEXEMES: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time snapshot of the process-wide lexing probes (see the
 /// module docs for what is and is not counted).
@@ -41,11 +41,9 @@ pub struct LexProbes {
     /// Maximal-munch backtracks: scans (or push-mode munches) that
     /// consumed lookahead past the token boundary they settled on.
     pub backtracks: u64,
-    /// Certifier derivative-verdict cache hits.
-    pub verdict_cache_hits: u64,
-    /// Certifier derivative-verdict cache misses (full derivative
-    /// re-match computed).
-    pub verdict_cache_misses: u64,
+    /// Lexemes the incremental certifier passed, each by one walk of
+    /// its rule's eager derivative table.
+    pub certified_lexemes: u64,
 }
 
 /// Reads all lexing probes (relaxed; counters are individually exact,
@@ -56,8 +54,14 @@ pub fn snapshot() -> LexProbes {
         fast_lane_tokens: FAST_LANE_TOKENS.load(Ordering::Relaxed),
         fallback_tokens: FALLBACK_TOKENS.load(Ordering::Relaxed),
         backtracks: BACKTRACKS.load(Ordering::Relaxed),
-        verdict_cache_hits: VERDICT_HITS.load(Ordering::Relaxed),
-        verdict_cache_misses: VERDICT_MISSES.load(Ordering::Relaxed),
+        certified_lexemes: CERTIFIED_LEXEMES.load(Ordering::Relaxed),
+    }
+}
+
+/// Adds one certifier's count of certified lexemes.
+pub(crate) fn note_certified(lexemes: usize) {
+    if lexemes > 0 {
+        CERTIFIED_LEXEMES.fetch_add(lexemes as u64, Ordering::Relaxed);
     }
 }
 

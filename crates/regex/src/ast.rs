@@ -10,7 +10,7 @@ use lambek_core::alphabet::{Alphabet, Symbol};
 use lambek_core::grammar::expr::{alt, bot, chr, eps, star, tensor, Grammar};
 
 /// A regular expression over some alphabet.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Regex {
     /// The empty language `0`.
     Empty,

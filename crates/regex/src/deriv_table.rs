@@ -1,0 +1,399 @@
+//! Eager derivative tables: every Brzozowski derivative of a regex, built
+//! once into a dense, immutable transition table.
+//!
+//! [`derivative::matches`](crate::derivative::matches) re-derives the
+//! regex character by character on every call — fine as the baseline
+//! and the oracle, too slow to run once per lexeme inside the lex
+//! certifier. [`DerivTable`] decides the same membership by the same
+//! derivatives, but computes all of them up front: a regex has finitely
+//! many derivatives up to ACI similarity of `|` (Brzozowski 1964; Owens,
+//! Reppy & Turon, JFP 2009), so a worklist over
+//! [`normalize`]d derivatives reaches a fixed point, and matching
+//! becomes one array load per character with no hashing, no allocation
+//! and no shared mutable state.
+//!
+//! Two things keep the exploration small and terminating:
+//!
+//! * **ACI normalization** ([`normalize`]): alternations are flattened,
+//!   `∅` operands dropped, operands sorted and deduplicated. Without it
+//!   equal languages reappear as ever-larger, differently nested
+//!   alternations and the exploration need not stop. Concatenations are
+//!   also flattened and re-associated to the right, so a derivative of
+//!   a long literal peels one factor off the front instead of rebuilding
+//!   the whole left spine.
+//! * **Symbol classes** ([`SymbolClasses::of_regex`]): symbols the regex
+//!   cannot tell apart share one column, so each state takes one
+//!   derivative per class, not per symbol. The classes are read off the
+//!   regex's own syntax tree, never off an automaton.
+//!
+//! The caller caps the build in *state units*. A state costs one unit
+//! per [`NODES_PER_STATE`] syntax nodes it derives, counted over every
+//! class, and at least one; so one cap bounds the number of states, the
+//! syntax the build holds and the derivative work it does. A regex whose
+//! table would exceed the cap comes back as [`StateCapExceeded`].
+
+use std::collections::HashMap;
+use std::fmt;
+
+use lambek_core::alphabet::{Alphabet, Symbol};
+
+use crate::ast::Regex;
+use crate::derivative::derivative;
+
+/// The state of the derivative `∅`, interned first in every table: a
+/// walk that reaches it can stop.
+const DEAD: u32 = 0;
+
+/// The derived syntax nodes one state unit of the cap pays for: a state
+/// of `size` nodes explored over `classes` classes costs
+/// `⌈size × classes / NODES_PER_STATE⌉` units, at least one. A literal
+/// of `n` characters has `n` derivatives of `n²/2` nodes in all, so a
+/// cap on states alone would bound neither memory nor build time.
+pub const NODES_PER_STATE: usize = 16;
+
+/// ACI-normalizes `re`, bottom-up: every alternation is flattened, its
+/// `∅` operands dropped and the rest sorted and deduplicated; every
+/// concatenation is flattened, its `ε` factors dropped (or the whole
+/// collapsed to `∅` if a factor is `∅`) and re-associated to the right.
+/// The result denotes the same language, and similar regexes normalize
+/// to equal ones.
+pub fn normalize(re: Regex) -> Regex {
+    match re {
+        Regex::Empty | Regex::Eps | Regex::Char(_) => re,
+        Regex::Star(inner) => Regex::star(normalize(*inner)),
+        Regex::Concat(..) => {
+            let mut factors = Vec::new();
+            if !flatten_concat(re, &mut factors) {
+                return Regex::Empty;
+            }
+            fold_right(factors, Regex::Eps, Regex::concat)
+        }
+        Regex::Alt(..) => {
+            let mut operands = Vec::new();
+            flatten_alt(re, &mut operands);
+            operands.sort_unstable();
+            operands.dedup();
+            fold_right(operands, Regex::Empty, Regex::alt)
+        }
+    }
+}
+
+/// `unit` for no items, the item for one, else `join(x₁, join(x₂, …))`.
+fn fold_right(items: Vec<Regex>, unit: Regex, join: fn(Regex, Regex) -> Regex) -> Regex {
+    let mut rest = items.into_iter().rev();
+    match rest.next() {
+        None => unit,
+        Some(last) => rest.fold(last, |acc, item| join(item, acc)),
+    }
+}
+
+/// Pushes the normalized, non-`∅` operands of an alternation chain.
+fn flatten_alt(re: Regex, out: &mut Vec<Regex>) {
+    match re {
+        Regex::Alt(l, r) => {
+            flatten_alt(*l, out);
+            flatten_alt(*r, out);
+        }
+        other => match normalize(other) {
+            Regex::Empty => {}
+            Regex::Alt(l, r) => {
+                flatten_alt(*l, out);
+                flatten_alt(*r, out);
+            }
+            op => out.push(op),
+        },
+    }
+}
+
+/// Pushes the normalized, non-`ε` factors of a concatenation chain;
+/// `false` if some factor is `∅`.
+fn flatten_concat(re: Regex, out: &mut Vec<Regex>) -> bool {
+    match re {
+        Regex::Concat(l, r) => flatten_concat(*l, out) && flatten_concat(*r, out),
+        other => match normalize(other) {
+            Regex::Empty => false,
+            Regex::Eps => true,
+            Regex::Concat(l, r) => flatten_concat(*l, out) && flatten_concat(*r, out),
+            factor => {
+                out.push(factor);
+                true
+            }
+        },
+    }
+}
+
+/// A partition of the alphabet into classes of symbols one regex cannot
+/// tell apart: every derivative of the regex by one member of a class
+/// equals its derivative by any other member, up to [`normalize`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SymbolClasses {
+    /// Symbol index → class.
+    class_of: Vec<u32>,
+    /// Class → one member, the symbol the table derives by.
+    reps: Vec<Symbol>,
+}
+
+impl SymbolClasses {
+    /// The classes of `re` over an alphabet of `alphabet_len` symbols.
+    ///
+    /// A symbol's *signature* is the set of maximal all-`Char`
+    /// alternations, and of lone `Char` leaves, of `re` that contain it.
+    /// Symbols with equal signatures form one class: such symbols occur
+    /// in `re` only side by side inside the same alternations, so
+    /// deriving by either yields the same regex up to operand order.
+    /// Symbols that `re` never mentions share the empty signature.
+    pub fn of_regex(re: &Regex, alphabet_len: usize) -> SymbolClasses {
+        let mut groups: Vec<Vec<Symbol>> = Vec::new();
+        if let Some(top) = char_alternation(re, &mut groups) {
+            groups.push(top);
+        }
+        let width = groups
+            .iter()
+            .flatten()
+            .map(|s| s.index() + 1)
+            .max()
+            .unwrap_or(0)
+            .max(alphabet_len);
+        let mut signature: Vec<Vec<u32>> = vec![Vec::new(); width];
+        for (g, group) in groups.iter().enumerate() {
+            for sym in group {
+                let sig = &mut signature[sym.index()];
+                if sig.last() != Some(&(g as u32)) {
+                    sig.push(g as u32);
+                }
+            }
+        }
+        let mut by_signature: HashMap<&[u32], u32> = HashMap::new();
+        let mut reps = Vec::new();
+        let class_of = signature
+            .iter()
+            .enumerate()
+            .map(|(i, sig)| {
+                *by_signature.entry(sig.as_slice()).or_insert_with(|| {
+                    reps.push(Symbol::from_index(i));
+                    reps.len() as u32 - 1
+                })
+            })
+            .collect();
+        SymbolClasses { class_of, reps }
+    }
+
+    /// One class per symbol: the unpartitioned alphabet.
+    pub fn singletons(alphabet_len: usize) -> SymbolClasses {
+        SymbolClasses {
+            class_of: (0..alphabet_len as u32).collect(),
+            reps: (0..alphabet_len).map(Symbol::from_index).collect(),
+        }
+    }
+
+    /// The number of classes.
+    pub fn len(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// `true` when the partitioned alphabet is empty.
+    pub fn is_empty(&self) -> bool {
+        self.reps.is_empty()
+    }
+
+    /// The class of `sym`, or `None` for a symbol beyond the partitioned
+    /// alphabet (which the regex cannot mention).
+    #[inline]
+    pub fn class_of(&self, sym: Symbol) -> Option<usize> {
+        self.class_of.get(sym.index()).map(|&k| k as usize)
+    }
+}
+
+/// The members of `re` if it is a lone `Char` or an all-`Char`
+/// alternation; otherwise `None`, after pushing the maximal such
+/// subterms below it onto `groups`.
+fn char_alternation(re: &Regex, groups: &mut Vec<Vec<Symbol>>) -> Option<Vec<Symbol>> {
+    let (l, r) = match re {
+        Regex::Char(c) => return Some(vec![*c]),
+        Regex::Empty | Regex::Eps => return None,
+        Regex::Star(inner) => (char_alternation(inner, groups), None),
+        Regex::Concat(l, r) => (char_alternation(l, groups), char_alternation(r, groups)),
+        Regex::Alt(l, r) => match (char_alternation(l, groups), char_alternation(r, groups)) {
+            (Some(mut members), Some(more)) => {
+                members.extend(more);
+                return Some(members);
+            }
+            pair => pair,
+        },
+    };
+    groups.extend(l);
+    groups.extend(r);
+    None
+}
+
+/// A table build would exceed its cap of state units (see
+/// [`NODES_PER_STATE`] for what a state costs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StateCapExceeded {
+    /// The cap the build was given.
+    pub cap: usize,
+    /// The units the build had spent when it stopped, the state it
+    /// refused included: always more than `cap`.
+    pub needed: usize,
+}
+
+impl fmt::Display for StateCapExceeded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "derivative table needs {} state units, over the cap of {} \
+             (a state costs one unit per {NODES_PER_STATE} regex nodes it derives)",
+            self.needed, self.cap
+        )
+    }
+}
+
+impl std::error::Error for StateCapExceeded {}
+
+/// Every derivative of one regex, as a dense `state × class` table.
+///
+/// Immutable once built, so it is `Send + Sync` and shared by reference
+/// with no lock.
+#[derive(Debug, Clone)]
+pub struct DerivTable {
+    classes: SymbolClasses,
+    /// The state of the regex itself.
+    start: u32,
+    /// Per state: does the derivative accept ε?
+    nullable: Vec<bool>,
+    /// Row-major `state × classes.len()` transitions.
+    delta: Vec<u32>,
+    /// The state units the build spent.
+    cost: usize,
+}
+
+impl DerivTable {
+    /// Explores the [`normalize`]d derivatives of `re`, one per class of
+    /// `classes` from each state, to a fixed point.
+    ///
+    /// # Errors
+    ///
+    /// [`StateCapExceeded`] if the states, the `∅` state included, would
+    /// cost more than `cap` units.
+    pub fn build(
+        re: &Regex,
+        classes: SymbolClasses,
+        cap: usize,
+    ) -> Result<DerivTable, StateCapExceeded> {
+        let mut states: Vec<Regex> = Vec::new();
+        let mut index: HashMap<Regex, u32> = HashMap::new();
+        let mut cost = 0;
+        let mut intern = |re: Regex, states: &mut Vec<Regex>, cost: &mut usize| {
+            if let Some(&id) = index.get(&re) {
+                return Ok(id);
+            }
+            *cost += (re.size() * classes.len()).div_ceil(NODES_PER_STATE).max(1);
+            if *cost > cap {
+                return Err(StateCapExceeded { cap, needed: *cost });
+            }
+            let id = states.len() as u32;
+            index.insert(re.clone(), id);
+            states.push(re);
+            Ok(id)
+        };
+        intern(Regex::Empty, &mut states, &mut cost)?;
+        let start = intern(normalize(re.clone()), &mut states, &mut cost)?;
+        let mut delta = Vec::new();
+        let mut next = 0;
+        while next < states.len() {
+            for &rep in &classes.reps {
+                let d = normalize(derivative(&states[next], rep));
+                delta.push(intern(d, &mut states, &mut cost)?);
+            }
+            next += 1;
+        }
+        Ok(DerivTable {
+            classes,
+            start,
+            nullable: states.iter().map(Regex::nullable).collect(),
+            delta,
+            cost,
+        })
+    }
+
+    /// The number of states, the `∅` state included.
+    pub fn num_states(&self) -> usize {
+        self.nullable.len()
+    }
+
+    /// The state reached from `state` on `sym`.
+    #[inline]
+    fn step(&self, state: u32, sym: Symbol) -> u32 {
+        match self.classes.class_of(sym) {
+            Some(k) => self.delta[state as usize * self.classes.len() + k],
+            None => DEAD,
+        }
+    }
+
+    /// The state units the build spent (see [`NODES_PER_STATE`]).
+    pub fn cost(&self) -> usize {
+        self.cost
+    }
+
+    /// Whether the regex matches `text`, read as one symbol of
+    /// `alphabet` per character; a character outside `alphabet` does
+    /// not match. This is the per-lexeme walk of the lex certifier.
+    pub fn matches_str(&self, alphabet: &Alphabet, text: &str) -> bool {
+        let mut state = self.start;
+        for c in text.chars() {
+            let Some(sym) = alphabet.symbol_of_char(c) else {
+                return false;
+            };
+            state = self.step(state, sym);
+            if state == DEAD {
+                return false;
+            }
+        }
+        self.nullable[state as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::parse_regex;
+
+    #[test]
+    fn normalization_identifies_aci_similar_alternations() {
+        let s = Alphabet::abc();
+        let left = parse_regex(&s, "(c|a)|(b|a|∅)").unwrap();
+        let right = parse_regex(&s, "b|(a|c)").unwrap();
+        assert_eq!(normalize(left), normalize(right));
+    }
+
+    #[test]
+    fn classes_merge_symbols_the_regex_cannot_tell_apart() {
+        let s = Alphabet::from_chars("abcdef");
+        // a and b only ever occur together; c and d appear in one
+        // alternation each; e and f never occur.
+        let re = parse_regex(&s, "(a|b|c)*(a|b|d)").unwrap();
+        let classes = SymbolClasses::of_regex(&re, s.len());
+        let class = |c: &str| classes.class_of(s.symbol(c).unwrap()).unwrap();
+        assert_eq!(class("a"), class("b"));
+        assert_eq!(class("e"), class("f"));
+        assert_ne!(class("a"), class("c"));
+        assert_ne!(class("c"), class("d"));
+        assert_eq!(classes.len(), 4);
+    }
+
+    #[test]
+    fn a_small_cap_sheds_the_exponential_regex() {
+        let s = Alphabet::from_chars("ab");
+        // The fourth symbol from the end is an a: 2⁴ live states.
+        let re = parse_regex(&s, "(a|b)*a(a|b)(a|b)(a|b)").unwrap();
+        let classes = SymbolClasses::of_regex(&re, s.len());
+        let shed = DerivTable::build(&re, classes.clone(), 8).unwrap_err();
+        assert_eq!(shed.cap, 8);
+        assert!(shed.needed > 8, "{shed}");
+        let table = DerivTable::build(&re, classes, 1024).unwrap();
+        assert!(table.num_states() > 8);
+        assert!(table.cost() >= table.num_states());
+        assert!(table.matches_str(&s, "babbb"));
+        assert!(!table.matches_str(&s, "bbabb"));
+    }
+}

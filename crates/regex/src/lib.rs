@@ -6,8 +6,8 @@
 //!   concrete-syntax parser;
 //! * [`derivative`] — Brzozowski derivatives, the unverified baseline the
 //!   benchmarks compare against;
-//! * [`lazy`] — the same derivatives with memoized states and
-//!   transitions, fast enough to re-match every lexeme incrementally;
+//! * [`deriv_table`] — the same derivatives, all computed up front
+//!   into a dense table, fast enough to re-match every lexeme;
 //! * [`thompson`] — Construction 4.11: regex → NFA with a *strong*
 //!   equivalence between regex parses and accepting traces;
 //! * [`pipeline`] — Corollary 4.12: the composed verified parser
@@ -37,8 +37,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ast;
+pub mod deriv_table;
 pub mod derivative;
 pub mod gen;
-pub mod lazy;
 pub mod pipeline;
 pub mod thompson;

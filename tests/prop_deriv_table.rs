@@ -1,0 +1,197 @@
+//! Property suite for the eager derivative tables the lex certifier
+//! walks (`regex_grammars::deriv_table`), against the derivative
+//! matcher they replace on the hot path.
+//!
+//! 1. the table walk agrees with `derivative::matches`, the oracle, on
+//!    every string up to length 6 over `"ab"` and `"abc"`, for random
+//!    lex-rule regexes and a fixed set of classics;
+//! 2. the table over the regex's symbol classes agrees with the table
+//!    over the whole alphabet (one class per symbol);
+//! 3. ACI normalization preserves the language;
+//! 4. every preset grammar's lexer, and the bootstrap meta lexer, build
+//!    their tables under the state cap.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use lambek_core::alphabet::{Alphabet, Symbol};
+use lambek_core::theory::unambiguous::all_strings;
+use lambek_lex::{CertifiedLexer, MAX_CERTIFIER_STATES};
+use regex_grammars::ast::{parse_regex, Regex};
+use regex_grammars::deriv_table::{normalize, DerivTable, StateCapExceeded, SymbolClasses};
+use regex_grammars::derivative::matches as slow_matches;
+
+/// The classics every table must get right, `∅` and `ε` included.
+const FIXED: [&str; 9] = [
+    "a", "a*", "(a|b)*c", "a(b|c)*", "ab|ba", "(ab)*", "a*b*c*", "∅", "ε",
+];
+
+fn table(re: &Regex, alphabet: &Alphabet) -> Result<DerivTable, StateCapExceeded> {
+    DerivTable::build(
+        re,
+        SymbolClasses::of_regex(re, alphabet.len()),
+        MAX_CERTIFIER_STATES,
+    )
+}
+
+/// A random non-nullable regex, drawn exactly as `prop_lex` draws its
+/// lex rules (the generator whose derivatives diverge without ACI
+/// normalization).
+fn random_rule_regex(alphabet: &Alphabet, size: usize, rng: &mut StdRng) -> Regex {
+    let re = regex_grammars::gen::random_regex(alphabet, size, rng.gen());
+    if re.nullable() {
+        let c = Symbol::from_index(rng.gen_range(0..alphabet.len()));
+        Regex::concat(Regex::Char(c), re)
+    } else {
+        re
+    }
+}
+
+fn random_regexes(chars: &str, seed: u64) -> (Alphabet, Vec<Regex>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sigma = Alphabet::from_chars(chars);
+    let regexes = (0..4)
+        .map(|_| {
+            let size = rng.gen_range(1..10);
+            random_rule_regex(&sigma, size, &mut rng)
+        })
+        .collect();
+    (sigma, regexes)
+}
+
+#[test]
+fn agrees_with_the_reference_matcher_exhaustively() {
+    let s = Alphabet::abc();
+    for src in FIXED {
+        let re = parse_regex(&s, src).unwrap();
+        let fast = table(&re, &s).unwrap();
+        for w in all_strings(&s, 5) {
+            assert_eq!(
+                fast.matches_str(&s, &s.display(&w)),
+                slow_matches(&re, &w),
+                "{src} on {w}"
+            );
+        }
+    }
+}
+
+#[test]
+fn memoization_converges_to_finitely_many_states() {
+    let s = Alphabet::abc();
+    let re = parse_regex(&s, "(a|b)*c").unwrap();
+    let fast = table(&re, &s).unwrap();
+    for w in all_strings(&s, 6) {
+        fast.matches_str(&s, &s.display(&w));
+    }
+    let settled = fast.num_states();
+    for w in all_strings(&s, 6) {
+        fast.matches_str(&s, &s.display(&w));
+    }
+    // A second sweep discovers nothing new: the table was complete
+    // when it was built.
+    assert_eq!(fast.num_states(), settled);
+    assert!(settled <= 8, "derivative DFA stays small: {settled}");
+}
+
+#[test]
+fn matcher_is_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<DerivTable>();
+}
+
+/// Property 1 on the fixed classics, over both alphabets.
+#[test]
+fn fixed_regexes_agree_with_the_oracle_up_to_length_6() {
+    for chars in ["ab", "abc"] {
+        let sigma = Alphabet::from_chars(chars);
+        for src in FIXED {
+            let Ok(re) = parse_regex(&sigma, src) else {
+                continue; // mentions c, absent from "ab"
+            };
+            let fast = table(&re, &sigma).unwrap();
+            for w in all_strings(&sigma, 6) {
+                let text = sigma.display(&w);
+                assert_eq!(
+                    fast.matches_str(&sigma, &text),
+                    slow_matches(&re, &w),
+                    "{src} on {w}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Properties 1 and 2 on random lex-rule regexes.
+    #[test]
+    fn table_walk_agrees_with_oracle_and_full_alphabet_table(
+        seed in 0u64..1_000,
+        wide in 0u8..2,
+    ) {
+        let (sigma, regexes) = random_regexes(if wide == 1 { "abc" } else { "ab" }, seed);
+        for re in &regexes {
+            let classes = SymbolClasses::of_regex(re, sigma.len());
+            prop_assert!(classes.len() <= sigma.len());
+            let fast = table(re, &sigma).unwrap();
+            let full = DerivTable::build(
+                re,
+                SymbolClasses::singletons(sigma.len()),
+                MAX_CERTIFIER_STATES,
+            )
+            .unwrap();
+            prop_assert!(fast.num_states() <= full.num_states());
+            for w in all_strings(&sigma, 6) {
+                let oracle = slow_matches(re, &w);
+                let text = sigma.display(&w);
+                prop_assert_eq!(fast.matches_str(&sigma, &text), oracle, "{} on {}", re, w);
+                prop_assert_eq!(full.matches_str(&sigma, &text), oracle, "full table: {} on {}", re, w);
+            }
+        }
+    }
+
+    /// Property 3: normalization changes the syntax, never the language.
+    #[test]
+    fn aci_normalization_preserves_the_language(seed in 0u64..1_000) {
+        let sigma = Alphabet::abc();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let re = regex_grammars::gen::random_regex(&sigma, rng.gen_range(1..14), rng.gen());
+        // Pile on redundancy for the normalization to remove.
+        let noisy = Regex::alt(
+            Regex::alt(Regex::Empty, re.clone()),
+            Regex::alt(re.clone(), Regex::concat(Regex::Eps, re.clone())),
+        );
+        let norm = normalize(noisy);
+        prop_assert_eq!(normalize(norm.clone()), norm.clone(), "idempotent");
+        for w in all_strings(&sigma, 5) {
+            prop_assert_eq!(slow_matches(&norm, &w), slow_matches(&re, &w), "{} on {}", re, w);
+        }
+    }
+}
+
+/// A character outside the alphabet never matches, and the walk reads
+/// multi-byte characters as single symbols.
+#[test]
+fn string_walk_reads_characters_not_bytes() {
+    let sigma = Alphabet::from_chars("aß∂");
+    let re = parse_regex(&sigma, "a(ß|∂)*").unwrap();
+    let fast = table(&re, &sigma).unwrap();
+    assert!(fast.matches_str(&sigma, "aß∂ß"));
+    assert!(!fast.matches_str(&sigma, "aßx"));
+    assert!(!fast.matches_str(&sigma, "ß"));
+}
+
+/// Property 4: real grammars fit the cap with room to spare.
+#[test]
+fn presets_and_the_meta_lexer_build_under_the_cap() {
+    for (name, text) in lambek_frontend::presets::all() {
+        let compiled = lambek_frontend::compile_text(text, &Default::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        CertifiedLexer::compile(compiled.elab.spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    CertifiedLexer::compile(lambek_frontend::meta_spec()).expect("meta lexer");
+    CertifiedLexer::compile(lambek_lex::demo::json_spec()).expect("demo json lexer");
+    CertifiedLexer::compile(lambek_lex::demo::arith_spec()).expect("demo arith lexer");
+}

@@ -5,8 +5,8 @@
 //! Three layers, each compared against its retained `full` path:
 //!
 //! 1. **lex** — on random specs and random rule-shaped inputs,
-//!    [`CertifiedLexer::lex`] (running tiling cursor + memoized
-//!    derivative re-match per munch boundary) and
+//!    [`CertifiedLexer::lex`] (running tiling cursor + derivative-table
+//!    walk per munch boundary) and
 //!    [`CertifiedLexer::lex_full`] (materialize, then re-walk) return
 //!    the same outcome: same accept/reject verdict, the same token
 //!    stream on accept, and the same error class and byte offset on
@@ -193,7 +193,7 @@ proptest! {
     fn incremental_lex_equals_full_lex(seed in 0u64..300) {
         let (auto, regexes) = random_spec(seed);
         let sigma = auto.spec().alphabet().clone();
-        let lexer = CertifiedLexer::from_automaton(auto);
+        let lexer = CertifiedLexer::from_automaton(auto).unwrap();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
         for k in 0..4 {
             let w = random_rule_shaped_input(&regexes, k, &mut rng);

@@ -170,7 +170,7 @@ proptest! {
         let regexes: Vec<Regex> = auto.spec().rules().iter().map(|r| r.regex.clone()).collect();
         for k in 0..4 {
             let input = render(&random_rule_shaped_input(&regexes, k, &mut rng), &sigma);
-            let lexer = CertifiedLexer::from_automaton(auto.clone());
+            let lexer = CertifiedLexer::from_automaton(auto.clone()).unwrap();
             if let LexedOutcome::Tokens(ts) = lexer.lex(&input).unwrap() {
                 let glued: String = ts.tokens().iter().map(|t| t.text.as_str()).collect();
                 prop_assert_eq!(&glued, &input);
@@ -239,7 +239,7 @@ proptest! {
     fn lexed_lr_agrees_with_earley_on_token_strings(seed in 0u64..200) {
         let cfg = arith_token_cfg();
         let lr = CertifiedLrParser::compile(&cfg).unwrap();
-        let lexer = CertifiedLexer::compile(arith_spec());
+        let lexer = CertifiedLexer::compile(arith_spec()).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         // Random arithmetic-ish text: tokens with random multi-digit
         // numerals, occasionally corrupted to exercise rejection.
@@ -277,7 +277,7 @@ proptest! {
     /// input leaves `yield_string` identical.
     #[test]
     fn skip_rules_never_change_the_yield(seed in 0u64..200) {
-        let lexer = CertifiedLexer::compile(arith_spec());
+        let lexer = CertifiedLexer::compile(arith_spec()).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut tokens_text: Vec<String> = Vec::new();
         for _ in 0..rng.gen_range(0..10) {

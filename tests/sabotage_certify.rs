@@ -143,7 +143,7 @@ fn substituted_reductions_are_undetected_only_when_genuinely_valid() {
 
 #[test]
 fn corrupted_lexemes_are_caught_at_their_munch_boundary() {
-    let lexer = CertifiedLexer::compile(arith_spec());
+    let lexer = CertifiedLexer::compile(arith_spec()).unwrap();
     let input = "12+(345+6)+7 ";
     let baseline = lexer.automaton().lex_raw(input).unwrap();
     for k in 0..baseline.len() {
