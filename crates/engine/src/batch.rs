@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use lambek_core::alphabet::GString;
 use lambek_core::theory::parser::ParseOutcome;
 use lambek_core::transform::TransformError;
-use lambek_lex::Span;
+use lambek_lex::{MunchMemoShed, Span};
 use lambek_obs::{Stage, Trace};
 
 use crate::pipeline::{CompiledPipeline, StrOutcome};
@@ -219,6 +219,9 @@ pub enum StrReportOutcome {
     /// The deadline had passed at pickup; never parsed. See
     /// [`ReportOutcome::DeadlineExceeded`].
     DeadlineExceeded,
+    /// Shed mid-lex: the lexer's maximal-munch memo would have outgrown
+    /// its cap (see [`StrOutcome::ShedLex`]).
+    ShedLex(MunchMemoShed),
 }
 
 impl StrReportOutcome {
@@ -227,11 +230,14 @@ impl StrReportOutcome {
         matches!(self, StrReportOutcome::Accepted { .. })
     }
 
-    /// `true` when the request was shed by an admission limit.
+    /// `true` when the request was shed by an admission limit or by
+    /// the lexer's memo cap.
     pub fn is_shed(&self) -> bool {
         matches!(
             self,
-            StrReportOutcome::BudgetExceeded { .. } | StrReportOutcome::DeadlineExceeded
+            StrReportOutcome::BudgetExceeded { .. }
+                | StrReportOutcome::DeadlineExceeded
+                | StrReportOutcome::ShedLex(_)
         )
     }
 }
@@ -383,6 +389,7 @@ fn str_outcome(
             at: e.at,
             message: e.to_string(),
         },
+        Ok(StrOutcome::ShedLex(shed)) => StrReportOutcome::ShedLex(shed),
         Err(e) => StrReportOutcome::Failed(format!("{e}")),
     }
 }
@@ -584,6 +591,43 @@ mod tests {
         );
         let r = parse_one_str(&p, 1, "[1]", &limits, None);
         assert!(r.outcome.is_accept());
+    }
+
+    #[test]
+    fn a_munch_memo_over_its_cap_sheds_the_request() {
+        // `LONG` cycles through 64 states on `a`, so each byte of a
+        // backtrack window costs ~64 memo bits: 600 KB of `a`, which
+        // every token would otherwise scan to the end, needs more than
+        // the memo's cap.
+        let text = format!(
+            "token A = 'a' ;\ntoken LONG = '{}'* 'b' ;\nS ::= S X | X ;\nX ::= A | LONG ;\n",
+            "a".repeat(64)
+        );
+        let engine = Engine::new();
+        let handle = engine.compile_text(&text).expect("compiles");
+        let input = "a".repeat(600_000);
+        let before = lambek_lex::probes::snapshot().munch_memo_sheds;
+        let backend = handle.pipeline.lexed_backend().expect("lexed");
+        let shed = match backend.parse_str(&input) {
+            Ok(StrOutcome::ShedLex(shed)) => shed,
+            other => panic!("expected a lex shed, got {other:?}"),
+        };
+        assert_eq!(shed.at, 0);
+        assert_eq!(shed.cap, lambek_lex::MAX_MUNCH_MEMO_BYTES);
+        assert!(shed.needed > shed.cap, "{shed}");
+        let reports = engine
+            .parse_many_str(&handle.spec, &[input.as_str()], 1)
+            .unwrap();
+        assert_eq!(reports[0].outcome, StrReportOutcome::ShedLex(shed));
+        assert!(reports[0].outcome.is_shed());
+        assert!(lambek_lex::probes::snapshot().munch_memo_sheds >= before + 2);
+        // A short run of the same adversary lexes.
+        let short = "a".repeat(1000);
+        assert!(engine
+            .parse_many_str(&handle.spec, &[short.as_str()], 1)
+            .unwrap()[0]
+            .outcome
+            .is_accept());
     }
 
     #[test]

@@ -716,6 +716,12 @@ impl Engine {
             "Maximal-munch backtracks (scans read past the accepted end; process-wide)",
             MetricValue::Counter(lex.backtracks),
         ));
+        out.push(Metric::single(
+            "lambekd_lex_munch_memo_sheds_total",
+            "One-shot lexes shed because their maximal-munch memo would outgrow its cap \
+             (process-wide)",
+            MetricValue::Counter(lex.munch_memo_sheds),
+        ));
         // Every certifier verdict is a read from tables built at compile
         // time, so no lookup misses. The series stays because repobench
         // derives `lex.verdict_hit_ratio` from it.

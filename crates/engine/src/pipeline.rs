@@ -37,8 +37,8 @@ use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog};
 use lambek_core::theory::parser::{ParseOutcome, VerifiedParser};
 use lambek_core::transform::TransformError;
 use lambek_lex::{
-    CertifiedLexer, LexCertifyError, LexError, LexSpec, LexedOutcome, Span, StateBudgetExceeded,
-    TokenStream,
+    CertifiedLexer, LexCertifyError, LexError, LexSpec, LexedOutcome, MunchMemoShed, Span,
+    StateBudgetExceeded, TokenStream,
 };
 use lambek_lr::{CertifiedLrParser, CertifyError, LrConflictReport, LrOutcome};
 use regex_grammars::ast::parse_regex;
@@ -664,6 +664,10 @@ pub enum StrOutcome {
     },
     /// The text did not lex; the error carries the byte offset.
     RejectLex(LexError),
+    /// The lex was shed before it judged the text: its maximal-munch
+    /// memo would have outgrown
+    /// [`MAX_MUNCH_MEMO_BYTES`](lambek_lex::MAX_MUNCH_MEMO_BYTES).
+    ShedLex(MunchMemoShed),
 }
 
 impl StrOutcome {
@@ -713,6 +717,9 @@ impl LexedCfgBackend {
     /// The Earley fallback needs the whole token string anyway and
     /// runs [`LexedCfgBackend::parse_str_tokens`].
     ///
+    /// A lex whose munch memo outgrows its cap ends early and comes
+    /// back as [`StrOutcome::ShedLex`].
+    ///
     /// # Errors
     ///
     /// Contract violations only: a lexer certification failure or an
@@ -734,7 +741,8 @@ impl LexedCfgBackend {
         // just goes (and stays) dead while lexing continues, so it
         // never masks a later unlexable byte.
         let mut refused = None;
-        for item in self.lexer.automaton().raw_lexemes(input) {
+        let mut lexemes = self.lexer.automaton().raw_lexemes(input);
+        for item in &mut lexemes {
             let lexeme = match item {
                 Ok(l) => l,
                 Err(e) => return Ok(StrOutcome::RejectLex(e)),
@@ -745,6 +753,9 @@ impl LexedCfgBackend {
                     refused = Some(lexeme.span);
                 }
             }
+        }
+        if let Some(shed) = lexemes.shed() {
+            return Ok(StrOutcome::ShedLex(shed));
         }
         cert.finish(input).map_err(lex_fault)?;
         let outcome = lrs.finish().map_err(lr_fault)?;
@@ -792,6 +803,7 @@ impl LexedCfgBackend {
     ) -> Result<StrOutcome, TransformError> {
         let tokens = match lexed.map_err(lex_fault)? {
             LexedOutcome::Reject(e) => return Ok(StrOutcome::RejectLex(e)),
+            LexedOutcome::Shed(shed) => return Ok(StrOutcome::ShedLex(shed)),
             LexedOutcome::Tokens(ts) => ts,
         };
         match &self.inner.mode {
@@ -1069,7 +1081,8 @@ impl CompiledPipeline {
         match &self.imp {
             ParserImpl::LexedCfg(b) => {
                 let mut w = GString::new();
-                for item in b.lexer.automaton().lexemes(input) {
+                let mut lexemes = b.lexer.automaton().lexemes(input);
+                for item in &mut lexemes {
                     match item {
                         Err(_) => return false,
                         Ok(t) => {
@@ -1079,7 +1092,7 @@ impl CompiledPipeline {
                         }
                     }
                 }
-                b.inner.accepts(&w)
+                lexemes.shed().is_none() && b.inner.accepts(&w)
             }
             _ => self
                 .alphabet()

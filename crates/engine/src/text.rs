@@ -137,6 +137,14 @@ impl Engine {
                     text,
                 )]));
             }
+            StrOutcome::ShedLex(shed) => {
+                probes::note_budget_shed();
+                return Err(FrontendReport::Budget(BudgetExceeded {
+                    kind: BudgetKind::MunchMemo,
+                    limit: shed.cap as u64,
+                    actual: shed.needed as u64,
+                }));
+            }
             StrOutcome::RejectParse { span, message, .. } => {
                 probes::note_elab_failure();
                 return Err(FrontendReport::Errors(vec![FrontendError::new(

@@ -291,6 +291,15 @@ pub fn parse_text(text: &str) -> Result<SpecAst, FrontendError> {
                 text,
             ))
         }
+        Ok(LexedOutcome::Shed(shed)) => {
+            return Err(FrontendError::new(
+                FrontendErrorKind::Syntax {
+                    message: shed.to_string(),
+                },
+                Span::empty(shed.at),
+                text,
+            ))
+        }
         Err(fault) => {
             return Err(FrontendError::new(
                 FrontendErrorKind::Syntax {

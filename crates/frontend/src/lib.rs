@@ -319,6 +319,9 @@ pub enum BudgetKind {
     States,
     /// [`Budgets::deadline`] (values in microseconds).
     Deadline,
+    /// The meta lexer's fixed cap on its maximal-munch memo
+    /// (`lambek_lex::MAX_MUNCH_MEMO_BYTES`; values in bytes).
+    MunchMemo,
 }
 
 /// A structured shed outcome: which budget, its limit, and the
@@ -339,6 +342,7 @@ impl fmt::Display for BudgetExceeded {
             BudgetKind::Productions => "productions",
             BudgetKind::States => "LALR or certifier states",
             BudgetKind::Deadline => "compile deadline (µs)",
+            BudgetKind::MunchMemo => "meta-lexer munch memo bytes",
         };
         write!(
             f,
@@ -508,7 +512,7 @@ mod tests {
                     .expect("parser is honest"),
                 LrOutcome::Accept(_)
             ),
-            lambek_lex::LexedOutcome::Reject(_) => false,
+            lambek_lex::LexedOutcome::Reject(_) | lambek_lex::LexedOutcome::Shed(_) => false,
         }
     }
 

@@ -41,7 +41,7 @@ use regex_grammars::deriv_table::{DerivTable, StateCapExceeded, SymbolClasses};
 use regex_grammars::derivative::matches;
 
 use crate::compile::LexAutomaton;
-use crate::driver::{LexError, RawLexeme, Token, TokenStream};
+use crate::driver::{LexError, MunchMemoShed, RawLexeme, Token, TokenStream};
 use crate::spec::LexSpec;
 
 /// The most derivative state units one lexer's certifier tables may
@@ -60,6 +60,9 @@ pub enum LexedOutcome {
     Tokens(TokenStream),
     /// The input does not lex; the error points at the offending byte.
     Reject(LexError),
+    /// The lex was shed before it judged the input: its maximal-munch
+    /// memo would have outgrown its cap.
+    Shed(MunchMemoShed),
 }
 
 impl LexedOutcome {
@@ -67,7 +70,7 @@ impl LexedOutcome {
     pub fn tokens(&self) -> Option<&TokenStream> {
         match self {
             LexedOutcome::Tokens(t) => Some(t),
-            LexedOutcome::Reject(_) => None,
+            LexedOutcome::Reject(_) | LexedOutcome::Shed(_) => None,
         }
     }
 
@@ -224,11 +227,13 @@ impl CertifiedLexer {
     /// [`LexCertifyError`] if the driver's output fails re-validation —
     /// impossible for a correctly compiled automaton, surfaced instead
     /// of trusted. A merely *unlexable* input is not an error; it comes
-    /// back as [`LexedOutcome::Reject`].
+    /// back as [`LexedOutcome::Reject`], and a lex whose munch memo
+    /// outgrew its cap as [`LexedOutcome::Shed`].
     pub fn lex(&self, input: &str) -> Result<LexedOutcome, LexCertifyError> {
         let mut cert = self.certifier();
         let mut tokens = Vec::new();
-        for item in self.auto.lexemes(input) {
+        let mut lexemes = self.auto.lexemes(input);
+        for item in &mut lexemes {
             match item {
                 Err(e) => return Ok(LexedOutcome::Reject(e)),
                 Ok(t) => {
@@ -236,6 +241,9 @@ impl CertifiedLexer {
                     tokens.push(t);
                 }
             }
+        }
+        if let Some(shed) = lexemes.shed() {
+            return Ok(LexedOutcome::Shed(shed));
         }
         cert.finish(input)?;
         Ok(LexedOutcome::Tokens(TokenStream::from_tokens(tokens)))
@@ -565,7 +573,7 @@ mod tests {
         assert!(out.tokens().is_none());
         match out {
             LexedOutcome::Reject(e) => assert_eq!(e.at, 1),
-            LexedOutcome::Tokens(_) => panic!("X does not lex"),
+            other => panic!("X does not lex, got {other:?}"),
         }
     }
 

@@ -10,6 +10,23 @@
 //! determinization time breaks ties between rules accepting the same
 //! longest match. A dead automaton with *no* recorded accept is a
 //! [`LexError`] carrying the byte offset where the doomed token began.
+//!
+//! Backtracking alone is quadratic: on `a`ⁿ against `A = a`,
+//! `AB = a*b`, every token first runs `AB` to the end of the input. The
+//! one-shot driver ([`RawLexemes`]) is linear because it memoizes
+//! failed `(DFA state, byte position)` pairs (Reps, "'Maximal-munch'
+//! tokenization in linear time", TOPLAS 1998): a pair fails when no
+//! accepting state is reachable from it before the automaton dies or
+//! the input ends. After a scan backtracks, every pair of its overrun is
+//! marked, and a later scan that reaches a marked pair stops there as
+//! if the automaton had died. A pair is marked once and every scan stops
+//! at the first marked pair it reaches, so the overruns of a whole lex
+//! step at most one byte per pair plus one char per token: the lex
+//! costs O(|states| · n) steps.
+//! The memo holds only the overrun window, is allocated only once a
+//! scan backtracks, and is capped at [`MAX_MUNCH_MEMO_BYTES`]: past the
+//! cap the lex is shed ([`MunchMemoShed`]). Push mode ([`LexStream`])
+//! keeps no memo.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -87,6 +104,37 @@ impl fmt::Display for LexError {
 }
 
 impl std::error::Error for LexError {}
+
+/// The most memory one one-shot lex may spend on its maximal-munch
+/// memo: one bit per DFA state per byte of the backtrack window it
+/// holds. A lex that needs more is shed with [`MunchMemoShed`].
+pub const MAX_MUNCH_MEMO_BYTES: usize = 4 << 20;
+
+/// A one-shot lex was shed because its maximal-munch memo would have
+/// outgrown [`MAX_MUNCH_MEMO_BYTES`]. This is not a lexical error: the
+/// input was not judged. Going on without the memo would be quadratic,
+/// so the lex stops instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MunchMemoShed {
+    /// Byte offset of the token whose backtrack needed the memo.
+    pub at: usize,
+    /// Memo bytes that backtrack window needed.
+    pub needed: usize,
+    /// The cap, in bytes.
+    pub cap: usize,
+}
+
+impl fmt::Display for MunchMemoShed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "lex shed at byte {}: the maximal-munch memo needs {} bytes, over its {}-byte cap",
+            self.at, self.needed, self.cap
+        )
+    }
+}
+
+impl std::error::Error for MunchMemoShed {}
 
 /// A certified-lexer output: the full token list (skips included) plus
 /// the token-level string the parser consumes and the spans backing it.
@@ -178,6 +226,10 @@ pub(crate) enum ScanStop {
     /// outside the alphabet, or stepping on it reaches a non-live
     /// state. The character was *not* consumed.
     Dead(usize),
+    /// The memo holds the state reached at this byte offset as failed:
+    /// no accept is reachable from it, so the scan ends exactly as if
+    /// the automaton had died here. One-shot scans only.
+    Failed(usize),
     /// The input ran out while the automaton was still live — the munch
     /// is unresolved (push-mode callers keep it pending; one-shot
     /// callers cut at the last accept).
@@ -196,6 +248,18 @@ pub(crate) struct Scan {
     pub(crate) fell_back: bool,
 }
 
+impl Scan {
+    /// The byte offset the scan stopped at, in an `input_len`-byte
+    /// input.
+    #[inline]
+    pub(crate) fn stop_at(&self, input_len: usize) -> usize {
+        match self.stop {
+            ScanStop::Dead(at) | ScanStop::Failed(at) => at,
+            ScanStop::EndOfInput => input_len,
+        }
+    }
+}
+
 /// One maximal-munch scan from byte offset `start`: steps the
 /// byte-sliced tables until the automaton dies or the input ends,
 /// tracking the last accept. This is THE hot loop — everything else
@@ -210,7 +274,18 @@ pub(crate) struct Scan {
 /// re-enter the fast lane on the next lap. UTF-8 boundaries therefore
 /// only ever matter at the bytes the slow lane actually decodes; spans
 /// land on char boundaries by construction.
-pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
+///
+/// With a `memo` (one-shot lexing), the fast lane stops at the memo's
+/// window: inside it the scan steps char at a time and looks each
+/// `(state, position)` pair up before stepping on, ending at the first
+/// failed one ([`ScanStop::Failed`]). Outside the window, and with no
+/// memo (push mode), the fast lane runs with no memo check.
+pub(crate) fn scan_token(
+    core: &LexCore,
+    input: &str,
+    start: usize,
+    memo: Option<&MunchMemo>,
+) -> Scan {
     let bt = &core.bytes;
     let tab = &bt.next[..];
     let acc = &bt.accept[..];
@@ -219,16 +294,27 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
     let dead = bt.dead;
     let bytes = input.as_bytes();
     let n = bytes.len();
+    let memo = memo.filter(|m| m.rows > 0);
+    // The memo's window `[lo, hi)` of positions; empty without a memo.
+    let (lo, hi) = memo.map_or((n, n), |m| (m.base, m.base + m.rows));
     let mut state = bt.init;
     let mut last: Option<(usize, usize)> = None;
     let mut fell_back = false;
     let mut i = start;
     loop {
+        // The fast lane runs up to the window, or to the end past it.
+        let lane_end = if i < lo {
+            lo
+        } else if i >= hi {
+            n
+        } else {
+            i
+        };
         // Fast lane: 8-byte unrolled ASCII dispatch. The `[u8; 8]` view
         // removes the per-byte bounds checks and lets the inner loop
         // unroll; the single u64 mask test bails to the slow lane when
         // any of the 8 bytes is non-ASCII.
-        while i + 8 <= n {
+        while i + 8 <= lane_end {
             let chunk: &[u8; 8] = bytes[i..i + 8].try_into().expect("8-byte window");
             if u64::from_ne_bytes(*chunk) & 0x8080_8080_8080_8080 != 0 {
                 break;
@@ -250,8 +336,18 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
             }
             i += 8;
         }
-        // Slow lane: one step (tail byte, or a non-ASCII char through
-        // the char-level DFA), then retry the fast lane.
+        // Slow lane: one step (tail byte, a non-ASCII char through the
+        // char-level DFA, or any char inside the memo's window), then
+        // retry the fast lane.
+        if let Some(m) = memo {
+            if i >= lo && i < hi && m.failed(state, i) {
+                return Scan {
+                    last,
+                    stop: ScanStop::Failed(i),
+                    fell_back,
+                };
+            }
+        }
         if i >= n {
             return Scan {
                 last,
@@ -259,44 +355,161 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
                 fell_back,
             };
         }
-        let b = bytes[i];
-        if b < 0x80 {
-            let next = tab[state as usize * nc + cls[b as usize] as usize];
-            if next == dead {
-                return Scan {
-                    last,
-                    stop: ScanStop::Dead(i),
-                    fell_back,
-                };
-            }
-            state = next;
-            i += 1;
-        } else {
-            fell_back = true;
-            let ch = input[i..]
-                .chars()
-                .next()
-                .expect("scan positions are char boundaries");
-            let step = core
-                .spec
-                .alphabet()
-                .symbol_of_char(ch)
-                .map(|sym| core.dfa.delta(state as usize, sym))
-                .filter(|&s| core.live[s]);
-            let Some(s) = step else {
-                return Scan {
-                    last,
-                    stop: ScanStop::Dead(i),
-                    fell_back,
-                };
+        fell_back |= bytes[i] >= 0x80;
+        let Some((next, after)) = step_char(core, input, state, i) else {
+            return Scan {
+                last,
+                stop: ScanStop::Dead(i),
+                fell_back,
             };
-            state = s as u32;
-            i += ch.len_utf8();
-        }
+        };
+        state = next;
+        i = after;
         let a = acc[state as usize];
         if a != 0 {
             last = Some(((a - 1) as usize, i));
         }
+    }
+}
+
+/// One char-at-a-time step from `state` at byte `i` (a char boundary
+/// before the end): the byte table for ASCII, the char-level DFA
+/// otherwise. Returns the next state and the offset past the char, or
+/// `None` when the automaton dies on it.
+#[inline]
+fn step_char(core: &LexCore, input: &str, state: u32, i: usize) -> Option<(u32, usize)> {
+    let bt = &core.bytes;
+    let b = input.as_bytes()[i];
+    if b < 0x80 {
+        let next = bt.next[state as usize * bt.nclasses + bt.class_of[b as usize] as usize];
+        (next != bt.dead).then_some((next, i + 1))
+    } else {
+        let ch = input[i..]
+            .chars()
+            .next()
+            .expect("scan positions are char boundaries");
+        core.spec
+            .alphabet()
+            .symbol_of_char(ch)
+            .map(|sym| core.dfa.delta(state as usize, sym))
+            .filter(|&s| core.live[s])
+            .map(|s| (s as u32, i + ch.len_utf8()))
+    }
+}
+
+/// The failed `(DFA state, byte position)` pairs one one-shot lex has
+/// found. A pair is the automaton in that state with the input consumed
+/// up to that position; it fails when no accepting state is reachable
+/// from there before the automaton dies or the input ends. That depends
+/// only on the state and the rest of the input, so a pair one scan
+/// found failed stays failed for every later scan.
+///
+/// The memo holds one window of positions, `base..base + rows`, at
+/// `stride` bits (one per DFA state) per position. It stays empty, and
+/// unallocated, until a scan backtracks. It is untrusted like the rest
+/// of the driver: every lexeme is still re-matched by the certifier.
+#[derive(Debug)]
+pub(crate) struct MunchMemo {
+    /// Byte position of the first row.
+    base: usize,
+    /// Positions held.
+    rows: usize,
+    /// Bits per row: the DFA's state count.
+    stride: usize,
+    /// Row-major, packed; every bit past `rows * stride` is zero.
+    bits: Vec<u64>,
+}
+
+impl MunchMemo {
+    /// Whether `(state, at)` is marked failed; `at` must be in the
+    /// window.
+    #[inline]
+    fn failed(&self, state: u32, at: usize) -> bool {
+        let k = (at - self.base) * self.stride + state as usize;
+        self.bits[k / 64] >> (k % 64) & 1 != 0
+    }
+
+    /// Marks `(state, at)` failed; `at` must be in the window.
+    #[inline]
+    fn set(&mut self, state: u32, at: usize) {
+        let k = (at - self.base) * self.stride + state as usize;
+        self.bits[k / 64] |= 1 << (k % 64);
+    }
+
+    /// Marks every pair a backtracking `scan` from `start` passed
+    /// through after its last accept, by re-walking the scan. The window
+    /// first drops rows behind the accept (the next scan starts there)
+    /// once they outnumber the rows still ahead, or when they would push
+    /// the memo over `cap`.
+    ///
+    /// Returns the bytes the re-walk stepped. When the window would
+    /// need more than `cap` bytes, marks nothing and returns the bytes
+    /// it would need.
+    fn mark(
+        &mut self,
+        core: &LexCore,
+        input: &str,
+        start: usize,
+        scan: &Scan,
+        cap: usize,
+    ) -> Result<usize, usize> {
+        let (_, from) = scan.last.expect("a backtracking scan has an accept");
+        let stop = scan.stop_at(input.len());
+        let hit = matches!(scan.stop, ScanStop::Failed(_));
+        // The offset past the char at `at`: where one step lands.
+        let next = |at: usize| at + input[at..].chars().next().map_or(0, char::len_utf8);
+        if hit && next(from) == stop {
+            // The overrun is the one char that reached a failed pair:
+            // nothing new to mark.
+            return Ok(0);
+        }
+        if self.base + self.rows <= from {
+            // Every row held is behind the next token start: reuse the
+            // allocation for a fresh window.
+            self.base = from + 1;
+            self.rows = 0;
+            self.bits.clear();
+        }
+        let (stride, end) = (self.stride, (self.base + self.rows).max(stop + 1));
+        let size = |base: usize| ((end - base) * stride).div_ceil(64) * 8;
+        let behind = from.saturating_sub(self.base);
+        if behind > 0 && (behind >= end - from || size(self.base) > cap) {
+            self.drop_rows(behind);
+        }
+        let needed = size(self.base);
+        if needed > cap {
+            return Err(needed);
+        }
+        self.rows = end - self.base;
+        self.bits.resize((self.rows * stride).div_ceil(64), 0);
+        let (mut state, mut at) = (core.bytes.init, start);
+        while at < stop {
+            if hit && next(at) == stop {
+                break;
+            }
+            (state, at) = step_char(core, input, state, at).expect("the scan's path was live");
+            if at > from {
+                self.set(state, at);
+            }
+        }
+        Ok(at - start)
+    }
+
+    /// Drops the first `k` rows: shifts the packed bits down by
+    /// `k * stride`.
+    fn drop_rows(&mut self, k: usize) {
+        let shift = k * self.stride;
+        self.bits.drain(..shift / 64);
+        let off = shift % 64;
+        if off > 0 {
+            for w in 0..self.bits.len() {
+                let carry = self.bits.get(w + 1).map_or(0, |&next| next << (64 - off));
+                self.bits[w] = self.bits[w] >> off | carry;
+            }
+        }
+        self.base += k;
+        self.rows -= k;
+        self.bits.truncate((self.rows * self.stride).div_ceil(64));
     }
 }
 
@@ -306,11 +519,19 @@ impl LexAutomaton {
     /// raw driver — [`CertifiedLexer::lex`](crate::CertifiedLexer::lex)
     /// adds the certification pass.
     ///
+    /// Unlike the serving iterators ([`LexAutomaton::raw_lexemes`],
+    /// [`LexAutomaton::lexemes`]), it runs the munch memo with no cap
+    /// and never sheds: the token list it returns already costs more
+    /// per input byte than the memo's one bit per DFA state.
+    ///
     /// # Errors
     ///
     /// [`LexError`] at the byte offset where no rule matches.
     pub fn lex_raw(&self, input: &str) -> Result<Vec<Token>, LexError> {
-        self.lexemes(input).collect()
+        Lexemes {
+            raw: self.raw_lexemes_capped(input, usize::MAX),
+        }
+        .collect()
     }
 
     /// [`LexAutomaton::lex_raw`] on the original char-at-a-time loop
@@ -340,13 +561,33 @@ impl LexAutomaton {
     /// Lexes `input` lazily into [`RawLexeme`]s — the allocation-free
     /// form of [`LexAutomaton::lexemes`] (no `String` per token). The
     /// fused lex→LR path runs on this.
-    /// After the first `Err` the iterator is exhausted.
+    /// After the first `Err` the iterator is exhausted. It also ends
+    /// early when its munch memo would outgrow [`MAX_MUNCH_MEMO_BYTES`];
+    /// [`RawLexemes::shed`] then says so.
     pub fn raw_lexemes<'a>(&'a self, input: &'a str) -> RawLexemes<'a> {
+        self.raw_lexemes_capped(input, MAX_MUNCH_MEMO_BYTES)
+    }
+
+    /// [`LexAutomaton::raw_lexemes`] with its memo capped at
+    /// `memo_cap` bytes.
+    pub(crate) fn raw_lexemes_capped<'a>(
+        &'a self,
+        input: &'a str,
+        memo_cap: usize,
+    ) -> RawLexemes<'a> {
         RawLexemes {
             core: self.core(),
             input,
             pos: 0,
             dead: false,
+            memo: MunchMemo {
+                base: 0,
+                rows: 0,
+                stride: self.core().bytes.dead as usize,
+                bits: Vec::new(),
+            },
+            memo_cap,
+            shed: None,
             tally: crate::probes::ScanTally::default(),
         }
     }
@@ -355,7 +596,8 @@ impl LexAutomaton {
     /// the pull-mode form of [`LexAutomaton::lex_raw`].
     /// [`CertifiedLexer::lex`](crate::CertifiedLexer::lex) consumes this
     /// to certify each token as it is produced.
-    /// After the first `Err` the iterator is exhausted.
+    /// After the first `Err` the iterator is exhausted; like
+    /// [`RawLexemes`], it ends early on a shed ([`Lexemes::shed`]).
     pub fn lexemes<'a>(&'a self, input: &'a str) -> Lexemes<'a> {
         Lexemes {
             raw: self.raw_lexemes(input),
@@ -446,6 +688,11 @@ impl LexAutomaton {
 /// byte-sliced scanner from the current byte cursor to the next
 /// last-accept boundary and yields that lexeme as a [`RawLexeme`]
 /// (see [`LexAutomaton::raw_lexemes`]).
+///
+/// The pass owns the munch memo that keeps it linear (see the module
+/// docs). When a backtrack would push the memo over its cap, the pass
+/// ends without judging the rest of the input: `next` returns `None`
+/// before the input is tiled, and [`RawLexemes::shed`] reports why.
 #[derive(Debug)]
 pub struct RawLexemes<'a> {
     core: &'a LexCore,
@@ -453,45 +700,75 @@ pub struct RawLexemes<'a> {
     /// Byte offset of the next token start.
     pos: usize,
     dead: bool,
+    /// Failed `(state, position)` pairs found by earlier scans.
+    memo: MunchMemo,
+    /// The memo's cap in bytes.
+    memo_cap: usize,
+    /// Set when the memo's cap ended the pass.
+    shed: Option<MunchMemoShed>,
     /// Scan-probe accumulator, flushed to the process-wide probes when
     /// the iterator is dropped.
     tally: crate::probes::ScanTally,
+}
+
+impl RawLexemes<'_> {
+    /// `Some` once the pass has ended because its munch memo would have
+    /// outgrown its cap. The lexemes yielded before are sound, but they
+    /// do not tile the input.
+    pub fn shed(&self) -> Option<MunchMemoShed> {
+        self.shed
+    }
 }
 
 impl Iterator for RawLexemes<'_> {
     type Item = Result<RawLexeme, LexError>;
 
     fn next(&mut self) -> Option<Result<RawLexeme, LexError>> {
-        if self.dead || self.pos >= self.input.len() {
+        let n = self.input.len();
+        if self.dead || self.pos >= n {
             return None;
         }
-        let scan = scan_token(self.core, self.input, self.pos);
-        self.tally.scan(&scan, self.pos, self.input.len());
-        match scan.last {
-            None => {
-                self.dead = true;
-                Some(Err(LexError {
-                    at: self.pos,
-                    found: self.input[self.pos..]
-                        .chars()
-                        .next()
-                        .expect("a non-empty remainder has a first char"),
-                }))
-            }
-            Some((rule, end)) => {
-                self.tally.settled(&scan, self.input.len());
-                let span = Span {
-                    start: self.pos,
-                    end,
-                };
-                self.pos = end;
-                Some(Ok(RawLexeme {
-                    rule,
-                    span,
-                    sym: self.core.spec.token_symbol(rule),
-                }))
+        let scan = scan_token(self.core, self.input, self.pos, Some(&self.memo));
+        self.tally.scan(&scan, self.pos, n);
+        let Some((rule, end)) = scan.last else {
+            self.dead = true;
+            return Some(Err(LexError {
+                at: self.pos,
+                found: self.input[self.pos..]
+                    .chars()
+                    .next()
+                    .expect("a non-empty remainder has a first char"),
+            }));
+        };
+        if scan.stop_at(n) > end {
+            match self
+                .memo
+                .mark(self.core, self.input, self.pos, &scan, self.memo_cap)
+            {
+                Ok(rewalked) => self.tally.rewalked(rewalked),
+                Err(needed) => {
+                    self.dead = true;
+                    self.shed = Some(MunchMemoShed {
+                        at: self.pos,
+                        needed,
+                        cap: self.memo_cap,
+                    });
+                    crate::probes::note_munch_memo_shed();
+                    return None;
+                }
             }
         }
+        self.tally.settled(&scan, n);
+        let span = Span {
+            start: self.pos,
+            end,
+        };
+        self.pos = end;
+        Some(Ok(RawLexeme {
+            rule,
+            span,
+            sym: self.core.spec.token_symbol(rule),
+        }))
     }
 }
 
@@ -500,6 +777,13 @@ impl Iterator for RawLexemes<'_> {
 #[derive(Debug)]
 pub struct Lexemes<'a> {
     raw: RawLexemes<'a>,
+}
+
+impl Lexemes<'_> {
+    /// As [`RawLexemes::shed`].
+    pub fn shed(&self) -> Option<MunchMemoShed> {
+        self.raw.shed()
+    }
 }
 
 impl Iterator for Lexemes<'_> {
@@ -888,11 +1172,11 @@ impl LexStream {
         let mut tally = crate::probes::ScanTally::default();
         let mut settled: Vec<(usize, usize, usize)> = Vec::new(); // (rule, start, end)
         loop {
-            let scan = scan_token(&core, &self.input, pos);
+            let scan = scan_token(&core, &self.input, pos, None);
             tally.scan(&scan, pos, self.input.len());
             match scan.stop {
                 ScanStop::EndOfInput => break,
-                ScanStop::Dead(_) => match scan.last {
+                ScanStop::Dead(_) | ScanStop::Failed(_) => match scan.last {
                     Some((rule, end)) => {
                         tally.settled(&scan, self.input.len());
                         settled.push((rule, pos, end));
@@ -1321,6 +1605,105 @@ mod tests {
         }
         streamed.extend(stream.finish().unwrap());
         assert_eq!(streamed, tokens);
+    }
+
+    /// `A = a`, `AB = a*b`: on `a`ⁿ every token's scan would run to the
+    /// end of the input without the memo.
+    fn munch_auto() -> LexAutomaton {
+        let spec = LexSpecBuilder::new(Alphabet::from_chars("ab"))
+            .token("A", "a")
+            .unwrap()
+            .token("AB", "a*b")
+            .unwrap()
+            .build()
+            .unwrap();
+        LexAutomaton::compile(spec)
+    }
+
+    #[test]
+    fn a_memo_over_its_cap_sheds_without_judging_the_input() {
+        let auto = munch_auto();
+        let input = "a".repeat(1000);
+        let before = crate::probes::snapshot().munch_memo_sheds;
+        let mut lexemes = auto.raw_lexemes_capped(&input, 64);
+        assert!(
+            lexemes.next().is_none(),
+            "the first backtrack needs ~500 bytes"
+        );
+        let shed = lexemes.shed().expect("a structured shed");
+        assert_eq!((shed.at, shed.cap), (0, 64));
+        assert!(shed.needed > 64, "{shed}");
+        assert!(shed.to_string().contains("64-byte cap"), "{shed}");
+        assert!(lexemes.next().is_none(), "a shed pass stays ended");
+        assert!(crate::probes::snapshot().munch_memo_sheds > before);
+        // Under the real cap the same input lexes, one `A` per byte.
+        let mut lexemes = auto.raw_lexemes(&input);
+        assert_eq!(
+            lexemes
+                .by_ref()
+                .map(|l| l.unwrap().span.len())
+                .sum::<usize>(),
+            1000
+        );
+        assert_eq!(lexemes.shed(), None);
+    }
+
+    #[test]
+    fn sliding_backtracks_drop_rows_behind_the_cursor() {
+        // `A = a`, `AAB = aab`: on `a`ⁿ each token overruns by one char,
+        // so the window slides one row per token and stays a few rows
+        // long, far under a 16-byte cap (the whole input would need 50
+        // times that).
+        let spec = LexSpecBuilder::new(Alphabet::from_chars("ab"))
+            .token("A", "a")
+            .unwrap()
+            .token("AAB", "aab")
+            .unwrap()
+            .build()
+            .unwrap();
+        let auto = LexAutomaton::compile(spec);
+        for input in ["a".repeat(200), format!("{}b", "a".repeat(199))] {
+            let got: Result<Vec<Token>, LexError> = Lexemes {
+                raw: auto.raw_lexemes_capped(&input, 16),
+            }
+            .collect();
+            assert_eq!(got, auto.lex_raw_charwise(&input), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn dropping_rows_keeps_every_mark_ahead() {
+        // A 5-bit stride, so most drops shift across word boundaries.
+        let marked = |state: u32, at: usize| (at * 7 + state as usize * 3).is_multiple_of(4);
+        for k in [1, 3, 13, 64, 70, 99] {
+            let mut memo = MunchMemo {
+                base: 10,
+                rows: 100,
+                stride: 5,
+                bits: vec![0; 500usize.div_ceil(64)],
+            };
+            for at in 10..110 {
+                for state in (0..5).filter(|&q| marked(q, at)) {
+                    memo.set(state, at);
+                }
+            }
+            memo.drop_rows(k);
+            assert_eq!((memo.base, memo.rows), (10 + k, 100 - k));
+            assert_eq!(memo.bits.len(), ((100 - k) * 5).div_ceil(64));
+            for at in memo.base..memo.base + memo.rows {
+                for state in 0..5 {
+                    assert_eq!(memo.failed(state, at), marked(state, at), "k {k}, {at}");
+                }
+            }
+            let tail = (memo.rows * 5) % 64;
+            if tail > 0 {
+                assert_eq!(
+                    memo.bits.last().unwrap() >> tail,
+                    0,
+                    "k {k}: stale tail bits"
+                );
+            }
+        }
     }
 
     #[test]

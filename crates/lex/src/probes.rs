@@ -17,21 +17,23 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::driver::{Scan, ScanStop};
+use crate::driver::Scan;
 
 pub(crate) static SCAN_BYTES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static FAST_LANE_TOKENS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static FALLBACK_TOKENS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static BACKTRACKS: AtomicU64 = AtomicU64::new(0);
+static MUNCH_MEMO_SHEDS: AtomicU64 = AtomicU64::new(0);
 static CERTIFIED_LEXEMES: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time snapshot of the process-wide lexing probes (see the
 /// module docs for what is and is not counted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LexProbes {
-    /// Bytes read by the byte-sliced scanner, lookahead included
-    /// (re-scans of a pending token count each time — this measures
-    /// scan *work*, not input size).
+    /// Bytes stepped by the byte-sliced scanner, lookahead and the
+    /// munch memo's re-walks of backtracking scans included (re-scans
+    /// of a pending token count each time — this measures scan *work*,
+    /// not input size).
     pub scan_bytes: u64,
     /// Lexemes whose scan stayed entirely in the ASCII fast lane.
     pub fast_lane_tokens: u64,
@@ -41,6 +43,9 @@ pub struct LexProbes {
     /// Maximal-munch backtracks: scans (or push-mode munches) that
     /// consumed lookahead past the token boundary they settled on.
     pub backtracks: u64,
+    /// One-shot lexes shed because their maximal-munch memo would have
+    /// outgrown its cap.
+    pub munch_memo_sheds: u64,
     /// Lexemes the incremental certifier passed, each by one walk of
     /// its rule's eager derivative table.
     pub certified_lexemes: u64,
@@ -54,6 +59,7 @@ pub fn snapshot() -> LexProbes {
         fast_lane_tokens: FAST_LANE_TOKENS.load(Ordering::Relaxed),
         fallback_tokens: FALLBACK_TOKENS.load(Ordering::Relaxed),
         backtracks: BACKTRACKS.load(Ordering::Relaxed),
+        munch_memo_sheds: MUNCH_MEMO_SHEDS.load(Ordering::Relaxed),
         certified_lexemes: CERTIFIED_LEXEMES.load(Ordering::Relaxed),
     }
 }
@@ -63,6 +69,11 @@ pub(crate) fn note_certified(lexemes: usize) {
     if lexemes > 0 {
         CERTIFIED_LEXEMES.fetch_add(lexemes as u64, Ordering::Relaxed);
     }
+}
+
+/// Counts one lex shed by its munch memo's cap.
+pub(crate) fn note_munch_memo_shed() {
+    MUNCH_MEMO_SHEDS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A stack-local accumulator the scan drivers batch probe updates in;
@@ -81,7 +92,13 @@ impl ScanTally {
     /// `start` of an `input_len`-byte input.
     #[inline]
     pub(crate) fn scan(&mut self, scan: &Scan, start: usize, input_len: usize) {
-        self.bytes += (Self::stop_pos(scan, input_len) - start) as u64;
+        self.bytes += (scan.stop_at(input_len) - start) as u64;
+    }
+
+    /// Accounts the bytes the munch memo re-walked to mark an overrun.
+    #[inline]
+    pub(crate) fn rewalked(&mut self, bytes: usize) {
+        self.bytes += bytes as u64;
     }
 
     /// Accounts one token *settled* at the scan's last accept — called
@@ -96,17 +113,9 @@ impl ScanTally {
             self.fast += 1;
         }
         if let Some((_, end)) = scan.last {
-            if Self::stop_pos(scan, input_len) > end {
+            if scan.stop_at(input_len) > end {
                 self.backtracks += 1;
             }
-        }
-    }
-
-    #[inline]
-    fn stop_pos(scan: &Scan, input_len: usize) -> usize {
-        match scan.stop {
-            ScanStop::Dead(d) => d,
-            ScanStop::EndOfInput => input_len,
         }
     }
 }

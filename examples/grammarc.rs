@@ -126,6 +126,11 @@ fn drive(engine: &Engine, label: &str, text: &str, inputs: &[&str]) -> bool {
                 json_escape(input),
                 json_escape(&e.to_string())
             ),
+            StrOutcome::ShedLex(shed) => println!(
+                r#"{{"event":"parse","input":"{}","accept":false,"shed":"{}"}}"#,
+                json_escape(input),
+                json_escape(&shed.to_string())
+            ),
             StrOutcome::RejectParse { message, span, .. } => println!(
                 r#"{{"event":"parse","input":"{}","accept":false,"at":{},"error":"{}"}}"#,
                 json_escape(input),

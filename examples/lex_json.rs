@@ -57,6 +57,7 @@ fn main() {
                 println!("  shed    {input}  ({required} bytes over the {budget}-byte budget)");
             }
             StrReportOutcome::DeadlineExceeded => println!("  shed    {input}  (deadline passed)"),
+            StrReportOutcome::ShedLex(shed) => println!("  shed    {input}  ({shed})"),
         }
     }
 

@@ -47,6 +47,20 @@ fn random_rule_regex(alphabet: &Alphabet, size: usize, rng: &mut StdRng) -> Rege
     }
 }
 
+/// The maximal-munch worst case over `chars = "a" + c`: `A = a`,
+/// `AB = a*c`.
+fn munch_spec(chars: &str) -> LexAutomaton {
+    let c = chars.chars().nth(1).expect("two chars");
+    let spec = LexSpecBuilder::new(Alphabet::from_chars(chars))
+        .token("A", "a")
+        .unwrap()
+        .token("AB", &format!("a*{c}"))
+        .unwrap()
+        .build()
+        .unwrap();
+    LexAutomaton::compile(spec)
+}
+
 /// A random spec: 2–4 prioritized rules over `chars` (a tiny alphabet
 /// maximizes overlap between rules, which is where priorities and
 /// backtracking actually get exercised).
@@ -314,12 +328,21 @@ proptest! {
     /// Property 5: the byte-sliced scanner is observationally equal to
     /// the charwise reference loop. The multi-byte alphabet mixes 1-, 2-
     /// and 3-byte chars, so the scanner's non-ASCII fallback runs too.
+    /// The munch spec (`A = a`, `AB = a*c` with `c` the alphabet's
+    /// other char) backtracks on every run of `a`s not closed by `c`;
+    /// the long inputs make the one-shot driver's memo window reset and
+    /// extend many times.
     #[test]
     fn byte_sliced_agrees_with_charwise(seed in 0u64..300) {
-        for chars in ["ab", "aß∂"] {
-            let (auto, _) = random_spec(chars, seed);
+        let specs = [
+            (random_spec("ab", seed).0, "ab"),
+            (random_spec("aß∂", seed).0, "aß∂"),
+            (munch_spec("ab"), "ab"),
+            (munch_spec("aß"), "aß"),
+        ];
+        for (auto, chars) in specs {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-            for len in [0usize, 1, 4, 9, 33] {
+            for len in [0usize, 1, 4, 9, 33, 257, 1024] {
                 let input = random_text(chars, len, &mut rng);
                 prop_assert_eq!(
                     auto.lex_raw(&input),
