@@ -709,9 +709,10 @@ impl LexedCfgBackend {
     ///
     /// On LR-backed grammars this is the *fused* hot path: each lexeme
     /// the byte-sliced scanner yields is certified by span (running
-    /// tiling cursor plus memoized derivative re-match, no text copied)
-    /// and its symbol shifted straight into the LR stack — whose
-    /// reductions are themselves certified as performed — with no
+    /// tiling cursor plus one walk of its rule's eager derivative
+    /// table, no text copied) and its symbol shifted straight into the
+    /// LR stack — whose reductions are themselves certified as
+    /// performed — with no
     /// `Vec<Token>`, no [`TokenStream`] and no per-token `String` ever
     /// allocated; accordingly the outcome's `tokens` field is `None`.
     /// The Earley fallback needs the whole token string anyway and

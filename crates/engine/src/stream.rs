@@ -27,13 +27,14 @@
 //!
 //! * **Lexed-LR mode** (raw-text pipelines whose token grammar
 //!   compiled conflict-free): characters go in through
-//!   [`StreamParser::push_char`]; a push-mode [`LexStream`] buffers at
-//!   most the one pending longest-match token boundary and feeds each
-//!   resolved token straight into the token-level [`LrStream`]. Both
-//!   layers certify incrementally: every resolved token is checked at
-//!   its munch boundary (running span-tiling cursor + memoized
-//!   derivative re-match, via a [`LexCertifier`]) and every LR
-//!   reduction as it fires. [`StreamParser::finish`] flushes the lexer,
+//!   [`StreamParser::push_chars`] (or one at a time through
+//!   [`StreamParser::push_char`]); a push-mode [`LexStream`] resumes its
+//!   open maximal-munch scan over each chunk and feeds each resolved
+//!   token straight into the token-level [`LrStream`]. Both layers
+//!   certify incrementally: every resolved token is checked at its
+//!   munch boundary (running span-tiling cursor + one walk of its
+//!   rule's eager derivative table, via a [`LexCertifier`]) and every
+//!   LR reduction as it fires. [`StreamParser::finish`] flushes the lexer,
 //!   completes the LR reductions, and closes the two end-of-input
 //!   obligations (full tiling coverage; a lone start claim) — the
 //!   finish cost is the pending suffix, not the stream.
@@ -77,8 +78,7 @@ enum Mode {
     Lr(LrStream),
     /// Incremental lexing feeding incremental LR parsing.
     LexedLr {
-        /// The character side: maximal-munch with one buffered token
-        /// boundary.
+        /// The character side: maximal munch with one open scan.
         lex: LexStream,
         /// The token side: shift + pending reductions per token.
         lr: LrStream,
@@ -176,16 +176,28 @@ impl StreamParser {
         }
     }
 
-    /// Consumes one raw character (lexed pipelines only): the lexer
-    /// steps its tagged DFA, and any token whose right boundary the
-    /// character resolved is shifted into the LR parse. Returns `false`
-    /// once the stream can no longer accept any continuation.
+    /// Consumes one raw character (lexed pipelines only):
+    /// [`StreamParser::push_chars`] of it.
+    ///
+    /// # Panics
+    ///
+    /// As [`StreamParser::push_chars`].
+    pub fn push_char(&mut self, c: char) -> bool {
+        self.push_chars(c.encode_utf8(&mut [0; 4]))
+    }
+
+    /// Consumes a chunk of raw text (lexed pipelines only): the lexer
+    /// resumes its open scan over the chunk, and every token whose
+    /// right boundary the chunk resolved is certified and shifted into
+    /// the LR parse — those settled before a lexical error included.
+    /// Returns `false` once the stream can no longer accept any
+    /// continuation.
     ///
     /// # Panics
     ///
     /// Panics on non-lexed pipelines, whose streams consume [`Symbol`]s
     /// — use [`StreamParser::push`] there.
-    pub fn push_char(&mut self, c: char) -> bool {
+    pub fn push_chars(&mut self, s: &str) -> bool {
         let Mode::LexedLr {
             lex,
             lr,
@@ -196,41 +208,25 @@ impl StreamParser {
         else {
             panic!("only lexed streams consume raw text: use push, not push_char");
         };
-        match lex.push(c) {
-            Err(_) => false,
-            Ok(resolved) => {
-                let mut ok = true;
-                for t in resolved {
-                    // Certify the lexeme at its munch boundary: the
-                    // token's span bytes are already part of the pushed
-                    // text, so the running tiling cursor and the
-                    // derivative re-match both resolve right here.
-                    if lex_fault.is_none() {
-                        if let Err(e) = cert.check(lex.raw_input(), &t) {
-                            *lex_fault = Some(e);
-                        }
-                    }
-                    if let Some(sym) = t.sym {
-                        ok &= lr.push(sym);
-                    }
-                    tokens.push(t);
+        let from = tokens.len();
+        // A lexical error leaves the lexer dead, which the viability
+        // bit below reports.
+        let _ = lex.push_str_into(s, tokens);
+        for t in &tokens[from..] {
+            // Certify the lexeme at its munch boundary: the token's
+            // span bytes are already part of the pushed text, so the
+            // running tiling cursor and the table walk both resolve
+            // right here.
+            if lex_fault.is_none() {
+                if let Err(e) = cert.check(lex.raw_input(), t) {
+                    *lex_fault = Some(e);
                 }
-                ok && lr.is_viable() && lex_fault.is_none()
+            }
+            if let Some(sym) = t.sym {
+                lr.push(sym);
             }
         }
-    }
-
-    /// Consumes a whole string of raw characters (lexed pipelines
-    /// only). Returns the final viability bit, as
-    /// [`StreamParser::push_char`] does.
-    pub fn push_chars(&mut self, s: &str) -> bool {
-        // Seed from the current viability so an empty chunk on a dead
-        // stream honestly reports false.
-        let mut ok = self.is_viable();
-        for c in s.chars() {
-            ok = self.push_char(c);
-        }
-        ok
+        self.is_viable()
     }
 
     /// Consumes a whole string.
@@ -274,10 +270,10 @@ impl StreamParser {
                     .is_accepting(s)
             }
             Mode::Lr(stream) => stream.would_accept(),
-            // Flush the pending token boundary (a copy of the small
-            // munch state, not of the accumulated input) and simulate
-            // the flushed symbols plus the end-of-input reductions over
-            // a scratch overlay of the LR state stack: the probe never
+            // Flush the open scan (on a copy of the lexer's open scan,
+            // not of the accumulated input) and simulate the flushed
+            // symbols plus the end-of-input reductions over a scratch
+            // overlay of the LR state stack: the probe never
             // disturbs either live stream, builds no trees, and — since
             // nothing clones the accumulated input or the partial
             // derivation stack — costs O(pending + stack depth), not
@@ -477,9 +473,9 @@ impl StreamParser {
     /// with its certification claims (as process-independent
     /// [`ClaimRef`]s), and the input. Lexed sessions add the raw text,
     /// the resolved-boundary offset, and every emitted token — the
-    /// in-flight munch state is *derived*, not shipped. In every case
-    /// resume re-validates the lot against the compiled pipeline; the
-    /// blob is never trusted.
+    /// open scan is *derived*, not shipped. In every case resume
+    /// re-validates the lot against the compiled pipeline; the blob is
+    /// never trusted.
     ///
     /// # Errors
     ///
@@ -542,9 +538,9 @@ impl StreamParser {
     /// re-validated piece by piece — DFA input replayed through the
     /// automaton, LR stacks checked transition-by-transition against
     /// the tables with every parked tree re-certified against its claim
-    /// and yield window, lexer state re-derived by replaying the
+    /// and yield window, lexer state re-derived by scanning the
     /// unresolved suffix, and every token re-certified by a fresh
-    /// incremental certifier (span tiling + derivative re-match). A
+    /// incremental certifier (span tiling + derivative-table walk). A
     /// blob that lies is rejected with a structured error; it cannot
     /// produce a stream whose future certifications are wrong.
     ///
@@ -661,9 +657,10 @@ impl StreamParser {
                             lex_st.resume_from
                         )));
                     }
-                    // A dead stream may have delivered fewer tokens
-                    // than it cut (a failed drain discards the cut),
-                    // but never any reaching past the error offset.
+                    // A dead stream delivers every token it settled, so
+                    // its tokens tile up to the error offset. A tiling
+                    // that stops short (as blobs parked by older builds
+                    // do) is accepted; one reaching past it never is.
                     Some((at, _)) if cert.cursor() > at => {
                         return Err(invalid(format!(
                             "tokens tile {} bytes, past the recorded lexical error at byte {at}",
@@ -703,8 +700,8 @@ impl StreamParser {
     /// accumulated input. LR mode completes the pending reductions —
     /// each already certified as it was performed — and closes the
     /// lone-start obligation: no whole-tree re-validation, same
-    /// guarantee. Lexed mode flushes the buffered token boundary
-    /// (certifying the flushed lexemes at their munch boundaries, like
+    /// guarantee. Lexed mode settles the lexer's open scan (certifying
+    /// the flushed lexemes at their munch boundaries, like
     /// every earlier token), completes the LR reductions, and closes
     /// the two end-of-input obligations: the certified lexemes tile the
     /// whole raw text, and the LR stack holds exactly the start symbol.
@@ -1154,6 +1151,38 @@ mod tests {
         assert!(!stream.would_accept());
         assert!(!stream.push_char('2'));
         assert!(!stream.finish().unwrap().is_accept());
+    }
+
+    #[test]
+    fn a_lex_error_keeps_the_tokens_settled_before_it() {
+        // `x` resolves the `+` before it turns out unlexable; both
+        // tokens reach the stream, and the error is the one-shot one.
+        let engine = Engine::new();
+        for per_char in [false, true] {
+            let mut stream = engine.stream(&PipelineSpec::arith_lexed()).unwrap();
+            let viable = if per_char {
+                "1+x".chars().fold(true, |_, c| stream.push_char(c))
+            } else {
+                stream.push_chars("1+x")
+            };
+            assert!(!viable && !stream.is_viable());
+            let texts: Vec<&str> = stream
+                .tokens()
+                .unwrap()
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect();
+            assert_eq!(texts, ["1", "+"], "per char: {per_char}");
+            assert_eq!(stream.input().len(), 2, "both reached the LR stream");
+            let Mode::LexedLr { lex, .. } = &stream.mode else {
+                unreachable!("a lexed stream")
+            };
+            assert_eq!(
+                lex.error(),
+                Some(&lambek_lex::LexError { at: 2, found: 'x' })
+            );
+            assert_eq!(stream.raw_input(), Some("1+x"));
+        }
     }
 
     #[test]

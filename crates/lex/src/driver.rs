@@ -1,37 +1,43 @@
 //! The maximal-munch driver: one left-to-right pass with last-accept
-//! backtracking, in one-shot and push-mode forms.
+//! backtracking, run one-shot over a whole input or pushed piece by
+//! piece.
 //!
-//! Both drivers run the same loop over the tagged DFA: step per
-//! character, remember the most recent tagged (accepting) state as the
-//! *last accept*, and when the automaton goes dead — a non-co-reachable
-//! state, or a character outside the alphabet — cut the token at the
-//! last accept, re-feed the overrun characters, and continue from a
-//! fresh automaton. The rule priority baked into the tags at
+//! Both forms run the same settle step (`Cursor::settle`) over the
+//! tagged DFA: step per character, remember the most recent tagged
+//! (accepting) state as the *last accept*, and when the automaton goes
+//! dead — a non-co-reachable state, or a character outside the alphabet
+//! — cut the token at the last accept and start the next scan there,
+//! from a fresh automaton. The rule priority baked into the tags at
 //! determinization time breaks ties between rules accepting the same
 //! longest match. A dead automaton with *no* recorded accept is a
 //! [`LexError`] carrying the byte offset where the doomed token began.
+//! The two forms differ only at the end of the text: one-shot input
+//! ([`RawLexemes`]) ends for good, so a scan that runs out of it cuts at
+//! its last accept; a push-mode [`LexStream`] keeps such a scan open
+//! and resumes it, in the state it stopped in, when more text arrives.
 //!
 //! Backtracking alone is quadratic: on `a`ⁿ against `A = a`,
 //! `AB = a*b`, every token first runs `AB` to the end of the input. The
-//! one-shot driver ([`RawLexemes`]) is linear because it memoizes
-//! failed `(DFA state, byte position)` pairs (Reps, "'Maximal-munch'
-//! tokenization in linear time", TOPLAS 1998): a pair fails when no
-//! accepting state is reachable from it before the automaton dies or
-//! the input ends. After a scan backtracks, every pair of its overrun is
-//! marked, and a later scan that reaches a marked pair stops there as
-//! if the automaton had died. A pair is marked once and every scan stops
-//! at the first marked pair it reaches, so the overruns of a whole lex
-//! step at most one byte per pair plus one char per token: the lex
-//! costs O(|states| · n) steps.
-//! The memo holds only the overrun window, is allocated only once a
-//! scan backtracks, and is capped at [`MAX_MUNCH_MEMO_BYTES`]: past the
-//! cap the lex is shed ([`MunchMemoShed`]). Push mode ([`LexStream`])
-//! keeps no memo.
+//! settle step is linear because it memoizes failed `(DFA state, byte
+//! position)` pairs (Reps, "'Maximal-munch' tokenization in linear
+//! time", TOPLAS 1998): a pair fails when no accepting state is
+//! reachable from it before the automaton dies or the input ends. After
+//! a scan backtracks, every pair of its overrun is marked, and a later
+//! scan that reaches a marked pair stops there as if the automaton had
+//! died. A pair is marked once and every scan stops at the first marked
+//! pair it reaches, so the overruns of a whole lex step at most one byte
+//! per pair plus one char per token: the lex costs O(|states| · n)
+//! steps. While more text may still be pushed, only scans that died
+//! inside the text already pushed are marked: the end of the pushed
+//! text proves nothing about the pairs before it.
+//! The memo holds only the overrun window and is allocated only once a
+//! scan backtracks. A one-shot serving pass caps it at
+//! [`MAX_MUNCH_MEMO_BYTES`]: past the cap the lex is shed
+//! ([`MunchMemoShed`]). [`LexAutomaton::lex_raw`] and streams run it
+//! uncapped.
 
-use std::collections::VecDeque;
 use std::fmt;
 
-use lambek_automata::nfa::StateId;
 use lambek_core::alphabet::{GString, Symbol};
 
 use crate::compile::{LexAutomaton, LexCore};
@@ -228,16 +234,22 @@ pub(crate) enum ScanStop {
     Dead(usize),
     /// The memo holds the state reached at this byte offset as failed:
     /// no accept is reachable from it, so the scan ends exactly as if
-    /// the automaton had died here. One-shot scans only.
+    /// the automaton had died here.
     Failed(usize),
-    /// The input ran out while the automaton was still live — the munch
-    /// is unresolved (push-mode callers keep it pending; one-shot
-    /// callers cut at the last accept).
-    EndOfInput,
+    /// The input ran out at byte offset `at` while the automaton was
+    /// still live, in `state`. The scan can be resumed there once more
+    /// input is pushed; at the end of final input it cuts at its last
+    /// accept.
+    EndOfInput {
+        /// Where the input ran out.
+        at: usize,
+        /// The DFA state there.
+        state: u32,
+    },
 }
 
 /// The result of one maximal-munch scan: the most recent accept seen
-/// (`(rule, end byte)`), and why the scan stopped.
+/// (`(rule, end byte)`), and why and where the scan stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Scan {
     pub(crate) last: Option<(usize, usize)>,
@@ -249,22 +261,21 @@ pub(crate) struct Scan {
 }
 
 impl Scan {
-    /// The byte offset the scan stopped at, in an `input_len`-byte
-    /// input.
+    /// The byte offset the scan stopped at.
     #[inline]
-    pub(crate) fn stop_at(&self, input_len: usize) -> usize {
+    pub(crate) fn stop_at(&self) -> usize {
         match self.stop {
-            ScanStop::Dead(at) | ScanStop::Failed(at) => at,
-            ScanStop::EndOfInput => input_len,
+            ScanStop::Dead(at) | ScanStop::Failed(at) | ScanStop::EndOfInput { at, .. } => at,
         }
     }
 }
 
-/// One maximal-munch scan from byte offset `start`: steps the
-/// byte-sliced tables until the automaton dies or the input ends,
-/// tracking the last accept. This is THE hot loop — everything else
-/// (one-shot lexing, the push stream's bulk path, the fused lex→LR
-/// feed) is a driver around it.
+/// One maximal-munch scan from DFA `state` at byte offset `start` (the
+/// initial state at a token start, or where a resumed scan ran out of
+/// input): steps the byte-sliced tables until the automaton dies or
+/// the input ends, tracking the last accept it sees. This is THE hot loop — everything else
+/// (one-shot lexing, push streams, the fused lex→LR feed) is a driver
+/// around it, through the settle step.
 ///
 /// The fast lane dispatches 8 bytes per lap entirely inside the flat
 /// `[state × class]` table (one `u64` load decides the whole lap is
@@ -275,14 +286,15 @@ impl Scan {
 /// only ever matter at the bytes the slow lane actually decodes; spans
 /// land on char boundaries by construction.
 ///
-/// With a `memo` (one-shot lexing), the fast lane stops at the memo's
-/// window: inside it the scan steps char at a time and looks each
+/// With a non-empty `memo`, the fast lane stops at the memo's window:
+/// inside it the scan steps char at a time and looks each
 /// `(state, position)` pair up before stepping on, ending at the first
-/// failed one ([`ScanStop::Failed`]). Outside the window, and with no
-/// memo (push mode), the fast lane runs with no memo check.
+/// failed one ([`ScanStop::Failed`]). Outside the window, the fast lane
+/// runs with no memo check.
 pub(crate) fn scan_token(
     core: &LexCore,
     input: &str,
+    mut state: u32,
     start: usize,
     memo: Option<&MunchMemo>,
 ) -> Scan {
@@ -297,7 +309,6 @@ pub(crate) fn scan_token(
     let memo = memo.filter(|m| m.rows > 0);
     // The memo's window `[lo, hi)` of positions; empty without a memo.
     let (lo, hi) = memo.map_or((n, n), |m| (m.base, m.base + m.rows));
-    let mut state = bt.init;
     let mut last: Option<(usize, usize)> = None;
     let mut fell_back = false;
     let mut i = start;
@@ -351,7 +362,7 @@ pub(crate) fn scan_token(
         if i >= n {
             return Scan {
                 last,
-                stop: ScanStop::EndOfInput,
+                stop: ScanStop::EndOfInput { at: i, state },
                 fell_back,
             };
         }
@@ -397,18 +408,19 @@ fn step_char(core: &LexCore, input: &str, state: u32, i: usize) -> Option<(u32, 
     }
 }
 
-/// The failed `(DFA state, byte position)` pairs one one-shot lex has
-/// found. A pair is the automaton in that state with the input consumed
-/// up to that position; it fails when no accepting state is reachable
-/// from there before the automaton dies or the input ends. That depends
-/// only on the state and the rest of the input, so a pair one scan
-/// found failed stays failed for every later scan.
+/// The failed `(DFA state, byte position)` pairs one lex has found. A
+/// pair is the automaton in that state with the input consumed up to
+/// that position; it fails when no accepting state is reachable from
+/// there before the automaton dies or the input ends. That depends only
+/// on the state and the rest of the input, so a pair one scan found
+/// failed stays failed for every later scan. (A pushed stream's input
+/// has not ended, so its scans only ever find pairs failed by a death.)
 ///
 /// The memo holds one window of positions, `base..base + rows`, at
 /// `stride` bits (one per DFA state) per position. It stays empty, and
 /// unallocated, until a scan backtracks. It is untrusted like the rest
 /// of the driver: every lexeme is still re-matched by the certifier.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct MunchMemo {
     /// Byte position of the first row.
     base: usize,
@@ -454,7 +466,7 @@ impl MunchMemo {
         cap: usize,
     ) -> Result<usize, usize> {
         let (_, from) = scan.last.expect("a backtracking scan has an accept");
-        let stop = scan.stop_at(input.len());
+        let stop = scan.stop_at();
         let hit = matches!(scan.stop, ScanStop::Failed(_));
         // The offset past the char at `at`: where one step lands.
         let next = |at: usize| at + input[at..].chars().next().map_or(0, char::len_utf8);
@@ -578,16 +590,8 @@ impl LexAutomaton {
         RawLexemes {
             core: self.core(),
             input,
-            pos: 0,
+            cursor: Cursor::new(self.core(), memo_cap),
             dead: false,
-            memo: MunchMemo {
-                base: 0,
-                rows: 0,
-                stride: self.core().bytes.dead as usize,
-                bits: Vec::new(),
-            },
-            memo_cap,
-            shed: None,
             tally: crate::probes::ScanTally::default(),
         }
     }
@@ -608,8 +612,8 @@ impl LexAutomaton {
     pub fn stream(&self) -> LexStream {
         LexStream {
             core: self.core().clone(),
-            munch: Munch::new(self.dfa().init()),
             input: String::new(),
+            cursor: Cursor::new(self.core(), usize::MAX),
             dead: None,
             sabotage: None,
             emitted: 0,
@@ -618,14 +622,14 @@ impl LexAutomaton {
 
     /// Re-injects extracted stream state (see
     /// [`LexStream::export_state`]). The blob is untrusted: the
-    /// in-flight munch state is not taken from it but *re-derived* by
-    /// replaying the unresolved suffix (`input[resume_from..]`) through
-    /// this automaton — for an honest snapshot the replay resolves no
-    /// token boundary (by definition of `resume_from`), so a replay
-    /// that emits a token or hits a lexical error exposes the blob as
-    /// inconsistent. Dead streams skip the replay: their munch state is
-    /// unreachable by construction (every later push just re-reports
-    /// the recorded error).
+    /// in-flight scan is not taken from it but *re-derived* by one
+    /// resumed scan of the unresolved suffix (`input[resume_from..]`)
+    /// — for an honest snapshot that scan runs out of input alive (by
+    /// definition of `resume_from`), so a scan that settles a token or
+    /// hits a lexical error exposes the blob as inconsistent. Dead
+    /// streams skip the scan: their in-flight state is unreachable by
+    /// construction (every later push just re-reports the recorded
+    /// error).
     ///
     /// # Errors
     ///
@@ -633,6 +637,8 @@ impl LexAutomaton {
     /// no stream.
     pub fn resume_stream(&self, st: LexStreamState) -> Result<LexStream, LexResumeError> {
         let err = |reason: String| LexResumeError { reason };
+        let mut stream = self.stream();
+        stream.emitted = st.emitted;
         if let Some((at, found)) = st.dead {
             if at > st.input.len() {
                 return Err(err(format!(
@@ -640,47 +646,160 @@ impl LexAutomaton {
                     st.input.len()
                 )));
             }
-            return Ok(LexStream {
-                core: self.core().clone(),
-                munch: Munch::new(self.dfa().init()),
-                input: st.input,
-                dead: Some(LexError { at, found }),
-                sabotage: None,
-                emitted: st.emitted,
-            });
+            stream.input = st.input;
+            stream.cursor.pos = at;
+            stream.dead = Some(LexError { at, found });
+            return Ok(stream);
         }
-        if st.resume_from > st.input.len() || !st.input.is_char_boundary(st.resume_from) {
+        if !st.input.is_char_boundary(st.resume_from) {
             return Err(err(format!(
                 "resume offset {} is not a character boundary of the input",
                 st.resume_from
             )));
         }
-        let mut munch = Munch::new(self.dfa().init());
-        // The replayed munch lexes only the unresolved suffix, so its
-        // in-progress token starts at the resolved boundary — not at
-        // byte 0 (spans of tokens cut after resume hang off this).
-        munch.token_start = st.resume_from;
-        let mut stream = LexStream {
-            core: self.core().clone(),
-            munch,
-            input: st.input[..st.resume_from].to_owned(),
-            dead: None,
-            sabotage: None,
-            emitted: st.emitted,
-        };
-        let tail = st.input[st.resume_from..].to_owned();
-        match stream.push_str(&tail) {
-            Ok(replayed) if replayed.is_empty() => Ok(stream),
-            Ok(replayed) => Err(err(format!(
-                "replaying the unresolved suffix emitted {} token(s): the resume \
-                 offset was not the last resolved boundary",
-                replayed.len()
+        stream.input = st.input;
+        stream.cursor.pos = st.resume_from;
+        let mut tally = crate::probes::ScanTally::default();
+        match stream
+            .cursor
+            .settle(self.core(), &stream.input, false, &mut tally)
+        {
+            None => Ok(stream),
+            Some(Ok(lexeme)) => Err(err(format!(
+                "the unresolved suffix settles a token at {}: the resume offset was \
+                 not the last resolved boundary",
+                lexeme.span
             ))),
-            Err(e) => Err(err(format!(
-                "replaying the unresolved suffix hit a lexical error ({e}) on a \
-                 stream recorded as alive"
+            Some(Err(e)) => Err(err(format!(
+                "the unresolved suffix hits a lexical error ({e}) on a stream \
+                 recorded as alive"
             ))),
         }
+    }
+}
+
+/// Where a maximal-munch pass stands in its input: the settled
+/// boundary, the scan of the token after it so far, and the memo of
+/// failed pairs. One-shot passes and push streams both advance through
+/// [`Cursor::settle`].
+#[derive(Debug, Clone)]
+struct Cursor {
+    /// Byte offset of the next token start: every byte before it is
+    /// settled.
+    pos: usize,
+    /// The scan of the token at `pos` as far as it has run, when it ran
+    /// out of input alive; `None` when nothing of the token has been
+    /// scanned yet.
+    open: Option<Scan>,
+    /// Failed `(state, position)` pairs found by earlier scans.
+    memo: MunchMemo,
+    /// The memo's cap in bytes.
+    memo_cap: usize,
+    /// Set when the memo's cap ended the pass.
+    shed: Option<MunchMemoShed>,
+}
+
+impl Cursor {
+    fn new(core: &LexCore, memo_cap: usize) -> Cursor {
+        Cursor {
+            pos: 0,
+            open: None,
+            memo: MunchMemo {
+                base: 0,
+                rows: 0,
+                stride: core.bytes.dead as usize,
+                bits: Vec::new(),
+            },
+            memo_cap,
+            shed: None,
+        }
+    }
+
+    /// The shared settle step: resumes the open scan over `input` and
+    /// settles the next token, if `input` decides it. `input` extends
+    /// the text of every earlier call; `last_input` says it is all there
+    /// is. Otherwise a scan that runs out of input stays open and the
+    /// step returns `None`, as it does at the end of the input and when
+    /// the memo would outgrow its cap (`shed` is then set).
+    fn settle(
+        &mut self,
+        core: &LexCore,
+        input: &str,
+        last_input: bool,
+        tally: &mut crate::probes::ScanTally,
+    ) -> Option<Result<RawLexeme, LexError>> {
+        if self.pos >= input.len() {
+            return None;
+        }
+        let (state, at) = match self.open {
+            Some(Scan {
+                stop: ScanStop::EndOfInput { at, state },
+                ..
+            }) => (state, at),
+            _ => (core.bytes.init, self.pos),
+        };
+        let mut scan = scan_token(core, input, state, at, Some(&self.memo));
+        tally.scan(&scan, at);
+        if let Some(open) = self.open.take() {
+            scan.last = scan.last.or(open.last);
+            scan.fell_back |= open.fell_back;
+        }
+        if !last_input && matches!(scan.stop, ScanStop::EndOfInput { .. }) {
+            self.open = Some(scan);
+            return None;
+        }
+        let Some((rule, end)) = scan.last else {
+            return Some(Err(LexError {
+                at: self.pos,
+                found: input[self.pos..]
+                    .chars()
+                    .next()
+                    .expect("a non-empty remainder has a first char"),
+            }));
+        };
+        if scan.stop_at() > end {
+            match self.memo.mark(core, input, self.pos, &scan, self.memo_cap) {
+                Ok(rewalked) => tally.rewalked(rewalked),
+                Err(needed) => {
+                    self.shed = Some(MunchMemoShed {
+                        at: self.pos,
+                        needed,
+                        cap: self.memo_cap,
+                    });
+                    crate::probes::note_munch_memo_shed();
+                    return None;
+                }
+            }
+        }
+        tally.settled(&scan);
+        let span = Span {
+            start: self.pos,
+            end,
+        };
+        self.pos = end;
+        Some(Ok(RawLexeme {
+            rule,
+            span,
+            sym: core.spec.token_symbol(rule),
+        }))
+    }
+
+    /// Runs [`Cursor::settle`] until `input` decides no more tokens,
+    /// appending each as a [`Token`] to `out`; stops at a lexical error.
+    /// The memo must be uncapped.
+    fn settle_into(
+        &mut self,
+        core: &LexCore,
+        input: &str,
+        last_input: bool,
+        out: &mut Vec<Token>,
+    ) -> Result<(), LexError> {
+        let mut tally = crate::probes::ScanTally::default();
+        while let Some(lexeme) = self.settle(core, input, last_input, &mut tally) {
+            out.push(lexeme?.to_token(input));
+        }
+        debug_assert!(self.shed.is_none(), "an uncapped memo never sheds");
+        Ok(())
     }
 }
 
@@ -697,15 +816,9 @@ impl LexAutomaton {
 pub struct RawLexemes<'a> {
     core: &'a LexCore,
     input: &'a str,
-    /// Byte offset of the next token start.
-    pos: usize,
+    cursor: Cursor,
+    /// Set after an `Err` or a shed: the pass has ended.
     dead: bool,
-    /// Failed `(state, position)` pairs found by earlier scans.
-    memo: MunchMemo,
-    /// The memo's cap in bytes.
-    memo_cap: usize,
-    /// Set when the memo's cap ended the pass.
-    shed: Option<MunchMemoShed>,
     /// Scan-probe accumulator, flushed to the process-wide probes when
     /// the iterator is dropped.
     tally: crate::probes::ScanTally,
@@ -716,7 +829,7 @@ impl RawLexemes<'_> {
     /// outgrown its cap. The lexemes yielded before are sound, but they
     /// do not tile the input.
     pub fn shed(&self) -> Option<MunchMemoShed> {
-        self.shed
+        self.cursor.shed
     }
 }
 
@@ -724,51 +837,16 @@ impl Iterator for RawLexemes<'_> {
     type Item = Result<RawLexeme, LexError>;
 
     fn next(&mut self) -> Option<Result<RawLexeme, LexError>> {
-        let n = self.input.len();
-        if self.dead || self.pos >= n {
+        if self.dead {
             return None;
         }
-        let scan = scan_token(self.core, self.input, self.pos, Some(&self.memo));
-        self.tally.scan(&scan, self.pos, n);
-        let Some((rule, end)) = scan.last else {
+        let step = self
+            .cursor
+            .settle(self.core, self.input, true, &mut self.tally);
+        if !matches!(step, Some(Ok(_))) {
             self.dead = true;
-            return Some(Err(LexError {
-                at: self.pos,
-                found: self.input[self.pos..]
-                    .chars()
-                    .next()
-                    .expect("a non-empty remainder has a first char"),
-            }));
-        };
-        if scan.stop_at(n) > end {
-            match self
-                .memo
-                .mark(self.core, self.input, self.pos, &scan, self.memo_cap)
-            {
-                Ok(rewalked) => self.tally.rewalked(rewalked),
-                Err(needed) => {
-                    self.dead = true;
-                    self.shed = Some(MunchMemoShed {
-                        at: self.pos,
-                        needed,
-                        cap: self.memo_cap,
-                    });
-                    crate::probes::note_munch_memo_shed();
-                    return None;
-                }
-            }
         }
-        self.tally.settled(&scan, n);
-        let span = Span {
-            start: self.pos,
-            end,
-        };
-        self.pos = end;
-        Some(Ok(RawLexeme {
-            rule,
-            span,
-            sym: self.core.spec.token_symbol(rule),
-        }))
+        step
     }
 }
 
@@ -915,149 +993,26 @@ impl SabotageLex {
     }
 }
 
-/// The pure maximal-munch machine: the DFA state, the in-progress
-/// token's characters, and the last accept inside them. Everything a
-/// boundary resolution needs — and nothing more, so probes
-/// ([`LexStream::pending_flush`]) copy this small struct instead of
-/// the whole stream.
-#[derive(Debug, Clone)]
-struct Munch {
-    state: StateId,
-    /// Characters of the in-progress token.
-    buf: Vec<char>,
-    /// Total UTF-8 bytes of `buf`, kept incrementally (re-summing per
-    /// accepting step would be quadratic in the token length).
-    buf_bytes: usize,
-    /// Byte offset where the in-progress token starts.
-    token_start: usize,
-    /// Last accept inside `buf`: `(rule, chars, bytes)` of the accepted
-    /// prefix.
-    last: Option<(usize, usize, usize)>,
-}
-
-impl Munch {
-    fn new(init: StateId) -> Munch {
-        Munch {
-            state: init,
-            buf: Vec::new(),
-            buf_bytes: 0,
-            token_start: 0,
-            last: None,
-        }
-    }
-
-    /// Emits the last-accepted prefix of `buf` as a token, resets the
-    /// automaton, and returns the overrun characters for re-feeding.
-    fn cut_token(
-        &mut self,
-        core: &LexCore,
-        out: &mut Vec<Token>,
-    ) -> Result<VecDeque<char>, LexError> {
-        let Some((rule, nchars, nbytes)) = self.last.take() else {
-            return Err(LexError {
-                at: self.token_start,
-                found: self.buf[0],
-            });
-        };
-        if self.buf.len() > nchars {
-            // The munch overran the boundary it is now cutting at:
-            // a last-accept backtrack (the overrun chars get re-fed).
-            crate::probes::BACKTRACKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let text: String = self.buf[..nchars].iter().collect();
-        let leftovers: VecDeque<char> = self.buf[nchars..].iter().copied().collect();
-        out.push(Token {
-            rule,
-            text,
-            span: Span {
-                start: self.token_start,
-                end: self.token_start + nbytes,
-            },
-            sym: core.spec.token_symbol(rule),
-        });
-        self.token_start += nbytes;
-        self.buf.clear();
-        self.buf_bytes = 0;
-        self.state = core.dfa.init();
-        Ok(leftovers)
-    }
-
-    /// The shared stepping loop: consume queued characters, cutting
-    /// tokens (and re-queuing overrun) whenever the automaton dies.
-    fn drain(
-        &mut self,
-        core: &LexCore,
-        queue: &mut VecDeque<char>,
-        out: &mut Vec<Token>,
-    ) -> Result<(), LexError> {
-        while let Some(ch) = queue.pop_front() {
-            let next = core
-                .spec
-                .alphabet()
-                .symbol_of_char(ch)
-                .map(|sym| core.dfa.delta(self.state, sym))
-                .filter(|&s| core.live[s]);
-            match next {
-                Some(s) => {
-                    self.state = s;
-                    self.buf.push(ch);
-                    self.buf_bytes += ch.len_utf8();
-                    if let Some(rule) = core.dfa.accept_tag(s) {
-                        self.last = Some((rule, self.buf.len(), self.buf_bytes));
-                    }
-                }
-                None => {
-                    if self.buf.is_empty() {
-                        // The character itself is unmatchable at a
-                        // fresh token start.
-                        return Err(LexError {
-                            at: self.token_start,
-                            found: ch,
-                        });
-                    }
-                    let leftovers = self.cut_token(core, out)?;
-                    // Re-feed the overrun, then retry `ch`.
-                    queue.push_front(ch);
-                    for lc in leftovers.into_iter().rev() {
-                        queue.push_front(lc);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// End-of-input resolution: cut and re-feed until the buffer is
-    /// empty (every character accounted for) or nothing accepts.
-    fn flush(&mut self, core: &LexCore, out: &mut Vec<Token>) -> Result<(), LexError> {
-        while !self.buf.is_empty() {
-            let mut queue = self.cut_token(core, out)?;
-            self.drain(core, &mut queue, out)?;
-        }
-        Ok(())
-    }
-}
-
-/// A push-mode incremental lexer: characters in, tokens out as soon as
-/// their right boundary is certain.
+/// A push-mode incremental lexer: text in, tokens out as soon as their
+/// right boundary is certain.
 ///
-/// The *automaton* side buffers exactly the in-progress token — the
-/// suffix after the last resolved boundary — so the working state is
-/// bounded by the longest lexeme. (The stream additionally retains the
-/// full pushed text in [`LexStream::raw_input`], which is what the
-/// certification pass at the end of a certified pipeline re-checks the
-/// emitted tokens against.) A token is emitted the moment a character
-/// proves the automaton can no longer extend the match (maximal munch
-/// with last-accept backtracking: the overrun characters are re-fed
-/// through a fresh automaton). [`LexStream::finish`] flushes the
-/// pending token(s).
+/// The stream keeps the pushed text, the settled boundary and the scan
+/// of the token after it so far. Each push resumes that scan where the
+/// previous push left it, through the same settle step (and the same
+/// munch memo) as one-shot lexing: a token is emitted the moment the
+/// automaton dies inside the pushed text, cut at its last accept, and
+/// the next scan starts there. A scan that runs out of pushed text
+/// stays open; [`LexStream::finish`] ends the input and settles it.
+/// The full pushed text stays in [`LexStream::raw_input`], which is
+/// what the certification pass of a certified pipeline re-checks the
+/// emitted tokens against.
 #[derive(Debug, Clone)]
 pub struct LexStream {
     core: std::sync::Arc<LexCore>,
-    munch: Munch,
     /// Everything pushed so far (certification at `finish` re-checks
     /// the emitted tokens against exactly this).
     input: String,
+    cursor: Cursor,
     /// The first lexical error; later pushes keep reporting it.
     dead: Option<LexError>,
     /// Test-only fault injection (see [`SabotageLex`]).
@@ -1078,9 +1033,13 @@ impl LexStream {
         &self.input
     }
 
-    /// Number of characters buffered for the in-progress token.
+    /// Number of characters pushed after the last settled boundary
+    /// (zero once the stream is dead).
     pub fn pending_chars(&self) -> usize {
-        self.munch.buf.len()
+        match self.dead {
+            Some(_) => 0,
+            None => self.input[self.cursor.pos..].chars().count(),
+        }
     }
 
     /// `false` once a lexical error has been hit.
@@ -1093,48 +1052,26 @@ impl LexStream {
         self.dead.as_ref()
     }
 
-    /// Consumes one character, returning the tokens whose right
-    /// boundary it resolved (usually none or one; backtracking can
-    /// release several).
+    /// Consumes one character: [`LexStream::push_str`] of it.
     ///
     /// # Errors
     ///
-    /// [`LexError`] when no rule matches at the current token start;
-    /// the stream stays dead (and keeps returning the same error) from
-    /// then on.
+    /// As [`LexStream::push_str`].
     pub fn push(&mut self, c: char) -> Result<Vec<Token>, LexError> {
-        self.input.push(c);
-        if let Some(e) = &self.dead {
-            return Err(e.clone());
-        }
-        let mut out = Vec::new();
-        let mut queue = VecDeque::from([c]);
-        match self.munch.drain(&self.core, &mut queue, &mut out) {
-            Ok(()) => {
-                SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out);
-                Ok(out)
-            }
-            Err(e) => {
-                self.dead = Some(e.clone());
-                Err(e)
-            }
-        }
+        self.push_str(c.encode_utf8(&mut [0; 4]))
     }
 
-    /// Pushes a whole string through the bulk byte-sliced path:
-    /// instead of stepping the char-at-a-time munch automaton, the
-    /// unresolved suffix is re-scanned with `scan_token` (the same
-    /// 8-byte-unrolled hot loop behind one-shot lexing), settled tokens
-    /// are emitted in one pass, and only the still-pending tail is
-    /// replayed into the incremental munch state. Observationally
-    /// identical to `for c in s.chars() { self.push(c)?; }` — same
-    /// tokens, same errors, same retained state — the per-char loop
-    /// survives as the error path and as the differential reference.
+    /// Consumes a string, returning the tokens whose right boundary it
+    /// resolved (often none or one; backtracking can release several).
+    /// How the text is split into pushes changes nothing: the tokens,
+    /// errors and retained state are those of one push of the whole.
     ///
     /// # Errors
     ///
-    /// As [`LexStream::push`]; tokens resolved before the error are
-    /// lost to the caller (the stream itself is dead anyway).
+    /// [`LexError`] when no rule matches at a token start; the stream
+    /// stays dead (and keeps returning the same error for every
+    /// non-empty push) from then on. Tokens settled before the error
+    /// are lost to the caller; [`LexStream::push_str_into`] keeps them.
     pub fn push_str(&mut self, s: &str) -> Result<Vec<Token>, LexError> {
         let mut out = Vec::new();
         self.push_str_into(s, &mut out)?;
@@ -1142,112 +1079,40 @@ impl LexStream {
     }
 
     /// [`LexStream::push_str`] appending into a caller-provided buffer,
-    /// so a loop feeding many slices can reuse one allocation. On
-    /// `Err`, tokens resolved by earlier slices of `s` before the
-    /// stream died may already have been appended; the stream is dead
-    /// either way.
+    /// so a loop feeding many slices can reuse one allocation. The
+    /// stream records all of `s`, even past an error.
     ///
     /// # Errors
     ///
-    /// As [`LexStream::push`].
+    /// As [`LexStream::push_str`]; every token settled before the
+    /// error has been appended to `out`.
     pub fn push_str_into(&mut self, s: &str, out: &mut Vec<Token>) -> Result<(), LexError> {
-        if self.dead.is_some() || s.is_empty() {
-            // Degenerate cases take the per-char loop verbatim: an
-            // empty push is a no-op even on a dead stream; a dead
-            // stream records exactly one more char and re-reports.
-            for c in s.chars() {
-                out.extend(self.push(c)?);
-            }
-            return Ok(());
-        }
-        let core = self.core.clone();
-        let old_len = self.input.len();
         self.input.push_str(s);
-        // Speculatively re-scan the whole unresolved region (pending
-        // token start to new end) with the byte-sliced scanner. Each
-        // scan that *dies* before the end settles one token boundary;
-        // the scan that runs out of input is the new pending tail.
-        let start = self.munch.token_start;
-        let mut pos = start;
-        let mut tally = crate::probes::ScanTally::default();
-        let mut settled: Vec<(usize, usize, usize)> = Vec::new(); // (rule, start, end)
-        loop {
-            let scan = scan_token(&core, &self.input, pos, None);
-            tally.scan(&scan, pos, self.input.len());
-            match scan.stop {
-                ScanStop::EndOfInput => break,
-                ScanStop::Dead(_) | ScanStop::Failed(_) => match scan.last {
-                    Some((rule, end)) => {
-                        tally.settled(&scan, self.input.len());
-                        settled.push((rule, pos, end));
-                        pos = end;
-                    }
-                    None => {
-                        // The chain errors somewhere in `s`. Roll the
-                        // bulk append back and replay per-char: which
-                        // chars the stream retains and what the munch
-                        // holds at death are per-char semantics, and
-                        // errors are not the hot path.
-                        self.input.truncate(old_len);
-                        for c in s.chars() {
-                            out.extend(self.push(c)?);
-                        }
-                        return Ok(());
-                    }
-                },
-            }
+        if let Some(e) = &self.dead {
+            return if s.is_empty() { Ok(()) } else { Err(e.clone()) };
         }
-        let emit_from = out.len();
-        for &(rule, tstart, end) in &settled {
-            out.push(Token {
-                rule,
-                text: self.input[tstart..end].to_owned(),
-                span: Span { start: tstart, end },
-                sym: core.spec.token_symbol(rule),
-            });
+        let from = out.len();
+        let settled = self.cursor.settle_into(&self.core, &self.input, false, out);
+        SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out[from..]);
+        if let Err(e) = &settled {
+            self.dead = Some(e.clone());
         }
-        if settled.is_empty() {
-            // `s` only extends the pending token: feed the new chars
-            // into the live munch so repeated bulk pushes stay
-            // incremental.
-            let mut queue: VecDeque<char> = s.chars().collect();
-            self.munch
-                .drain(&core, &mut queue, out)
-                .expect("scan reached end of input alive; the replay cannot die");
-            debug_assert_eq!(out.len(), emit_from, "no death ⇒ no resolved boundary");
-        } else {
-            // Re-derive the pending munch from the last settled
-            // boundary — exactly the state the per-char path keeps: a
-            // fresh automaton fed the unresolved suffix (bounded by
-            // the longest lexeme plus its overrun).
-            self.munch.state = core.dfa.init();
-            self.munch.buf.clear();
-            self.munch.buf_bytes = 0;
-            self.munch.token_start = pos;
-            self.munch.last = None;
-            let mut queue: VecDeque<char> = self.input[pos..].chars().collect();
-            let before = out.len();
-            self.munch
-                .drain(&core, &mut queue, out)
-                .expect("scan reached end of input alive; the replay cannot die");
-            debug_assert_eq!(out.len(), before, "no death ⇒ no resolved boundary");
-        }
-        SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out[emit_from..]);
-        Ok(())
+        settled
     }
 
-    /// Ends the input, flushing the buffered token boundary.
+    /// Ends the input, settling the tokens still open.
     ///
     /// # Errors
     ///
-    /// [`LexError`] if the buffered suffix does not resolve into
+    /// [`LexError`] if the unsettled suffix does not resolve into
     /// complete tokens.
     pub fn finish(mut self) -> Result<Vec<Token>, LexError> {
         if let Some(e) = self.dead {
             return Err(e);
         }
         let mut out = Vec::new();
-        self.munch.flush(&self.core, &mut out)?;
+        self.cursor
+            .settle_into(&self.core, &self.input, true, &mut out)?;
         SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out);
         Ok(out)
     }
@@ -1259,11 +1124,12 @@ impl LexStream {
         self.sabotage = Some(s);
     }
 
-    /// What [`LexStream::finish`] *would* emit for the buffered
-    /// boundary, without ending (or disturbing) the stream: the
-    /// resolution runs on a copy of the small munch state — it does not
-    /// clone the accumulated input, so per-character acceptance probes
-    /// stay O(pending token), not O(stream).
+    /// What [`LexStream::finish`] *would* emit, without ending (or
+    /// disturbing) the stream: the settle step runs on a copy of the
+    /// open scan with an empty memo — it copies neither the accumulated
+    /// input nor the stream's memo (whose window may still cover rows
+    /// behind the settled boundary), so per-character acceptance probes
+    /// cost the unsettled suffix, not the stream.
     ///
     /// # Errors
     ///
@@ -1272,26 +1138,28 @@ impl LexStream {
         if let Some(e) = &self.dead {
             return Err(e.clone());
         }
-        let mut probe = self.munch.clone();
+        let mut probe = Cursor::new(&self.core, usize::MAX);
+        probe.pos = self.cursor.pos;
+        probe.open = self.cursor.open;
         let mut out = Vec::new();
-        probe.flush(&self.core, &mut out)?;
+        probe.settle_into(&self.core, &self.input, true, &mut out)?;
         Ok(out)
     }
 
     /// Extracts the stream's state for serialization (session
     /// park/resume; sabotage injections are deliberately not exported).
     ///
-    /// The munch automaton's in-flight state (`state`, buffered chars,
-    /// last-accept marker) is *not* part of the export: it is a
-    /// deterministic function of the raw input since the last resolved
-    /// token boundary, and [`LexAutomaton::resume_stream`] re-derives
-    /// it by replaying that unresolved suffix — which both shrinks the
-    /// wire format and turns a corrupted boundary offset into a
-    /// detected inconsistency instead of a trusted lie.
+    /// The open scan (DFA state, position, last accept) and the memo
+    /// are *not* part of the export: the scan is a deterministic
+    /// function of the raw input since the last settled boundary, and
+    /// [`LexAutomaton::resume_stream`] re-derives it by scanning that
+    /// unresolved suffix — which both shrinks the wire format and turns
+    /// a corrupted boundary offset into a detected inconsistency
+    /// instead of a trusted lie.
     pub fn export_state(&self) -> LexStreamState {
         LexStreamState {
             input: self.input.clone(),
-            resume_from: self.munch.token_start,
+            resume_from: self.cursor.pos,
             emitted: self.emitted,
             dead: self.dead.as_ref().map(|e| (e.at, e.found)),
         }
@@ -1490,7 +1358,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_push_str_on_a_dead_stream_reports_and_records_one_char() {
+    fn bulk_push_str_on_a_dead_stream_reports_and_records_the_chunk() {
         let auto = arith_auto();
         let mut stream = auto.stream();
         let err = stream.push_str("1+x").unwrap_err();
@@ -1500,10 +1368,40 @@ mod tests {
         assert_eq!(stream.push_str("99").unwrap_err(), err);
         assert_eq!(
             stream.raw_input().len(),
-            before.len() + 1,
-            "a dead stream records exactly one char per failed push_str"
+            before.len() + 2,
+            "a dead stream records the whole chunk of a failed push_str"
         );
         assert!(stream.push_str("").is_ok(), "empty pushes stay no-ops");
+    }
+
+    #[test]
+    fn an_error_keeps_the_tokens_settled_before_it() {
+        // `x` resolves the `+` before it turns out unlexable.
+        let auto = arith_auto();
+        let texts = |tokens: &[Token]| tokens.iter().map(|t| t.text.clone()).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        let mut stream = auto.stream();
+        let err = stream.push_str_into("1+x", &mut out).unwrap_err();
+        assert_eq!(err, LexError { at: 2, found: 'x' });
+        assert_eq!(texts(&out), ["1", "+"]);
+        assert_eq!(stream.export_state().emitted, 2);
+        assert_eq!(stream.raw_input(), "1+x", "the whole push is recorded");
+        // Char by char, the `+` settles in the push that dies.
+        let mut stream = auto.stream();
+        out.clear();
+        for c in "1+".chars() {
+            stream
+                .push_str_into(c.encode_utf8(&mut [0; 4]), &mut out)
+                .unwrap();
+        }
+        assert_eq!(stream.push_str_into("x", &mut out).unwrap_err(), err);
+        assert_eq!(texts(&out), ["1", "+"]);
+        // One-shot lexing yields the same tokens before its `Err`.
+        let oneshot: Vec<_> = auto.lexemes("1+x").collect();
+        assert_eq!(oneshot.len(), 3);
+        assert_eq!(oneshot[2], Err(err));
+        let settled: Vec<Token> = oneshot.into_iter().take(2).map(Result::unwrap).collect();
+        assert_eq!(settled, out);
     }
 
     #[test]

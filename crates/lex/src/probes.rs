@@ -31,17 +31,18 @@ static CERTIFIED_LEXEMES: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LexProbes {
     /// Bytes stepped by the byte-sliced scanner, lookahead and the
-    /// munch memo's re-walks of backtracking scans included (re-scans
-    /// of a pending token count each time — this measures scan *work*,
-    /// not input size).
+    /// munch memo's re-walks of backtracking scans included (this
+    /// measures scan *work*, not input size). One-shot passes, stream
+    /// pushes and stream flushes all count; a stream's scan that is
+    /// resumed by a later push counts only the bytes that push steps.
     pub scan_bytes: u64,
     /// Lexemes whose scan stayed entirely in the ASCII fast lane.
     pub fast_lane_tokens: u64,
     /// Lexemes whose scan dropped to the char-level fallback at least
     /// once (non-ASCII input).
     pub fallback_tokens: u64,
-    /// Maximal-munch backtracks: scans (or push-mode munches) that
-    /// consumed lookahead past the token boundary they settled on.
+    /// Maximal-munch backtracks: scans that consumed lookahead past
+    /// the token boundary they settled on.
     pub backtracks: u64,
     /// One-shot lexes shed because their maximal-munch memo would have
     /// outgrown its cap.
@@ -88,11 +89,11 @@ pub(crate) struct ScanTally {
 }
 
 impl ScanTally {
-    /// Accounts the bytes one `scan_token` read, starting at byte
-    /// `start` of an `input_len`-byte input.
+    /// Accounts the bytes one `scan_token` read, starting (or
+    /// resuming) at byte `start`.
     #[inline]
-    pub(crate) fn scan(&mut self, scan: &Scan, start: usize, input_len: usize) {
-        self.bytes += (scan.stop_at(input_len) - start) as u64;
+    pub(crate) fn scan(&mut self, scan: &Scan, start: usize) {
+        self.bytes += (scan.stop_at() - start) as u64;
     }
 
     /// Accounts the bytes the munch memo re-walked to mark an overrun.
@@ -102,18 +103,17 @@ impl ScanTally {
     }
 
     /// Accounts one token *settled* at the scan's last accept — called
-    /// only by drivers that actually cut there (push-mode scans that
-    /// stop at end-of-input leave the munch pending and must not call
-    /// this).
+    /// only when the driver actually cuts there (a stream's scan that
+    /// runs out of pushed text stays open and must not call this).
     #[inline]
-    pub(crate) fn settled(&mut self, scan: &Scan, input_len: usize) {
+    pub(crate) fn settled(&mut self, scan: &Scan) {
         if scan.fell_back {
             self.fallback += 1;
         } else {
             self.fast += 1;
         }
         if let Some((_, end)) = scan.last {
-            if scan.stop_at(input_len) > end {
+            if scan.stop_at() > end {
                 self.backtracks += 1;
             }
         }
@@ -153,26 +153,25 @@ mod tests {
                 stop: ScanStop::Dead(4),
                 fell_back: false,
             };
-            t.scan(&clean, 0, 10);
-            t.settled(&clean, 10);
+            t.scan(&clean, 0);
+            t.settled(&clean);
             // Backtracking fallback token: accepted at 6, died at 9.
             let overrun = Scan {
                 last: Some((1, 6)),
                 stop: ScanStop::Dead(9),
                 fell_back: true,
             };
-            t.scan(&overrun, 4, 10);
-            t.settled(&overrun, 10);
+            t.scan(&overrun, 4);
+            t.settled(&overrun);
             // Pending tail: no accept yet, ran out of input — bytes
             // only, no token.
             t.scan(
                 &Scan {
                     last: None,
-                    stop: ScanStop::EndOfInput,
+                    stop: ScanStop::EndOfInput { at: 10, state: 0 },
                     fell_back: false,
                 },
                 6,
-                10,
             );
         }
         let after = snapshot();

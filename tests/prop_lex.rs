@@ -18,8 +18,9 @@
 //! 5. the byte-sliced scanner agrees with the charwise reference loop
 //!    (acceptance, boundaries, rule choice), over 1-byte and mixed
 //!    1/2/3-byte alphabets;
-//! 6. the bulk `push_str` path agrees with per-char pushes — tokens,
-//!    errors, and retained stream state — under random slicings.
+//! 6. push streams agree under random slicings with per-char pushes —
+//!    tokens, errors, retained stream state — and with the charwise
+//!    reference on the whole input, tokens before an error included.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -354,52 +355,56 @@ proptest! {
         }
     }
 
-    /// Property 6: bulk `push_str` ≡ per-char pushes under random
-    /// slicings — same tokens, same error, same exported stream state.
+    /// Property 6: push streams agree with each other and with the
+    /// charwise reference. Random slicings agree with per-char pushes
+    /// — same tokens, same error, same exported stream state, same
+    /// `finish` — and both yield what `lexemes_charwise` yields on the
+    /// whole input, the tokens before an `Err` included. The munch
+    /// spec runs over a 2-byte char too, so a stream's memo marks and
+    /// looks up pairs past multi-byte chars.
     #[test]
     fn bulk_push_str_agrees_with_per_char(seed in 0u64..300) {
-        let (auto, _) = random_spec("ab", seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xb01d);
-        let input = random_text("ab", rng.gen_range(0..40), &mut rng);
-        // Random slicing of the input into pushes.
-        let mut slices: Vec<String> = Vec::new();
-        {
-            let mut rest = input.as_str();
-            while !rest.is_empty() {
-                let mut cut = rng.gen_range(1..=rest.len());
-                while !rest.is_char_boundary(cut) {
-                    cut += 1;
+        let specs = [
+            (random_spec("ab", seed).0, "ab"),
+            (munch_spec("ab"), "ab"),
+            (munch_spec("aß"), "aß"),
+        ];
+        for (auto, chars) in specs {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xb01d);
+            let input = random_text(chars, rng.gen_range(0..40), &mut rng);
+            // Random slicing of the input into pushes.
+            let mut slices: Vec<String> = Vec::new();
+            {
+                let mut rest = input.as_str();
+                while !rest.is_empty() {
+                    let mut cut = rng.gen_range(1..=rest.len());
+                    while !rest.is_char_boundary(cut) {
+                        cut += 1;
+                    }
+                    slices.push(rest[..cut].to_owned());
+                    rest = &rest[cut..];
                 }
-                slices.push(rest[..cut].to_owned());
-                rest = &rest[cut..];
             }
-        }
-        let mut bulk = auto.stream();
-        let mut charwise = auto.stream();
-        let mut bulk_out: Vec<Token> = Vec::new();
-        let mut char_out: Vec<Token> = Vec::new();
-        let mut bulk_err = None;
-        let mut char_err = None;
-        for s in &slices {
-            if bulk_err.is_none() {
+            let mut bulk = auto.stream();
+            let mut charwise = auto.stream();
+            let mut bulk_out: Vec<Token> = Vec::new();
+            let mut char_out: Vec<Token> = Vec::new();
+            let mut bulk_err = None;
+            let mut char_err = None;
+            // Every push records its text, so both sides push it all;
+            // a dead stream keeps reporting its first error.
+            for s in &slices {
                 if let Err(e) = bulk.push_str_into(s, &mut bulk_out) {
-                    bulk_err = Some(e);
+                    prop_assert_eq!(bulk_err.get_or_insert(e.clone()), &e);
                 }
-            }
-            if char_err.is_none() {
                 for c in s.chars() {
-                    match charwise.push(c) {
-                        Ok(t) => char_out.extend(t),
-                        Err(e) => {
-                            char_err = Some(e);
-                            break;
-                        }
+                    let c = c.encode_utf8(&mut [0; 4]).to_owned();
+                    if let Err(e) = charwise.push_str_into(&c, &mut char_out) {
+                        prop_assert_eq!(char_err.get_or_insert(e.clone()), &e);
                     }
                 }
             }
-        }
-        prop_assert_eq!(&bulk_err, &char_err, "errors differ on {:?} / {:?}", input, slices);
-        if bulk_err.is_none() {
+            prop_assert_eq!(&bulk_err, &char_err, "errors differ on {:?} / {:?}", input, slices);
             prop_assert_eq!(&bulk_out, &char_out, "tokens differ on {:?} / {:?}", input, slices);
             prop_assert_eq!(
                 bulk.export_state(),
@@ -408,7 +413,41 @@ proptest! {
                 input,
                 slices
             );
-            prop_assert_eq!(bulk.finish(), charwise.finish(), "finish differs on {:?}", input);
+            let finished = bulk.finish();
+            prop_assert_eq!(&finished, &charwise.finish(), "finish differs on {:?}", input);
+            // Against the reference: the tokens before its `Err` (or all
+            // of them), then the error, if any.
+            let mut reference: Vec<Token> = Vec::new();
+            let mut reference_err = None;
+            for t in auto.lexemes_charwise(&input) {
+                match t {
+                    Ok(t) => reference.push(t),
+                    Err(e) => reference_err = Some(e),
+                }
+            }
+            match (bulk_err, finished) {
+                (Some(e), _) => {
+                    prop_assert_eq!(Some(e), reference_err, "error differs on {:?}", input);
+                    prop_assert_eq!(&bulk_out, &reference, "tokens differ on {:?}", input);
+                }
+                (None, Ok(rest)) => {
+                    bulk_out.extend(rest);
+                    prop_assert_eq!(reference_err, None, "the stream lexed {:?}", input);
+                    prop_assert_eq!(&bulk_out, &reference, "tokens differ on {:?}", input);
+                }
+                // `finish` drops the tokens it settled before its error:
+                // the pushed ones are a prefix of the reference's.
+                (None, Err(e)) => {
+                    prop_assert_eq!(Some(e), reference_err, "error differs on {:?}", input);
+                    prop_assert!(
+                        reference.starts_with(&bulk_out),
+                        "tokens differ on {:?}: {:?} vs {:?}",
+                        input,
+                        bulk_out,
+                        reference
+                    );
+                }
+            }
         }
     }
 }
