@@ -12,6 +12,15 @@
 //! state accept?" and "for which rule?" — exactly what the
 //! maximal-munch driver probes per character.
 //!
+//! A character class such as [`class`](crate::spec::class) or the
+//! frontend's `[...]` is an alternation chain of `Char` leaves, and
+//! Thompson's construction compiles each maximal one to a single *set
+//! fragment*: two states and one labeled edge per member, with no
+//! ε-edge. The union NFA therefore stays small (json.g: 117 states and
+//! 86 ε-edges, not 1,093 and 1,062), and determinization, which walks
+//! ε-closures for every (subset, symbol) pair, takes under a
+//! millisecond instead of most of the compile.
+//!
 //! Compilation additionally lowers the char-level DFA to **byte-sliced
 //! execution tables** (`ByteDfa`): ASCII byte values are partitioned
 //! into *byte-equivalence classes* (two bytes share a class iff their

@@ -1105,16 +1105,28 @@ impl LexStream {
     /// # Errors
     ///
     /// [`LexError`] if the unsettled suffix does not resolve into
-    /// complete tokens.
-    pub fn finish(mut self) -> Result<Vec<Token>, LexError> {
+    /// complete tokens. Tokens settled before the error are lost to the
+    /// caller; [`LexStream::finish_into`] keeps them.
+    pub fn finish(self) -> Result<Vec<Token>, LexError> {
+        let mut out = Vec::new();
+        self.finish_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`LexStream::finish`] appending into a caller-provided buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`LexStream::finish`]; every token settled before the error
+    /// has been appended to `out`.
+    pub fn finish_into(mut self, out: &mut Vec<Token>) -> Result<(), LexError> {
         if let Some(e) = self.dead {
             return Err(e);
         }
-        let mut out = Vec::new();
-        self.cursor
-            .settle_into(&self.core, &self.input, true, &mut out)?;
-        SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out);
-        Ok(out)
+        let from = out.len();
+        let settled = self.cursor.settle_into(&self.core, &self.input, true, out);
+        SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out[from..]);
+        settled
     }
 
     /// Injects a one-token fault into the emitted stream (test-only;
@@ -1402,6 +1414,31 @@ mod tests {
         assert_eq!(oneshot[2], Err(err));
         let settled: Vec<Token> = oneshot.into_iter().take(2).map(Result::unwrap).collect();
         assert_eq!(settled, out);
+    }
+
+    #[test]
+    fn finish_into_keeps_the_tokens_settled_before_an_error() {
+        // `ab` ends inside `ABC`: finishing backs off to `A`, then dies
+        // at `b`.
+        let sigma = Alphabet::from_chars("abc");
+        let spec = LexSpecBuilder::new(sigma)
+            .token("A", "a")
+            .unwrap()
+            .token("ABC", "abc")
+            .unwrap()
+            .build()
+            .unwrap();
+        let auto = LexAutomaton::compile(spec);
+        let err = LexError { at: 1, found: 'b' };
+        let mut stream = auto.stream();
+        assert_eq!(stream.push_str("ab"), Ok(vec![]));
+        assert_eq!(stream.clone().finish(), Err(err.clone()));
+        let mut out = Vec::new();
+        assert_eq!(stream.finish_into(&mut out), Err(err.clone()));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].text, "a");
+        let oneshot: Vec<_> = auto.lexemes("ab").collect();
+        assert_eq!(oneshot, [Ok(out[0].clone()), Err(err)]);
     }
 
     #[test]

@@ -143,19 +143,16 @@ impl SymbolClasses {
     /// deriving by either yields the same regex up to operand order.
     /// Symbols that `re` never mentions share the empty signature.
     pub fn of_regex(re: &Regex, alphabet_len: usize) -> SymbolClasses {
-        let mut groups: Vec<Vec<Symbol>> = Vec::new();
-        if let Some(top) = char_alternation(re, &mut groups) {
-            groups.push(top);
-        }
+        let groups = char_alternations(re);
         let width = groups
             .iter()
-            .flatten()
+            .flat_map(|(_, group)| group)
             .map(|s| s.index() + 1)
             .max()
             .unwrap_or(0)
             .max(alphabet_len);
         let mut signature: Vec<Vec<u32>> = vec![Vec::new(); width];
-        for (g, group) in groups.iter().enumerate() {
+        for (g, (_, group)) in groups.iter().enumerate() {
             for sym in group {
                 let sig = &mut signature[sym.index()];
                 if sig.last() != Some(&(g as u32)) {
@@ -204,25 +201,42 @@ impl SymbolClasses {
     }
 }
 
-/// The members of `re` if it is a lone `Char` or an all-`Char`
-/// alternation; otherwise `None`, after pushing the maximal such
-/// subterms below it onto `groups`.
-fn char_alternation(re: &Regex, groups: &mut Vec<Vec<Symbol>>) -> Option<Vec<Symbol>> {
-    let (l, r) = match re {
+/// The maximal lone `Char`s and all-`Char` alternations of `re`, each
+/// with its members left to right, found in one bottom-up pass.
+pub(crate) fn char_alternations(re: &Regex) -> Vec<(&Regex, Vec<Symbol>)> {
+    let mut groups = Vec::new();
+    if let Some(top) = char_alternation(re, &mut groups) {
+        groups.push((re, top));
+    }
+    groups
+}
+
+/// The members of `re`, left to right, if it is a lone `Char` or an
+/// all-`Char` alternation; otherwise `None`, after pushing the maximal
+/// such subterms below it onto `groups`, each with its members.
+fn char_alternation<'r>(
+    re: &'r Regex,
+    groups: &mut Vec<(&'r Regex, Vec<Symbol>)>,
+) -> Option<Vec<Symbol>> {
+    let children = match re {
         Regex::Char(c) => return Some(vec![*c]),
         Regex::Empty | Regex::Eps => return None,
-        Regex::Star(inner) => (char_alternation(inner, groups), None),
-        Regex::Concat(l, r) => (char_alternation(l, groups), char_alternation(r, groups)),
+        Regex::Star(inner) => [Some((&**inner, char_alternation(inner, groups))), None],
+        Regex::Concat(l, r) => [
+            Some((&**l, char_alternation(l, groups))),
+            Some((&**r, char_alternation(r, groups))),
+        ],
         Regex::Alt(l, r) => match (char_alternation(l, groups), char_alternation(r, groups)) {
             (Some(mut members), Some(more)) => {
                 members.extend(more);
                 return Some(members);
             }
-            pair => pair,
+            (ml, mr) => [Some((&**l, ml)), Some((&**r, mr))],
         },
     };
-    groups.extend(l);
-    groups.extend(r);
+    for (child, members) in children.into_iter().flatten() {
+        groups.extend(members.map(|m| (child, m)));
+    }
     None
 }
 

@@ -9,16 +9,33 @@
 //! recursion over fragments:
 //!
 //! * `parse → trace`: thread a continuation trace through the fragment;
-//! * `trace → parse`: deterministic descent, because every ε-transition
+//! * `trace → parse`: deterministic descent, because every transition
 //!   id pins down which fragment and which constructor produced it.
+//!
+//! **Set fragments.** A character class such as `[a-z]` reaches this
+//! module as a chain of `|` over `Char` leaves. Compiled one constructor
+//! at a time it would be a tree of k one-edge fragments joined by
+//! 4(k−1) ε-edges, which the subset construction re-walks for every
+//! (DFA state, symbol) pair. Instead every *maximal all-`Char`
+//! alternation* — and every lone `Char` — compiles to one fragment: a
+//! start state, an accept state and one labeled edge per leaf, left to
+//! right, with no ε-edge. A repeated character keeps its own edge, so
+//! `a|a` still has two accepting traces on `a`. The parse of leaf k (its
+//! path of `σ0`/`σ1` injections through the alternation) maps to edge k
+//! and back, so the strong equivalence holds as before. The sets are
+//! found in one bottom-up pass before construction.
+
+use std::collections::HashMap;
+use std::ops::Range;
 
 use lambek_automata::nfa::{Nfa, NfaTrace, StateId};
-use lambek_core::alphabet::Alphabet;
+use lambek_core::alphabet::{Alphabet, Symbol};
 use lambek_core::grammar::parse_tree::ParseTree;
 use lambek_core::theory::equivalence::{StrongEquiv, WeakEquiv};
 use lambek_core::transform::{TransformError, Transformer};
 
 use crate::ast::Regex;
+use crate::deriv_table::char_alternations;
 
 /// Wiring metadata of one fragment, mirroring the regex structure.
 #[derive(Debug, Clone)]
@@ -27,8 +44,10 @@ enum Frag {
     Empty,
     /// `ε`: one ε-transition `start → acc`.
     Eps { e: usize },
-    /// `'c'`: one labeled transition.
-    Char { t: usize },
+    /// `'c'`, or a maximal all-`Char` alternation: one labeled
+    /// transition `start → acc` per leaf, left to right, with the
+    /// consecutive ids `edges`.
+    Set { edges: Range<usize> },
     /// `l · r` with an ε bridging `l.acc → r.start`.
     Concat {
         mid: usize,
@@ -70,18 +89,46 @@ pub struct Thompson {
     root: FragMeta,
 }
 
+/// The maximal all-`Char` alternations of a regex, by node address,
+/// each with its leaves left to right.
+type Sets = HashMap<*const Regex, Vec<Symbol>>;
+
 /// Runs Thompson's construction (Construction 4.11).
 pub fn thompson(alphabet: &Alphabet, re: &Regex) -> Thompson {
+    let sets: Sets = char_alternations(re)
+        .into_iter()
+        .filter(|(node, _)| matches!(node, Regex::Alt(..)))
+        .map(|(node, leaves)| (node as *const Regex, leaves))
+        .collect();
     // Start with a single placeholder state; `build` adds the real ones.
     let mut nfa = Nfa::new(alphabet.clone(), 1, 0);
     // State 0 is reused as the root fragment's start.
-    let root = build(&mut nfa, re, Some(0));
+    let root = build(&mut nfa, re, Some(0), &sets);
     nfa.set_accepting(root.acc, true);
     Thompson { nfa, root }
 }
 
-fn build(nfa: &mut Nfa, re: &Regex, reuse_start: Option<StateId>) -> FragMeta {
+/// A set fragment: one labeled edge `start → acc` per leaf.
+fn set(nfa: &mut Nfa, start: StateId, leaves: &[Symbol]) -> FragMeta {
+    let acc = nfa.add_state();
+    let first = nfa.transitions().len();
+    for &c in leaves {
+        nfa.add_transition(start, c, acc);
+    }
+    FragMeta {
+        start,
+        acc,
+        frag: Frag::Set {
+            edges: first..first + leaves.len(),
+        },
+    }
+}
+
+fn build(nfa: &mut Nfa, re: &Regex, reuse_start: Option<StateId>, sets: &Sets) -> FragMeta {
     let start = reuse_start.unwrap_or_else(|| nfa.add_state());
+    if let Some(leaves) = sets.get(&(re as *const Regex)) {
+        return set(nfa, start, leaves);
+    }
     match re {
         Regex::Empty => {
             let acc = nfa.add_state();
@@ -100,18 +147,10 @@ fn build(nfa: &mut Nfa, re: &Regex, reuse_start: Option<StateId>) -> FragMeta {
                 frag: Frag::Eps { e },
             }
         }
-        Regex::Char(c) => {
-            let acc = nfa.add_state();
-            let t = nfa.add_transition(start, *c, acc);
-            FragMeta {
-                start,
-                acc,
-                frag: Frag::Char { t },
-            }
-        }
+        Regex::Char(c) => set(nfa, start, &[*c]),
         Regex::Concat(l, r) => {
-            let lf = build(nfa, l, Some(start));
-            let rf = build(nfa, r, None);
+            let lf = build(nfa, l, Some(start), sets);
+            let rf = build(nfa, r, None, sets);
             let mid = nfa.add_eps(lf.acc, rf.start);
             FragMeta {
                 start,
@@ -124,8 +163,8 @@ fn build(nfa: &mut Nfa, re: &Regex, reuse_start: Option<StateId>) -> FragMeta {
             }
         }
         Regex::Alt(l, r) => {
-            let lf = build(nfa, l, None);
-            let rf = build(nfa, r, None);
+            let lf = build(nfa, l, None, sets);
+            let rf = build(nfa, r, None, sets);
             let acc = nfa.add_state();
             let into_l = nfa.add_eps(start, lf.start);
             let into_r = nfa.add_eps(start, rf.start);
@@ -145,7 +184,7 @@ fn build(nfa: &mut Nfa, re: &Regex, reuse_start: Option<StateId>) -> FragMeta {
             }
         }
         Regex::Star(inner) => {
-            let inf = build(nfa, inner, None);
+            let inf = build(nfa, inner, None, sets);
             let acc = nfa.add_state();
             let enter = nfa.add_eps(start, inf.start);
             let back = nfa.add_eps(inf.acc, start);
@@ -170,11 +209,13 @@ impl Thompson {
         &self.nfa
     }
 
-    /// Converts a regex parse tree to the corresponding accepting trace,
-    /// appending `k` after the fragment (continuation style).
+    /// Converts a parse tree of the fragment's regex `re` to the
+    /// corresponding accepting trace, appending `k` after the fragment
+    /// (continuation style).
     fn tree_to_trace(
         &self,
         meta: &FragMeta,
+        re: &Regex,
         tree: &ParseTree,
         k: NfaTrace,
     ) -> Result<NfaTrace, TransformError> {
@@ -183,14 +224,17 @@ impl Thompson {
                 "thompson: expected {what}, got {tree}"
             )))
         };
-        match (&meta.frag, tree) {
-            (Frag::Char { t }, ParseTree::Char(_)) => Ok(NfaTrace::step(*t, k)),
-            (Frag::Eps { e }, ParseTree::Unit) => Ok(NfaTrace::eps_step(*e, k)),
-            (Frag::Empty, _) => fail("no parse of ∅"),
-            (Frag::Concat { mid, l, r }, ParseTree::Pair(tl, tr)) => {
+        match (&meta.frag, re, tree) {
+            (Frag::Set { edges }, _, _) => match leaf_index(re, tree) {
+                Some(leaf) => Ok(NfaTrace::step(edges.start + leaf, k)),
+                None => fail("a leaf of the character set"),
+            },
+            (Frag::Eps { e }, _, ParseTree::Unit) => Ok(NfaTrace::eps_step(*e, k)),
+            (Frag::Empty, _, _) => fail("no parse of ∅"),
+            (Frag::Concat { mid, l, r }, Regex::Concat(rl, rr), ParseTree::Pair(tl, tr)) => {
                 // Continuation: l-part, then the bridge ε, then r-part.
-                let kr = self.tree_to_trace(r, tr, k)?;
-                self.tree_to_trace(l, tl, NfaTrace::eps_step(*mid, kr))
+                let kr = self.tree_to_trace(r, rr, tr, k)?;
+                self.tree_to_trace(l, rl, tl, NfaTrace::eps_step(*mid, kr))
             }
             (
                 Frag::Alt {
@@ -201,19 +245,22 @@ impl Thompson {
                     l,
                     r,
                 },
+                Regex::Alt(rl, rr),
                 ParseTree::Inj { index, tree },
             ) => match index {
                 0 => Ok(NfaTrace::eps_step(
                     *into_l,
-                    self.tree_to_trace(l, tree, NfaTrace::eps_step(*out_l, k))?,
+                    self.tree_to_trace(l, rl, tree, NfaTrace::eps_step(*out_l, k))?,
                 )),
                 1 => Ok(NfaTrace::eps_step(
                     *into_r,
-                    self.tree_to_trace(r, tree, NfaTrace::eps_step(*out_r, k))?,
+                    self.tree_to_trace(r, rr, tree, NfaTrace::eps_step(*out_r, k))?,
                 )),
                 _ => fail("binary σ"),
             },
-            (Frag::Star { .. }, ParseTree::Roll(_)) => self.star_to_trace(meta, tree, k),
+            (Frag::Star { .. }, Regex::Star(inner_re), ParseTree::Roll(_)) => {
+                self.star_to_trace(meta, inner_re, tree, k)
+            }
             _ => fail("a tree matching the fragment"),
         }
     }
@@ -221,6 +268,7 @@ impl Thompson {
     fn star_to_trace(
         &self,
         meta: &FragMeta,
+        inner_re: &Regex,
         tree: &ParseTree,
         k: NfaTrace,
     ) -> Result<NfaTrace, TransformError> {
@@ -249,11 +297,11 @@ impl Thompson {
                 tree: pair,
             } => match &**pair {
                 ParseTree::Pair(head, tail) => {
-                    let rest = self.star_to_trace(meta, tail, k)?;
+                    let rest = self.star_to_trace(meta, inner_re, tail, k)?;
                     let after_head = NfaTrace::eps_step(back, rest);
                     Ok(NfaTrace::eps_step(
                         enter,
-                        self.tree_to_trace(inner, head, after_head)?,
+                        self.tree_to_trace(inner, inner_re, head, after_head)?,
                     ))
                 }
                 other => Err(TransformError::Custom(format!(
@@ -280,11 +328,14 @@ impl Thompson {
             )))
         };
         match (&meta.frag, re) {
-            (Frag::Char { t }, Regex::Char(c)) => match trace {
-                NfaTrace::Step { transition, rest } if transition == t => {
-                    Ok((ParseTree::Char(*c), rest))
+            (Frag::Set { edges }, _) => match trace {
+                NfaTrace::Step { transition, rest } if edges.contains(transition) => {
+                    match leaf_tree(re, &mut (transition - edges.start)) {
+                        Some(tree) => Ok((tree, rest)),
+                        None => fail("a leaf of the character set"),
+                    }
                 }
-                _ => fail("the fragment's labeled step"),
+                _ => fail("one of the fragment's labeled steps"),
             },
             (Frag::Eps { e }, Regex::Eps) => match trace {
                 NfaTrace::EpsStep { eps, rest } if eps == e => Ok((ParseTree::Unit, rest)),
@@ -380,6 +431,44 @@ impl Thompson {
     }
 }
 
+/// The position, left to right, of the leaf that `tree` picks in the
+/// lone `Char` or all-`Char` alternation `re`.
+fn leaf_index(re: &Regex, tree: &ParseTree) -> Option<usize> {
+    match (re, tree) {
+        (Regex::Char(c), ParseTree::Char(d)) if c == d => Some(0),
+        (Regex::Alt(l, _), ParseTree::Inj { index: 0, tree }) => leaf_index(l, tree),
+        (Regex::Alt(l, r), ParseTree::Inj { index: 1, tree }) => {
+            Some(leaves(l) + leaf_index(r, tree)?)
+        }
+        _ => None,
+    }
+}
+
+/// The number of leaves of a lone `Char` or all-`Char` alternation.
+fn leaves(re: &Regex) -> usize {
+    match re {
+        Regex::Alt(l, r) => leaves(l) + leaves(r),
+        _ => 1,
+    }
+}
+
+/// The parse of `re`, a lone `Char` or all-`Char` alternation, that picks
+/// its leaf number `n` (counted down as leaves are passed, left to right).
+fn leaf_tree(re: &Regex, n: &mut usize) -> Option<ParseTree> {
+    match re {
+        Regex::Char(c) if *n == 0 => Some(ParseTree::Char(*c)),
+        Regex::Char(_) => {
+            *n -= 1;
+            None
+        }
+        Regex::Alt(l, r) => match leaf_tree(l, n) {
+            Some(t) => Some(ParseTree::inj(0, t)),
+            None => leaf_tree(r, n).map(|t| ParseTree::inj(1, t)),
+        },
+        _ => None,
+    }
+}
+
 /// The strong equivalence `R ≅ TraceN (N.init)` of Construction 4.11, as
 /// checked transformers between the regex grammar and the trace grammar.
 pub fn thompson_strong_equiv(alphabet: &Alphabet, re: &Regex) -> (Thompson, StrongEquiv) {
@@ -390,12 +479,13 @@ pub fn thompson_strong_equiv(alphabet: &Alphabet, re: &Regex) -> (Thompson, Stro
 
     let th_f = th.clone();
     let tg_f = tg.clone();
+    let re_f = re.clone();
     let fwd = Transformer::from_fn(
         "regex→trace",
         regex_g.clone(),
         trace_g.clone(),
         move |t| {
-            let trace = th_f.tree_to_trace(&th_f.root, t, NfaTrace::Stop)?;
+            let trace = th_f.tree_to_trace(&th_f.root, &re_f, t, NfaTrace::Stop)?;
             Ok(trace.to_parse_tree(&th_f.nfa, &tg_f, th_f.nfa.init()))
         },
     );
@@ -454,7 +544,17 @@ mod tests {
     #[test]
     fn construction_4_11_strong_equivalence() {
         let s = Alphabet::abc();
-        for src in ["a", "(a*b)|c", "ab|ab", "(a|ε)b", "(ab)*"] {
+        for src in [
+            "a",
+            "(a*b)|c",
+            "ab|ab",
+            "(a|ε)b",
+            "(ab)*",
+            "a|b|c",
+            "(a|b)*c",
+            "a|a",
+            "(a|b)|(c|ab)",
+        ] {
             let re = parse_regex(&s, src).unwrap();
             let (_, eq) = thompson_strong_equiv(&s, &re);
             let strings = all_strings(&s, 3);
@@ -467,14 +567,43 @@ mod tests {
 
     #[test]
     fn ambiguity_is_preserved_by_thompson() {
-        // ab|ab has two parses of "ab"; so must its trace grammar.
+        // ab|ab has two parses of "ab", and a|a two of "a" (one per leaf
+        // of its set fragment); so must their trace grammars.
         let s = Alphabet::abc();
-        let re = parse_regex(&s, "ab|ab").unwrap();
-        let th = thompson(&s, &re);
-        let tg = th.nfa().trace_grammar();
-        let cg = CompiledGrammar::new(&tg.trace(th.nfa().init()));
-        let amb = cg.count_parses(&s.parse_str("ab").unwrap(), 8);
-        assert_eq!(amb.count, 2);
+        for (src, w) in [("ab|ab", "ab"), ("a|a", "a")] {
+            let re = parse_regex(&s, src).unwrap();
+            let th = thompson(&s, &re);
+            let tg = th.nfa().trace_grammar();
+            let cg = CompiledGrammar::new(&tg.trace(th.nfa().init()));
+            let amb = cg.count_parses(&s.parse_str(w).unwrap(), 8);
+            assert_eq!(amb.count, 2, "{src} on {w}");
+        }
+    }
+
+    #[test]
+    fn a_char_alternation_is_one_set_fragment() {
+        // k leaves: two states, k labeled edges, no ε-edge — not a tree
+        // of k one-edge fragments joined by 4(k−1) ε-edges.
+        let abc = Alphabet::abc();
+        let wide = Alphabet::from_chars("abcdefghijklmnopqrstuvwxyz0123456789");
+        let leaves = |sigma: &Alphabet| {
+            (0..sigma.len())
+                .map(|i| Regex::Char(Symbol::from_index(i)))
+                .reduce(Regex::alt)
+                .unwrap()
+        };
+        for (sigma, re) in [
+            (&abc, parse_regex(&abc, "a|b|c").unwrap()),
+            (&abc, leaves(&abc)),
+            (&wide, leaves(&wide)),
+        ] {
+            let k = sigma.len();
+            let th = thompson(sigma, &re);
+            let nfa = th.nfa();
+            assert_eq!(nfa.num_states(), 2, "k = {k}");
+            assert_eq!(nfa.transitions().len(), k, "k = {k}");
+            assert_eq!(nfa.eps_transitions().len(), 0, "k = {k}");
+        }
     }
 
     #[test]

@@ -413,10 +413,16 @@ proptest! {
                 input,
                 slices
             );
-            let finished = bulk.finish();
-            prop_assert_eq!(&finished, &charwise.finish(), "finish differs on {:?}", input);
-            // Against the reference: the tokens before its `Err` (or all
-            // of them), then the error, if any.
+            let pushed = bulk_out.len();
+            let finished = bulk.finish_into(&mut bulk_out);
+            prop_assert_eq!(
+                finished.clone().map(|()| bulk_out[pushed..].to_vec()),
+                charwise.finish(),
+                "finish differs on {:?}",
+                input
+            );
+            // Against the reference: the same tokens, those before its
+            // `Err` included, then the same error, if any.
             let mut reference: Vec<Token> = Vec::new();
             let mut reference_err = None;
             for t in auto.lexemes_charwise(&input) {
@@ -425,29 +431,8 @@ proptest! {
                     Err(e) => reference_err = Some(e),
                 }
             }
-            match (bulk_err, finished) {
-                (Some(e), _) => {
-                    prop_assert_eq!(Some(e), reference_err, "error differs on {:?}", input);
-                    prop_assert_eq!(&bulk_out, &reference, "tokens differ on {:?}", input);
-                }
-                (None, Ok(rest)) => {
-                    bulk_out.extend(rest);
-                    prop_assert_eq!(reference_err, None, "the stream lexed {:?}", input);
-                    prop_assert_eq!(&bulk_out, &reference, "tokens differ on {:?}", input);
-                }
-                // `finish` drops the tokens it settled before its error:
-                // the pushed ones are a prefix of the reference's.
-                (None, Err(e)) => {
-                    prop_assert_eq!(Some(e), reference_err, "error differs on {:?}", input);
-                    prop_assert!(
-                        reference.starts_with(&bulk_out),
-                        "tokens differ on {:?}: {:?} vs {:?}",
-                        input,
-                        bulk_out,
-                        reference
-                    );
-                }
-            }
+            prop_assert_eq!(bulk_err.or(finished.err()), reference_err, "error differs on {:?}", input);
+            prop_assert_eq!(&bulk_out, &reference, "tokens differ on {:?}", input);
         }
     }
 }
