@@ -2,22 +2,21 @@
 //! (`BENCH_frontend.json` at the repo root), one row per shipped preset
 //! (`lambek_frontend::presets`):
 //!
-//! * `text_compile_s` — the full cold cost of a text submission:
-//!   self-hosted parse, elaboration, LALR table construction and
-//!   certification ([`lambek_frontend::compile_text`]);
+//! * `text_compile_s` — the full cold cost of a text submission,
+//!   [`Engine::compile_text`] on a fresh engine: self-hosted meta parse,
+//!   elaboration, the certified lexer compile (DFA plus certifier
+//!   tables), the LALR table build, and the engine's construction and
+//!   drop;
 //! * `engine_resubmit_s` — what a *repeat* submission of the same text
 //!   pays through [`Engine::compile_text`]: the meta parse and
-//!   elaboration still run, but the interned `SpecKey` turns the table
-//!   build into a cache hit. For the small preset grammars the meta
-//!   parse dominates both paths, so the ratio hovers near 1 — the
-//!   cache's real win is sharing the *compiled pipeline* (and its
-//!   sessions) across submitters, not shaving the compile;
+//!   elaboration still run, but the interned `SpecKey` turns the
+//!   compile into a cache hit;
 //! * parse throughput of the compiled pipeline over a corpus document
 //!   in the preset's own format.
 
 use lambek_bench::{row, run_sections, time};
 use lambek_engine::Engine;
-use lambek_frontend::{compile_text, presets, Budgets};
+use lambek_frontend::presets;
 
 /// A row tagged with the preset it measures.
 fn preset_row(name: &str, pairs: &[(&str, f64)]) -> String {
@@ -58,12 +57,16 @@ fn corpus_doc(name: &str) -> String {
 
 fn compile_section() -> Vec<String> {
     let engine = Engine::new();
-    let budgets = Budgets::default();
     let mut rows = Vec::new();
     for (name, text) in presets::all() {
-        // Cold: the whole frontend stack, table build included.
-        let cold = time(|| compile_text(text, &budgets).expect("preset compiles"));
-        // Resubmission: meta parse + elaboration, table from the cache.
+        // Cold: the whole frontend stack on an empty cache.
+        let cold = time(|| {
+            Engine::new()
+                .compile_text(text)
+                .expect("preset compiles")
+                .cache_hit
+        });
+        // Resubmission: meta parse + elaboration, pipeline from the cache.
         engine.compile_text(text).expect("preset compiles");
         let resubmit = time(|| engine.compile_text(text).expect("cached").cache_hit);
         eprintln!(

@@ -822,6 +822,20 @@ impl Engine {
 mod tests {
     use super::*;
     use lambek_core::alphabet::Alphabet;
+    use lambek_frontend::{elaborate, parse_text, presets, BudgetKind};
+
+    const ARITH: &str = "token NUM = [0-9]+ ;\nskip WS = [ \t\n]+ ;\nExpr ::= Expr '+' Term | Term ;\nTerm ::= NUM | '(' Expr ')' ;\n";
+
+    /// End-to-end accept/reject through a text-compiled pipeline.
+    fn accepts(handle: &PipelineHandle, input: &str) -> bool {
+        handle
+            .pipeline
+            .lexed_backend()
+            .expect("a text pipeline is lexed")
+            .parse_str(input)
+            .expect("certified parse")
+            .is_accept()
+    }
 
     #[test]
     fn engine_is_send_and_sync() {
@@ -882,5 +896,146 @@ mod tests {
         assert_eq!(engine.stats().entries, 0);
         engine.get_or_compile(&spec).unwrap();
         assert_eq!(engine.stats().compiles, 2);
+    }
+
+    #[test]
+    fn arith_compiles_and_parses() {
+        let handle = Engine::new().compile_text(ARITH).expect("arith compiles");
+        assert_eq!(handle.start, "Expr");
+        assert!(accepts(&handle, "1+(2+34)"));
+        assert!(accepts(&handle, " 7 + 8 "));
+        assert!(!accepts(&handle, "1++2"));
+        assert!(!accepts(&handle, "1+"));
+        assert!(!accepts(&handle, "a"));
+    }
+
+    #[test]
+    fn presets_compile_and_accept_their_corpus() {
+        let corpus: &[(&str, &[&str], &[&str])] = &[
+            (
+                "json",
+                &[
+                    "{\"k\": [1, 2.5e-3, true], \"s\": \"a\\n\\u0041\"}",
+                    "[{}, [], null, -0.5, \"\"]",
+                    "42",
+                ],
+                &["{", "[1,]", "{\"k\" 1}", "01"],
+            ),
+            (
+                "csv",
+                &["a,b,c\n1,,3", "\"a,b\",\"he said \"\"hi\"\"\"\nx,y", "a"],
+                &["\"unterminated", "a,\"b\"x"],
+            ),
+            (
+                "ini",
+                &[
+                    "[core]\nname = lambekd\n; comment\nversion = \"0.1\" extra\n",
+                    "\n\n",
+                    "",
+                ],
+                &["[unclosed\n", "= novalue\n"],
+            ),
+            (
+                "http",
+                &[
+                    "GET /index.html HTTP/1.1\r\n",
+                    "POST /a?q=1 HTTP/1.0\nDELETE HTTP/9.9 HTTP/1.1\n",
+                ],
+                &["GET /x\n", "/x GET HTTP/1.1\n"],
+            ),
+            (
+                "clf",
+                &[
+                    "127.0.0.1 - frank [10/Oct/2000:13:55:36 -0700] \"GET /a.gif HTTP/1.0\" 200 2326\n",
+                ],
+                &["only three atoms here\n"],
+            ),
+        ];
+        let engine = Engine::new();
+        for (name, text) in presets::all() {
+            let handle = engine
+                .compile_text(text)
+                .unwrap_or_else(|report| panic!("preset {name} failed:\n{report}"));
+            let (_, good, bad) = corpus
+                .iter()
+                .find(|(n, _, _)| *n == name)
+                .expect("corpus covers every preset");
+            for input in *good {
+                assert!(accepts(&handle, input), "preset {name} rejects {input:?}");
+            }
+            for input in *bad {
+                assert!(!accepts(&handle, input), "preset {name} accepts {input:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn conflicts_are_reported_with_rule_sites() {
+        // Ambiguous juxtaposition: `E ::= E E | A` shift/reduces in
+        // every LR flavor.
+        let text = "token A = 'a' ;\nE ::= E E | A ;\n";
+        match Engine::new().compile_text(text) {
+            Err(FrontendReport::Conflicts(report)) => {
+                assert!(!report.report.conflicts.is_empty());
+                assert!(!report.sites.is_empty(), "no rule sites mapped");
+                for site in &report.sites {
+                    assert!(site.span.end <= text.len());
+                    assert!(site.line >= 1 && site.col >= 1);
+                }
+            }
+            other => panic!("expected a conflict report, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budgets_shed_structurally() {
+        let engine = Engine::new();
+        let with = |budgets: Budgets| {
+            engine.compile_text_with(
+                ARITH,
+                &CompileTextOptions {
+                    budgets,
+                    ..CompileTextOptions::default()
+                },
+            )
+        };
+        match with(Budgets {
+            max_productions: 2,
+            ..Budgets::default()
+        }) {
+            Err(FrontendReport::Budget(shed)) => {
+                assert_eq!(shed.kind, BudgetKind::Productions);
+                assert_eq!(shed.limit, 2);
+                assert!(shed.actual > 2);
+            }
+            other => panic!("expected a productions shed, got {other:?}"),
+        }
+        match with(Budgets {
+            deadline: Some(Duration::ZERO),
+            ..Budgets::default()
+        }) {
+            Err(FrontendReport::Budget(shed)) => assert_eq!(shed.kind, BudgetKind::Deadline),
+            other => panic!("expected a deadline shed, got {other:?}"),
+        }
+        match with(Budgets {
+            max_states: 1,
+            ..Budgets::default()
+        }) {
+            Err(FrontendReport::Budget(shed)) => assert_eq!(shed.kind, BudgetKind::States),
+            other => panic!("expected a states shed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn literal_reuses_structurally_equal_declared_token() {
+        let text =
+            "token IF = 'if' ;\ntoken ID = [a-z]+ ;\nskip WS = ' '+ ;\nS ::= 'if' ID | ID ;\n";
+        let handle = Engine::new().compile_text(text).expect("compiles");
+        // No implicit token was minted: 'if' resolved to IF.
+        let elab = elaborate(text, &parse_text(text).expect("parses")).expect("elaborates");
+        assert!(elab.literal_tokens.is_empty());
+        assert!(accepts(&handle, "if x"));
+        // Maximal munch: `iffy` is one ID, not IF + "fy".
+        assert!(accepts(&handle, "iffy"));
     }
 }

@@ -2,30 +2,27 @@
 //! grammar frontend (`lambek-frontend`) through the engine's pipeline
 //! cache.
 //!
-//! The bootstrap meta pipeline — the grammar language's own lexer and
-//! LALR parser — is itself an ordinary cached [`PipelineSpec`], so the
-//! first text submission compiles it once and every later submission
-//! reuses the shared `Arc` like any other pipeline. A submitted text is
-//! then parsed *by that pipeline* (certified lexing + certified LR
-//! drive), elaborated into a validated lexer + grammar pair, gated by
-//! the caller's [`Budgets`], and finally compiled-or-fetched through
-//! the same cache. Because the cache key is interned from the
-//! elaborated spec's *content*, two textually different but
-//! structurally equal submissions share one compiled pipeline.
+//! A submitted text is parsed by the frontend's process-wide bootstrap
+//! pipeline — the grammar language's own certified lexer and LALR
+//! parser, compiled once per process and never a cache entry — through
+//! [`parse_text`], the same meta parse every caller runs. It is then
+//! elaborated into a validated lexer + grammar pair, gated by the
+//! caller's [`Budgets`], and finally compiled-or-fetched through the
+//! cache. Because the cache key is interned from the elaborated spec's
+//! *content*, two textually different but structurally equal
+//! submissions share one compiled pipeline.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use lambek_frontend::bootstrap::ast_from_tree;
 use lambek_frontend::{
-    annotate_conflicts, elaborate, meta_cfg, meta_spec, probes, BudgetExceeded, BudgetKind,
-    Budgets, FrontendError, FrontendErrorKind, FrontendReport,
+    annotate_conflicts, elaborate, parse_text, probes, BudgetExceeded, BudgetKind, Budgets,
+    Elaborated, FrontendReport,
 };
-use lambek_lex::Span;
 use lambek_obs::{Stage, Trace};
 
 use crate::pipeline::CompileFailure;
-use crate::{CompiledPipeline, Engine, PipelineSpec, StrOutcome};
+use crate::{CompiledPipeline, Engine, PipelineSpec};
 
 /// Options for [`Engine::compile_text_with`].
 #[derive(Debug, Clone, Default)]
@@ -60,13 +57,6 @@ pub struct PipelineHandle {
 }
 
 impl Engine {
-    /// The spec of the bootstrap meta pipeline (the grammar language's
-    /// own lexer + LALR parser), served through the cache like any
-    /// other pipeline.
-    pub fn frontend_meta_spec() -> PipelineSpec {
-        PipelineSpec::lexed_cfg("grammar-frontend", meta_spec(), meta_cfg())
-    }
-
     /// Compiles a grammar-language text into a cached pipeline with
     /// default [`CompileTextOptions`]. See
     /// [`Engine::compile_text_with`].
@@ -80,9 +70,12 @@ impl Engine {
     }
 
     /// Compiles a grammar-language text end to end: self-hosted
-    /// bootstrap parse (through the cached meta pipeline), elaboration,
-    /// budget gates, then compile-or-fetch of the user pipeline from
-    /// the engine cache.
+    /// bootstrap parse ([`parse_text`]), elaboration, budget gates, then
+    /// compile-or-fetch of the user pipeline from the engine cache.
+    ///
+    /// The deadline is checked after elaboration and again after the
+    /// compile; the production budget before the compile, the state
+    /// budget after it.
     ///
     /// On a tracing engine ([`crate::ObsConfig::tracing`]) every
     /// successful compile records a trace with `frontend`, `elaborate`,
@@ -101,98 +94,50 @@ impl Engine {
         text: &str,
         options: &CompileTextOptions,
     ) -> Result<PipelineHandle, FrontendReport> {
-        let started = Instant::now();
         probes::note_text();
+        self.compile_text_stages(text, options)
+            .inspect_err(|report| match report {
+                FrontendReport::Errors(_) => probes::note_elab_failure(),
+                FrontendReport::Conflicts(_) => probes::note_conflict_reject(),
+                FrontendReport::Budget(_) => probes::note_budget_shed(),
+                FrontendReport::Internal(_) => {}
+            })
+    }
+
+    /// [`Engine::compile_text_with`]'s stages, without the probes.
+    fn compile_text_stages(
+        &self,
+        text: &str,
+        options: &CompileTextOptions,
+    ) -> Result<PipelineHandle, FrontendReport> {
+        let started = Instant::now();
         let budgets = &options.budgets;
+        let ast = parse_text(text)?;
+        let frontend_time = started.elapsed();
 
-        // ---- frontend: self-hosted parse of the submission ---------
-        let t_front = Instant::now();
-        let meta = self
-            .get_or_compile(&Engine::frontend_meta_spec())
-            .map_err(|e| FrontendReport::Internal(format!("meta pipeline: {e}")))?;
-        let backend = meta
-            .lexed_backend()
-            .expect("the meta pipeline is a lexed-cfg pipeline");
-        let outcome = backend
-            .parse_str_tokens(text)
-            .map_err(|e| FrontendReport::Internal(format!("bootstrap parse: {e}")))?;
-        let ast = match outcome {
-            StrOutcome::Accept { derivation, tokens } => {
-                let tokens = tokens.expect("parse_str_tokens materializes the stream");
-                ast_from_tree(text, &derivation.to_parse_tree(), &tokens).map_err(|e| {
-                    probes::note_elab_failure();
-                    FrontendReport::Errors(vec![e])
-                })?
-            }
-            StrOutcome::RejectLex(e) => {
-                probes::note_elab_failure();
-                return Err(FrontendReport::Errors(vec![FrontendError::new(
-                    FrontendErrorKind::Syntax {
-                        message: e.to_string(),
-                    },
-                    Span {
-                        start: e.at,
-                        end: e.at,
-                    },
-                    text,
-                )]));
-            }
-            StrOutcome::ShedLex(shed) => {
-                probes::note_budget_shed();
-                return Err(FrontendReport::Budget(BudgetExceeded {
-                    kind: BudgetKind::MunchMemo,
-                    limit: shed.cap as u64,
-                    actual: shed.needed as u64,
-                }));
-            }
-            StrOutcome::RejectParse { span, message, .. } => {
-                probes::note_elab_failure();
-                return Err(FrontendReport::Errors(vec![FrontendError::new(
-                    FrontendErrorKind::Syntax { message },
-                    span,
-                    text,
-                )]));
-            }
-        };
-        let frontend_time = t_front.elapsed();
-
-        // ---- elaborate + budget gates ------------------------------
         let t_elab = Instant::now();
-        let elab = elaborate(text, &ast).map_err(|errors| {
-            probes::note_elab_failure();
-            FrontendReport::Errors(errors)
-        })?;
+        let Elaborated {
+            spec,
+            cfg,
+            start_name,
+            num_productions,
+            rule_spans,
+            ..
+        } = elaborate(text, &ast).map_err(FrontendReport::Errors)?;
         let elaborate_time = t_elab.elapsed();
-        if elab.num_productions > budgets.max_productions {
-            probes::note_budget_shed();
+        if num_productions > budgets.max_productions {
             return Err(FrontendReport::Budget(BudgetExceeded {
                 kind: BudgetKind::Productions,
                 limit: budgets.max_productions as u64,
-                actual: elab.num_productions as u64,
+                actual: num_productions as u64,
             }));
         }
-        if let Some(deadline) = budgets.deadline {
-            let elapsed = started.elapsed();
-            if elapsed > deadline {
-                probes::note_budget_shed();
-                return Err(FrontendReport::Budget(BudgetExceeded {
-                    kind: BudgetKind::Deadline,
-                    limit: deadline.as_micros() as u64,
-                    actual: elapsed.as_micros() as u64,
-                }));
-            }
-        }
+        check_deadline(started, budgets)?;
 
-        // ---- compile-or-fetch the user pipeline --------------------
-        let spec = PipelineSpec::lexed_cfg(
-            format!("text:{}", elab.start_name),
-            elab.spec.clone(),
-            elab.cfg.clone(),
-        );
+        let spec = PipelineSpec::lexed_cfg(format!("text:{start_name}"), spec, cfg);
         let (pipeline, lookup, compile) = match self.get_or_compile_timed(&spec) {
             Ok(compiled) => compiled,
             Err(CompileFailure::Shed(shed)) => {
-                probes::note_budget_shed();
                 return Err(FrontendReport::Budget(BudgetExceeded {
                     kind: BudgetKind::States,
                     limit: shed.cap as u64,
@@ -209,10 +154,9 @@ impl Engine {
             .cfg_backend();
         if let Some(report) = cfg_backend.conflicts() {
             if !options.allow_conflicts {
-                probes::note_conflict_reject();
                 return Err(FrontendReport::Conflicts(annotate_conflicts(
                     report.clone(),
-                    &elab,
+                    &rule_spans,
                     text,
                 )));
             }
@@ -220,7 +164,6 @@ impl Engine {
         if let Some(lr) = cfg_backend.lr() {
             let states = lr.table().num_states();
             if states > budgets.max_states {
-                probes::note_budget_shed();
                 return Err(FrontendReport::Budget(BudgetExceeded {
                     kind: BudgetKind::States,
                     limit: budgets.max_states as u64,
@@ -228,10 +171,11 @@ impl Engine {
                 }));
             }
         }
+        check_deadline(started, budgets)?;
 
         if self.metrics.tracing {
             let mut trace = Trace::new(&spec.label(), 0, text.len());
-            let mut at = std::time::Duration::ZERO;
+            let mut at = Duration::ZERO;
             for (stage, duration) in [
                 (Stage::Frontend, Some(frontend_time)),
                 (Stage::Elaborate, Some(elaborate_time)),
@@ -250,16 +194,32 @@ impl Engine {
         Ok(PipelineHandle {
             spec,
             pipeline,
-            start: elab.start_name,
+            start: start_name,
             cache_hit: compile.is_none(),
         })
     }
 }
 
+/// Sheds a compile that has run past its [`Budgets::deadline`].
+fn check_deadline(started: Instant, budgets: &Budgets) -> Result<(), FrontendReport> {
+    let Some(deadline) = budgets.deadline else {
+        return Ok(());
+    };
+    let elapsed = started.elapsed();
+    if elapsed > deadline {
+        return Err(FrontendReport::Budget(BudgetExceeded {
+            kind: BudgetKind::Deadline,
+            limit: deadline.as_micros() as u64,
+            actual: elapsed.as_micros() as u64,
+        }));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheConfig, ObsConfig};
+    use crate::{CacheConfig, FrontendErrorKind, ObsConfig, StrOutcome};
 
     const ARITH: &str = "token NUM = [0-9]+ ;\nskip WS = [ \\t\\n]+ ;\nstart Exp ;\nExp ::= Atom | Atom '+' Exp ;\nAtom ::= NUM | '(' Exp ')' ;\n";
 
@@ -284,6 +244,38 @@ mod tests {
         let again = engine.compile_text(&reworded).expect("compiles");
         assert!(again.cache_hit);
         assert!(Arc::ptr_eq(&handle.pipeline, &again.pipeline));
+    }
+
+    #[test]
+    fn the_meta_pipeline_is_never_a_cache_entry() {
+        let engine = Engine::new();
+        engine.compile_text(ARITH).expect("arith compiles");
+        let stats = engine.stats();
+        assert_eq!(stats.entries, 1, "only the user pipeline is resident");
+        assert_eq!(stats.compiles, 1, "only the user pipeline is compiled");
+    }
+
+    #[test]
+    fn both_front_doors_report_syntax_errors_alike() {
+        let engine = Engine::new();
+        // A lexical error (an unterminated literal running to the end)
+        // and a parse error (a declaration missing its `;`).
+        let unlexable = format!("token A = '{}", "a".repeat(4096));
+        for text in [unlexable.as_str(), "token A = 'a'\nS ::= A ;\n"] {
+            let parsed = lambek_frontend::parse_text(text).expect_err("rejected");
+            let compiled = engine.compile_text(text).expect_err("rejected");
+            let (FrontendReport::Errors(p), FrontendReport::Errors(c)) = (&parsed, &compiled)
+            else {
+                panic!("expected diagnostics, got {parsed:?} and {compiled:?}");
+            };
+            assert_eq!(p.len(), 1);
+            assert_eq!(p, c, "{text:.40?}");
+            assert!(
+                matches!(&p[0].kind, FrontendErrorKind::Syntax { .. }),
+                "{:?}",
+                p[0]
+            );
+        }
     }
 
     #[test]
@@ -356,11 +348,7 @@ mod tests {
             }
             other => panic!("expected a state-budget shed, got {other:?}"),
         }
-        assert_eq!(
-            engine.stats().entries,
-            1,
-            "only the meta pipeline is resident"
-        );
+        assert_eq!(engine.stats().entries, 0, "nothing is resident");
         // The same spec through the spec-level API: a compile error
         // that names the rule and the cap.
         let ast = lambek_frontend::parse_text(&text).expect("parses");

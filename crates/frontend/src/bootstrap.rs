@@ -6,11 +6,10 @@
 //! are compiled into — the meta lexer is a [`CertifiedLexer`], the meta
 //! parser a [`CertifiedLrParser`], so every spec text is lexed with
 //! span-tiling/derivative re-validation and parsed with a certified
-//! LALR(1) drive *before* the frontend trusts a byte of it. The engine
-//! serves the same pair through its pipeline cache
-//! (`PipelineSpec::lexed_cfg(meta_spec(), meta_cfg())`), which is what
-//! makes `Engine::compile_text` self-hosting: the bootstrap pipeline is
-//! just another cached pipeline.
+//! LALR(1) drive *before* the frontend trusts a byte of it. The pair is
+//! compiled once per process ([`bootstrap`]) and every spec text —
+//! `Engine::compile_text`'s included — is parsed by it through
+//! [`parse_text`]; it is never an engine cache entry.
 //!
 //! The meta grammar (`::=` splits a rule into alternatives; an empty
 //! alternative is ε):
@@ -40,7 +39,8 @@ use lambek_cfg::grammar::{Cfg, GSym, Production};
 use lambek_core::alphabet::{Alphabet, Symbol};
 use lambek_core::grammar::parse_tree::ParseTree;
 use lambek_lex::{
-    class, literal, plus, CertifiedLexer, LexSpec, LexSpecBuilder, LexedOutcome, Span, TokenStream,
+    class, literal, plus, CertifiedLexer, LexCertifyError, LexSpec, LexSpecBuilder, LexedOutcome,
+    Span, TokenStream,
 };
 use lambek_lr::{CertifiedLrParser, LrOutcome};
 use regex_grammars::ast::Regex;
@@ -49,7 +49,7 @@ use crate::surface::{
     decode_literal, parse_class, Decl, DeclKind, Ident, RegexAst, RegexKind, SeqAst, SpecAst,
     SymAst, SymKind,
 };
-use crate::{FrontendError, FrontendErrorKind};
+use crate::{BudgetExceeded, BudgetKind, FrontendError, FrontendErrorKind, FrontendReport};
 
 /// The bootstrap character alphabet: printable ASCII (0x20–0x7E) plus
 /// tab, newline and carriage return — every byte a spec text may
@@ -171,7 +171,10 @@ const RATOM: usize = 9;
 /// bootstrap self-test compiles it with [`CertifiedLrParser`] and the
 /// unit suite asserts conflict-freeness.
 pub fn meta_cfg() -> Cfg {
-    let tokens = meta_spec().token_alphabet().clone();
+    meta_cfg_over(meta_spec().token_alphabet())
+}
+
+fn meta_cfg_over(tokens: &Alphabet) -> Cfg {
     let t = |name: &str| GSym::T(tokens.symbol(name).expect("meta token"));
     let n = GSym::N;
     let p = |rhs: Vec<GSym>| Production { rhs };
@@ -256,13 +259,16 @@ impl Bootstrap {
     }
 }
 
-/// The process-wide bootstrap pipeline (compiled on first use).
+/// The process-wide bootstrap pipeline, compiled on first use: the one
+/// meta lexer, meta LALR table and meta [`Cfg`] every spec text in the
+/// process is parsed with ([`parse_text`]).
 pub fn bootstrap() -> &'static Bootstrap {
     static BOOT: OnceLock<Bootstrap> = OnceLock::new();
     BOOT.get_or_init(|| {
-        let cfg = meta_cfg();
+        let spec = meta_spec();
+        let cfg = meta_cfg_over(spec.token_alphabet());
         Bootstrap {
-            lexer: CertifiedLexer::compile(meta_spec())
+            lexer: CertifiedLexer::compile(spec)
                 .expect("the bootstrap meta lexer's tables fit the state cap"),
             parser: CertifiedLrParser::compile(&cfg)
                 .expect("the bootstrap meta grammar is LALR(1)"),
@@ -271,68 +277,70 @@ pub fn bootstrap() -> &'static Bootstrap {
     })
 }
 
-/// Parses a spec text through the standalone bootstrap pipeline
-/// (certified lex, then certified LALR drive) and walks the certified
-/// derivation tree into a spanned [`SpecAst`].
+/// Parses a spec text through the [`bootstrap`] pipeline (certified
+/// lex, then certified LALR drive) and walks the certified derivation
+/// tree into a spanned [`SpecAst`].
 ///
-/// This is the engine-free path; `Engine::compile_text` runs the same
-/// lexer+grammar through its pipeline cache instead and hands the
-/// resulting tree to [`ast_from_tree`].
-pub fn parse_text(text: &str) -> Result<SpecAst, FrontendError> {
+/// This is the one meta parse: `Engine::compile_text` runs it too, so
+/// both report every outcome the same way — lexical and parse errors as
+/// located [`FrontendErrorKind::Syntax`] diagnostics, a shed meta lex as
+/// [`BudgetKind::MunchMemo`], a certification fault as
+/// [`FrontendReport::Internal`].
+///
+/// # Errors
+///
+/// A [`FrontendReport`]: `Errors` (exactly one diagnostic — a syntax
+/// error, or a bad literal or class met by the tree walk), `Budget` or
+/// `Internal`.
+pub fn parse_text(text: &str) -> Result<SpecAst, FrontendReport> {
     let boot = bootstrap();
-    let stream = match boot.lexer.lex(text) {
-        Ok(LexedOutcome::Tokens(stream)) => stream,
-        Ok(LexedOutcome::Reject(err)) => {
-            return Err(FrontendError::new(
-                FrontendErrorKind::Syntax {
-                    message: format!("unlexable input: {err}"),
-                },
-                Span::empty(err.at),
-                text,
-            ))
-        }
-        Ok(LexedOutcome::Shed(shed)) => {
-            return Err(FrontendError::new(
-                FrontendErrorKind::Syntax {
-                    message: shed.to_string(),
-                },
-                Span::empty(shed.at),
-                text,
-            ))
-        }
-        Err(fault) => {
-            return Err(FrontendError::new(
-                FrontendErrorKind::Syntax {
-                    message: format!("lexer certification fault: {fault}"),
-                },
-                Span::empty(0),
-                text,
-            ))
-        }
-    };
-    let tree = match boot.parser.parse(stream.yield_string()) {
-        Ok(LrOutcome::Accept(log)) => log.to_parse_tree(),
+    let stream = meta_tokens(text, boot.lexer.lex(text))?;
+    let log = match boot.parser.parse(stream.yield_string()) {
+        Ok(LrOutcome::Accept(log)) => log,
         Ok(LrOutcome::Reject(reject)) => {
-            let span = stream.span_of_yield(reject.at, text.len());
-            return Err(FrontendError::new(
-                FrontendErrorKind::Syntax {
-                    message: format!("expected one of [{}]", reject.expected.join(", ")),
-                },
-                span,
+            return Err(syntax_error(
                 text,
-            ));
-        }
-        Err(fault) => {
-            return Err(FrontendError::new(
-                FrontendErrorKind::Syntax {
-                    message: format!("parser certification fault: {fault}"),
-                },
-                Span::empty(0),
-                text,
+                format!("expected one of [{}]", reject.expected.join(", ")),
+                stream.span_of_yield(reject.at, text.len()),
             ))
         }
+        Err(fault) => {
+            return Err(FrontendReport::Internal(format!(
+                "meta parser certification fault: {fault}"
+            )))
+        }
     };
-    ast_from_tree(text, &tree, &stream)
+    ast_from_tree(text, &log.to_parse_tree(), &stream).map_err(|e| FrontendReport::Errors(vec![e]))
+}
+
+/// The meta lexer's outcome on `text` as the certified token stream,
+/// or as the report [`parse_text`] returns.
+fn meta_tokens(
+    text: &str,
+    lexed: Result<LexedOutcome, LexCertifyError>,
+) -> Result<TokenStream, FrontendReport> {
+    match lexed {
+        Ok(LexedOutcome::Tokens(stream)) => Ok(stream),
+        Ok(LexedOutcome::Reject(err)) => {
+            Err(syntax_error(text, err.to_string(), Span::empty(err.at)))
+        }
+        Ok(LexedOutcome::Shed(shed)) => Err(FrontendReport::Budget(BudgetExceeded {
+            kind: BudgetKind::MunchMemo,
+            limit: shed.cap as u64,
+            actual: shed.needed as u64,
+        })),
+        Err(fault) => Err(FrontendReport::Internal(format!(
+            "meta lexer certification fault: {fault}"
+        ))),
+    }
+}
+
+fn syntax_error(text: &str, message: String, span: Span) -> FrontendReport {
+    FrontendReport::Errors(vec![FrontendError::new(
+        FrontendErrorKind::Syntax { message },
+        span,
+        text,
+    )])
 }
 
 /// One token of the bootstrap yield, as the tree walker consumes it.
@@ -350,7 +358,7 @@ struct Leaf {
 /// tree shape (`Roll(Inj(alt, right-nested pairs))`) with a cursor into
 /// the yield. Both inputs come from a certified parse; a shape mismatch
 /// is an internal invariant violation and panics.
-pub fn ast_from_tree(
+fn ast_from_tree(
     text: &str,
     tree: &ParseTree,
     stream: &TokenStream,
@@ -633,6 +641,50 @@ impl<'t> Walker<'t> {
                 })
             }
             _ => unreachable!("meta RAtom has three alternatives"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lambek_lex::MunchMemoShed;
+
+    #[test]
+    fn a_shed_meta_lex_is_a_munch_memo_budget() {
+        let shed = MunchMemoShed {
+            at: 3,
+            needed: 9 << 20,
+            cap: lambek_lex::MAX_MUNCH_MEMO_BYTES,
+        };
+        match meta_tokens("token A", Ok(LexedOutcome::Shed(shed))) {
+            Err(FrontendReport::Budget(budget)) => assert_eq!(
+                budget,
+                BudgetExceeded {
+                    kind: BudgetKind::MunchMemo,
+                    limit: lambek_lex::MAX_MUNCH_MEMO_BYTES as u64,
+                    actual: 9 << 20,
+                }
+            ),
+            other => panic!("expected a munch-memo budget, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_lexical_error_is_one_located_syntax_diagnostic() {
+        let text = "token A = 'a' ;\nS ::= A ; $";
+        match parse_text(text) {
+            Err(FrontendReport::Errors(errors)) => {
+                assert_eq!(errors.len(), 1);
+                let e = &errors[0];
+                assert_eq!(e.span, Span::empty(text.len() - 1));
+                assert_eq!((e.line, e.col), (2, 11));
+                let FrontendErrorKind::Syntax { message } = &e.kind else {
+                    panic!("expected a syntax error, got {e}");
+                };
+                assert!(message.starts_with("lexical error at byte"), "{message}");
+            }
+            other => panic!("expected a syntax error, got {other:?}"),
         }
     }
 }

@@ -34,10 +34,10 @@
 #![deny(missing_docs)]
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lambek_lex::Span;
-use lambek_lr::{CertifiedLrParser, LrConflictReport};
+use lambek_lr::LrConflictReport;
 
 pub mod bootstrap;
 pub mod elaborate;
@@ -363,9 +363,9 @@ pub enum FrontendReport {
     Conflicts(ConflictReport),
     /// The spec exceeded a compile-time budget and was shed.
     Budget(BudgetExceeded),
-    /// An internal invariant failed in the serving layer (a validated
-    /// spec refused to compile). Never produced by the engine-free
-    /// [`compile_text`]; a bug if observed.
+    /// An internal invariant failed: a certification fault in the meta
+    /// parse, or a validated spec that refused to compile. A bug if
+    /// observed.
     Internal(String),
 }
 
@@ -389,27 +389,16 @@ impl fmt::Display for FrontendReport {
 
 impl std::error::Error for FrontendReport {}
 
-/// A fully compiled text: the surface AST, the elaborated spec+grammar,
-/// and the compiled LALR parser (whose table sized the state budget).
-#[derive(Debug)]
-pub struct CompiledText {
-    /// The parsed surface syntax.
-    pub ast: SpecAst,
-    /// The elaborated lex spec and token-level grammar.
-    pub elab: Elaborated,
-    /// The certified parser for the user grammar.
-    pub parser: CertifiedLrParser,
-}
-
 /// Annotates a table-level conflict report with the source spans of
-/// the rules its items mention.
+/// the rules its items mention (`rule_spans` is
+/// [`Elaborated::rule_spans`]).
 pub fn annotate_conflicts(
     report: LrConflictReport,
-    elab: &Elaborated,
+    rule_spans: &[(String, Span)],
     text: &str,
 ) -> ConflictReport {
     let mut sites: Vec<ConflictSite> = Vec::new();
-    for (rule, span) in &elab.rule_spans {
+    for (rule, span) in rule_spans {
         let mentioned = report.conflicts.iter().any(|c| {
             c.items
                 .iter()
@@ -428,93 +417,9 @@ pub fn annotate_conflicts(
     ConflictReport { report, sites }
 }
 
-fn deadline_shed(started: Instant, budgets: &Budgets) -> Option<BudgetExceeded> {
-    let deadline = budgets.deadline?;
-    let elapsed = started.elapsed();
-    (elapsed > deadline).then_some(BudgetExceeded {
-        kind: BudgetKind::Deadline,
-        limit: deadline.as_micros() as u64,
-        actual: elapsed.as_micros() as u64,
-    })
-}
-
-/// Compiles a spec text end to end, engine-free: self-hosted bootstrap
-/// parse → elaboration → budget gates → LALR compile. The engine's
-/// `compile_text` performs the same stages against its pipeline cache.
-///
-/// # Errors
-///
-/// Structured [`FrontendReport`]s only — diagnostics with spans,
-/// annotated conflicts, or a shed budget.
-pub fn compile_text(text: &str, budgets: &Budgets) -> Result<CompiledText, FrontendReport> {
-    let started = Instant::now();
-    probes::note_text();
-    let ast = parse_text(text).map_err(|e| {
-        probes::note_elab_failure();
-        FrontendReport::Errors(vec![e])
-    })?;
-    let elab = elaborate(text, &ast).map_err(|errors| {
-        probes::note_elab_failure();
-        FrontendReport::Errors(errors)
-    })?;
-    if elab.num_productions > budgets.max_productions {
-        probes::note_budget_shed();
-        return Err(FrontendReport::Budget(BudgetExceeded {
-            kind: BudgetKind::Productions,
-            limit: budgets.max_productions as u64,
-            actual: elab.num_productions as u64,
-        }));
-    }
-    if let Some(shed) = deadline_shed(started, budgets) {
-        probes::note_budget_shed();
-        return Err(FrontendReport::Budget(shed));
-    }
-    let parser = match CertifiedLrParser::compile(&elab.cfg) {
-        Ok(parser) => parser,
-        Err(report) => {
-            probes::note_conflict_reject();
-            return Err(FrontendReport::Conflicts(annotate_conflicts(
-                report, &elab, text,
-            )));
-        }
-    };
-    let states = parser.table().num_states();
-    if states > budgets.max_states {
-        probes::note_budget_shed();
-        return Err(FrontendReport::Budget(BudgetExceeded {
-            kind: BudgetKind::States,
-            limit: budgets.max_states as u64,
-            actual: states as u64,
-        }));
-    }
-    if let Some(shed) = deadline_shed(started, budgets) {
-        probes::note_budget_shed();
-        return Err(FrontendReport::Budget(shed));
-    }
-    Ok(CompiledText { ast, elab, parser })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lambek_lr::LrOutcome;
-
-    const ARITH: &str = "token NUM = [0-9]+ ;\nskip WS = [ \t\n]+ ;\nExpr ::= Expr '+' Term | Term ;\nTerm ::= NUM | '(' Expr ')' ;\n";
-
-    /// End-to-end accept/reject through the frontend-built pipeline.
-    fn accepts(compiled: &CompiledText, input: &str) -> bool {
-        let lexer = lambek_lex::CertifiedLexer::compile(compiled.elab.spec.clone()).unwrap();
-        match lexer.lex(input).expect("lexer is honest") {
-            lambek_lex::LexedOutcome::Tokens(stream) => matches!(
-                compiled
-                    .parser
-                    .parse(stream.yield_string())
-                    .expect("parser is honest"),
-                LrOutcome::Accept(_)
-            ),
-            lambek_lex::LexedOutcome::Reject(_) | lambek_lex::LexedOutcome::Shed(_) => false,
-        }
-    }
 
     #[test]
     fn meta_grammar_is_lalr1() {
@@ -524,140 +429,6 @@ mod tests {
             "bootstrap meta grammar has conflicts:\n{}",
             report.err().map(|r| r.to_string()).unwrap_or_default()
         );
-    }
-
-    #[test]
-    fn arith_compiles_and_parses() {
-        let compiled = compile_text(ARITH, &Budgets::default()).expect("arith compiles");
-        assert_eq!(compiled.elab.start_name, "Expr");
-        assert!(accepts(&compiled, "1+(2+34)"));
-        assert!(accepts(&compiled, " 7 + 8 "));
-        assert!(!accepts(&compiled, "1++2"));
-        assert!(!accepts(&compiled, "1+"));
-        assert!(!accepts(&compiled, "a"));
-    }
-
-    #[test]
-    fn presets_compile_and_accept_their_corpus() {
-        let corpus: &[(&str, &[&str], &[&str])] = &[
-            (
-                "json",
-                &[
-                    "{\"k\": [1, 2.5e-3, true], \"s\": \"a\\n\\u0041\"}",
-                    "[{}, [], null, -0.5, \"\"]",
-                    "42",
-                ],
-                &["{", "[1,]", "{\"k\" 1}", "01"],
-            ),
-            (
-                "csv",
-                &["a,b,c\n1,,3", "\"a,b\",\"he said \"\"hi\"\"\"\nx,y", "a"],
-                &["\"unterminated", "a,\"b\"x"],
-            ),
-            (
-                "ini",
-                &[
-                    "[core]\nname = lambekd\n; comment\nversion = \"0.1\" extra\n",
-                    "\n\n",
-                    "",
-                ],
-                &["[unclosed\n", "= novalue\n"],
-            ),
-            (
-                "http",
-                &[
-                    "GET /index.html HTTP/1.1\r\n",
-                    "POST /a?q=1 HTTP/1.0\nDELETE HTTP/9.9 HTTP/1.1\n",
-                ],
-                &["GET /x\n", "/x GET HTTP/1.1\n"],
-            ),
-            (
-                "clf",
-                &[
-                    "127.0.0.1 - frank [10/Oct/2000:13:55:36 -0700] \"GET /a.gif HTTP/1.0\" 200 2326\n",
-                ],
-                &["only three atoms here\n"],
-            ),
-        ];
-        for (name, text) in presets::all() {
-            let compiled = compile_text(text, &Budgets::default())
-                .unwrap_or_else(|report| panic!("preset {name} failed:\n{report}"));
-            let (_, good, bad) = corpus
-                .iter()
-                .find(|(n, _, _)| *n == name)
-                .expect("corpus covers every preset");
-            for input in *good {
-                assert!(accepts(&compiled, input), "preset {name} rejects {input:?}");
-            }
-            for input in *bad {
-                assert!(
-                    !accepts(&compiled, input),
-                    "preset {name} accepts {input:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn conflicts_are_reported_with_rule_sites() {
-        // Ambiguous juxtaposition: `E ::= E E | A` shift/reduces in
-        // every LR flavor.
-        let text = "token A = 'a' ;\nE ::= E E | A ;\n";
-        match compile_text(text, &Budgets::default()) {
-            Err(FrontendReport::Conflicts(report)) => {
-                assert!(!report.report.conflicts.is_empty());
-                assert!(!report.sites.is_empty(), "no rule sites mapped");
-                for site in &report.sites {
-                    assert!(site.span.end <= text.len());
-                    assert!(site.line >= 1 && site.col >= 1);
-                }
-            }
-            other => panic!("expected a conflict report, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn budgets_shed_structurally() {
-        let tight = Budgets {
-            max_productions: 2,
-            ..Budgets::default()
-        };
-        match compile_text(ARITH, &tight) {
-            Err(FrontendReport::Budget(shed)) => {
-                assert_eq!(shed.kind, BudgetKind::Productions);
-                assert_eq!(shed.limit, 2);
-                assert!(shed.actual > 2);
-            }
-            other => panic!("expected a productions shed, got {other:?}"),
-        }
-        let slow = Budgets {
-            deadline: Some(Duration::ZERO),
-            ..Budgets::default()
-        };
-        match compile_text(ARITH, &slow) {
-            Err(FrontendReport::Budget(shed)) => assert_eq!(shed.kind, BudgetKind::Deadline),
-            other => panic!("expected a deadline shed, got {other:?}"),
-        }
-        let cramped = Budgets {
-            max_states: 1,
-            ..Budgets::default()
-        };
-        match compile_text(ARITH, &cramped) {
-            Err(FrontendReport::Budget(shed)) => assert_eq!(shed.kind, BudgetKind::States),
-            other => panic!("expected a states shed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn literal_reuses_structurally_equal_declared_token() {
-        let text =
-            "token IF = 'if' ;\ntoken ID = [a-z]+ ;\nskip WS = ' '+ ;\nS ::= 'if' ID | ID ;\n";
-        let compiled = compile_text(text, &Budgets::default()).expect("compiles");
-        // No implicit token was minted: 'if' resolved to IF.
-        assert!(compiled.elab.literal_tokens.is_empty());
-        assert!(accepts(&compiled, "if x"));
-        // Maximal munch: `iffy` is one ID, not IF + "fy".
-        assert!(accepts(&compiled, "iffy"));
     }
 
     #[test]

@@ -186,10 +186,15 @@ fn string_walk_reads_characters_not_bytes() {
 /// Property 4: real grammars fit the cap with room to spare.
 #[test]
 fn presets_and_the_meta_lexer_build_under_the_cap() {
+    let engine = lambek_engine::Engine::new();
     for (name, text) in lambek_frontend::presets::all() {
-        let compiled = lambek_frontend::compile_text(text, &Default::default())
+        engine
+            .compile_text(text)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        CertifiedLexer::compile(compiled.elab.spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let ast = lambek_frontend::parse_text(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let elab =
+            lambek_frontend::elaborate(text, &ast).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        CertifiedLexer::compile(elab.spec).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
     CertifiedLexer::compile(lambek_frontend::meta_spec()).expect("meta lexer");
     CertifiedLexer::compile(lambek_lex::demo::json_spec()).expect("demo json lexer");

@@ -28,7 +28,7 @@ use lambekd::cfg::grammar::{Cfg, GSym};
 use lambekd::core::grammar::parse_tree::ParseTree;
 use lambekd::engine::{Engine, FrontendErrorKind, FrontendReport, PipelineSpec, StrOutcome};
 use lambekd::frontend::surface::ast_eq_modulo_spans;
-use lambekd::frontend::{compile_text, parse_text, pretty, Budgets};
+use lambekd::frontend::{parse_text, pretty};
 
 // ---------------------------------------------------------------------
 // 1. Pretty-print round-trip on randomly generated specs
@@ -242,9 +242,11 @@ Pair ::= STR ':' Value ;\n\
 Array ::= '[' ']' | '[' Elements ']' ;\n\
 Elements ::= Value | Elements ',' Value ;\n";
 
-/// One engine for the whole differential suite: the meta pipeline and
-/// the four compared pipelines are compiled once, not once per proptest
-/// case — the cases only vary the *inputs*.
+/// One engine for the whole differential suite: the four compared
+/// pipelines are compiled once, not once per proptest case — the cases
+/// only vary the *inputs*. (The meta pipeline every text is parsed with
+/// is the frontend's, compiled once per process, never an engine
+/// entry.)
 fn shared_engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
     ENGINE.get_or_init(Engine::new)
@@ -499,8 +501,10 @@ fn every_error_variant_carries_an_inbounds_span() {
         ("skip W = ' ' ;\nS ::= ;", FrontendErrorKind::NoTokenRules),
         ("token A = 'a' ;", FrontendErrorKind::NoRules),
     ];
+    let engine = Engine::new();
     for (text, expected) in cases {
-        let report = compile_text(text, &Budgets::default())
+        let report = engine
+            .compile_text(text)
             .err()
             .unwrap_or_else(|| panic!("{text:?} must be rejected"));
         let FrontendReport::Errors(errors) = report else {
