@@ -534,10 +534,11 @@ impl Engine {
     /// Revives a parked stream session (see [`StreamParser::snapshot`])
     /// against the pipeline for `spec` — on this engine or any other,
     /// in this process or another. The blob's checksum, version and
-    /// structural spec fingerprint are verified, and every piece of
-    /// restored parser state is re-validated against the compiled
-    /// pipeline (partial derivations re-certified against their claims,
-    /// lexemes re-certified against the raw text), so a resumed session
+    /// structural spec fingerprint are verified, and the parser state is
+    /// re-derived through the compiled pipeline rather than installed
+    /// (an LR stack by replaying the parked input through the certified
+    /// driver, lexemes re-certified against the raw text), with the
+    /// blob's recorded state required to match. A resumed session thus
     /// certifies exactly what an uninterrupted one would — a corrupt or
     /// mismatched blob is a structured [`SessionError`], never a
     /// mis-certification.

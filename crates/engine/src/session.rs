@@ -17,13 +17,13 @@
 //!
 //! The blob is **untrusted input**. Nothing in it is taken at face
 //! value: decoding is bounds-checked (a truncated or over-long blob is
-//! [`SessionError::Corrupt`]), and the decoded state is then re-validated
-//! against the actual compiled pipeline — LR stack transitions against
-//! the ACTION/GOTO tables, parked parse trees against the grammar and
-//! their yield windows, lexer state by replaying the unresolved suffix,
-//! tokens by a fresh incremental certifier. A bogus blob can be
-//! *rejected* ([`SessionError::Invalid`]); it can never produce a
-//! mis-certified stream.
+//! [`SessionError::Corrupt`]), and the decoded state is then re-derived
+//! through the actual compiled pipeline — the LR stack by replaying the
+//! parked input through the certified driver (the parked stacks,
+//! counters and trees must equal the replay's), lexer state by replaying
+//! the unresolved suffix, tokens by a fresh incremental certifier. A
+//! bogus blob can be *rejected* ([`SessionError::Invalid`]); it can
+//! never produce a mis-certified stream.
 
 use lambek_core::alphabet::{GString, Symbol};
 use lambek_core::grammar::parse_tree::ParseTree;

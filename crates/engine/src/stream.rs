@@ -474,7 +474,8 @@ impl StreamParser {
     /// [`ClaimRef`]s), and the input. Lexed sessions add the raw text,
     /// the resolved-boundary offset, and every emitted token — the
     /// open scan is *derived*, not shipped. In every case resume
-    /// re-validates the lot against the compiled pipeline; the blob is
+    /// re-derives the state from the input through the compiled
+    /// pipeline and checks the rest of the blob against it; the blob is
     /// never trusted.
     ///
     /// # Errors
@@ -492,9 +493,7 @@ impl StreamParser {
             }
             Mode::Lr(stream) => {
                 let st = stream.export_state().ok_or_else(|| {
-                    SessionError::Unsupported(
-                        "faulted or full-validation LR streams cannot be parked".into(),
-                    )
+                    SessionError::Unsupported("faulted LR streams cannot be parked".into())
                 })?;
                 write_lr_state(&mut w, &st);
                 1
@@ -512,9 +511,7 @@ impl StreamParser {
                     ));
                 }
                 let lr_st = lr.export_state().ok_or_else(|| {
-                    SessionError::Unsupported(
-                        "faulted or full-validation LR streams cannot be parked".into(),
-                    )
+                    SessionError::Unsupported("faulted LR streams cannot be parked".into())
                 })?;
                 write_lex_state(&mut w, &lex.export_state());
                 write_lr_state(&mut w, &lr_st);
@@ -535,10 +532,10 @@ impl StreamParser {
     /// The blob is treated as untrusted input throughout: the checksum
     /// and version gate the framing, the spec fingerprint gates *which
     /// pipeline* the state may re-enter, and the decoded state is then
-    /// re-validated piece by piece — DFA input replayed through the
-    /// automaton, LR stacks checked transition-by-transition against
-    /// the tables with every parked tree re-certified against its claim
-    /// and yield window, lexer state re-derived by scanning the
+    /// re-derived piece by piece — DFA input replayed through the
+    /// automaton, LR input replayed through the certified driver (the
+    /// parked state stack, claims, counters, rejection and trees must
+    /// equal the replay's), lexer state re-derived by scanning the
     /// unresolved suffix, and every token re-certified by a fresh
     /// incremental certifier (span tiling + derivative-table walk). A
     /// blob that lies is rejected with a structured error; it cannot

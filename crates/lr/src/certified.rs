@@ -18,10 +18,14 @@
 //! *at the offending step*.
 //!
 //! The pre-incremental path — run the driver blind, then `validate` the
-//! whole materialized tree at the end — is retained behind
-//! [`CertifiedLrParser::parse_full`] and
-//! [`CertifiedLrParser::stream_full`]; the differential property suite
+//! whole materialized tree at the end — is retained behind the one-shot
+//! [`CertifiedLrParser::parse_full`]; the differential property suite
 //! asserts the two paths accept and reject identically.
+//!
+//! Streams have the one certified path. A parked stream
+//! ([`LrStreamState`]) is resumed by replaying its input through a fresh
+//! stream's certified steps; the blob is only compared with the replay,
+//! never trusted or checked on its own.
 
 use std::fmt;
 use std::sync::Arc;
@@ -32,8 +36,8 @@ use lambek_core::grammar::expr::Grammar;
 use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog, ValidateError};
 
 use crate::driver::{
-    log_capacity, parse_log, recognize_states, would_accept_after_states, would_accept_states,
-    CertTables, ClaimRef, Machine, SabotageLr, Step,
+    parse_log, recognize_states, would_accept_after_states, would_accept_states, CertTables,
+    ClaimRef, Machine, SabotageLr, Step,
 };
 use crate::table::{LrConflictReport, LrTable};
 
@@ -189,10 +193,10 @@ impl CertifiedLrParser {
         }
     }
 
-    /// The `full_validate` path: runs the driver blind, materializes the
-    /// tree and re-validates it whole at the end, exactly as the
-    /// subsystem worked before incremental certification. Kept so the differential harness can
-    /// assert incremental ≡ full on every input.
+    /// The whole-tree reference path: runs the driver blind, materializes
+    /// the tree and re-validates it whole at the end, exactly as the
+    /// subsystem worked before incremental certification. Kept so the
+    /// differential harness can assert incremental ≡ full on every input.
     ///
     /// # Errors
     ///
@@ -201,7 +205,8 @@ impl CertifiedLrParser {
     pub fn parse_full(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
         match parse_log(&self.core.table, &self.core.cfg, None, w) {
             Ok(Ok(log)) => {
-                validate_log(&log, &self.core.grammar, w)?;
+                validate(&log.to_parse_tree(), &self.core.grammar, w)
+                    .map_err(|cause| CertifyError { cause })?;
                 Ok(LrOutcome::Accept(log))
             }
             Ok(Err(reject)) => Ok(LrOutcome::Reject(reject)),
@@ -214,34 +219,19 @@ impl CertifiedLrParser {
     /// [`LrStream::finish`] performs no whole-tree validation.
     pub fn stream(&self) -> LrStream {
         LrStream {
-            core: self.core.clone(),
-            machine: Machine::new(),
+            sink: self.sink_with_capacity(0),
             input: GString::new(),
-            dead: None,
-            fault: None,
-            full_validate: false,
-        }
-    }
-
-    /// Opens a stream on the `full_validate` path: pushes run the driver
-    /// blind and [`LrStream::finish`] re-validates the whole tree, as
-    /// before incremental certification. Kept for the differential
-    /// harness.
-    pub fn stream_full(&self) -> LrStream {
-        LrStream {
-            full_validate: true,
-            ..self.stream()
         }
     }
 
     /// Opens a fused-path sink over this parser, with the state stack
     /// and the log pre-sized for roughly `n` pushes (a hint, not a
     /// bound): the incremental-certification machine and nothing else.
-    /// Unlike [`LrStream`], a sink does not retain the pushed input (no
-    /// per-push `GString` growth) and supports no snapshot/resume or
-    /// acceptance probes — it exists so a lexer can feed shifts
-    /// straight into the LR stack with zero bookkeeping beyond the
-    /// parse itself. Rejections carry the *index* of the offending
+    /// An [`LrStream`] is a sink plus the pushed input; a sink alone
+    /// retains no input (no per-push `GString` growth) and supports no
+    /// snapshot/resume or acceptance probes — it exists so a lexer can
+    /// feed shifts straight into the LR stack with zero bookkeeping
+    /// beyond the parse itself. Rejections carry the *index* of the offending
     /// pushed symbol; the caller (which knows each symbol's provenance)
     /// maps that back to source spans.
     pub fn sink_with_capacity(&self, n: usize) -> LrSink {
@@ -259,7 +249,7 @@ impl CertifiedLrParser {
 /// is a certified shift (plus its pending certified reductions) into
 /// the machine, with no input retention and no other state. Once a
 /// rejection or fault is recorded, later pushes only advance the index.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LrSink {
     core: Arc<LrCore>,
     machine: Machine,
@@ -278,34 +268,44 @@ impl LrSink {
     /// remembers the first rejection for [`LrSink::finish`]).
     #[inline]
     pub fn push(&mut self, sym: Symbol) -> bool {
-        if self.dead.is_some() || self.fault.is_some() {
-            self.pushed += 1;
+        self.push_with(sym, Machine::feed)
+    }
+
+    /// [`LrSink::push`] with the machine step supplied by the caller:
+    /// [`Machine::feed`] for live pushes, [`Machine::replay`] for the
+    /// steps a resumed session re-runs.
+    #[inline]
+    fn push_with<F>(&mut self, sym: Symbol, feed: F) -> bool
+    where
+        F: FnOnce(&mut Machine, &LrTable, Option<&CertTables>, Option<Symbol>) -> Step,
+    {
+        let at = self.pushed;
+        self.pushed += 1;
+        if !self.is_viable() {
             return false;
         }
-        match self
-            .machine
-            .feed(&self.core.table, Some(&self.core.cert), Some(sym))
-        {
-            Step::Shifted => {
-                self.pushed += 1;
-                true
-            }
+        let cert = Some(&self.core.cert);
+        match feed(&mut self.machine, &self.core.table, cert, Some(sym)) {
+            Step::Shifted => true,
             Step::Rejected { state } => {
                 self.dead = Some(crate::driver::LrReject {
-                    at: self.pushed,
+                    at,
                     state,
                     expected: self.core.table.expected_in(&self.core.cfg, state),
                 });
-                self.pushed += 1;
                 false
             }
             Step::Faulted(cause) => {
                 self.fault = Some(CertifyError { cause });
-                self.pushed += 1;
                 false
             }
             Step::Accepted(_) => unreachable!("accept lives in the EOF column only"),
         }
+    }
+
+    /// `true` while no rejection or certification fault is recorded.
+    fn is_viable(&self) -> bool {
+        self.dead.is_none() && self.fault.is_none()
     }
 
     /// Ends the input: runs the remaining certified reductions.
@@ -341,7 +341,8 @@ impl LrSink {
 
 /// A push-mode incremental LR parse: one shift (plus any pending
 /// reductions) per [`LrStream::push`], O(1) amortized over the input via
-/// the dense tables.
+/// the dense tables. It is an [`LrSink`] that also keeps the pushed
+/// input, which session snapshots carry and resume replays.
 ///
 /// The partial derivations of the viable prefix live in the stream's
 /// log, one root per stack slot, each already certified against its
@@ -352,16 +353,9 @@ impl LrSink {
 /// over a scratch copy of the state stack without disturbing the parse.
 #[derive(Debug, Clone)]
 pub struct LrStream {
-    core: Arc<LrCore>,
-    machine: Machine,
+    sink: LrSink,
+    /// Every symbol pushed so far, rejected suffix included.
     input: GString,
-    /// Set at the first rejected symbol; later pushes are ignored.
-    dead: Option<crate::driver::LrReject>,
-    /// Set at the first certification fault; later pushes are ignored.
-    fault: Option<CertifyError>,
-    /// `true` runs the pre-incremental path: no per-step checks, one
-    /// whole-tree `validate` of the materialized tree at `finish`.
-    full_validate: bool,
 }
 
 impl LrStream {
@@ -369,33 +363,8 @@ impl LrStream {
     /// has stopped being a viable prefix (the stream stays usable; it
     /// just remembers the rejection for [`LrStream::finish`]).
     pub fn push(&mut self, sym: Symbol) -> bool {
-        if self.dead.is_some() || self.fault.is_some() {
-            self.input.push(sym);
-            return false;
-        }
-        let cert = (!self.full_validate).then_some(&self.core.cert);
-        let step = self.machine.feed(&self.core.table, cert, Some(sym));
-        match step {
-            Step::Shifted => {
-                self.input.push(sym);
-                true
-            }
-            Step::Rejected { state } => {
-                self.dead = Some(crate::driver::LrReject {
-                    at: self.input.len(),
-                    state,
-                    expected: self.core.table.expected_in(&self.core.cfg, state),
-                });
-                self.input.push(sym);
-                false
-            }
-            Step::Faulted(cause) => {
-                self.fault = Some(CertifyError { cause });
-                self.input.push(sym);
-                false
-            }
-            Step::Accepted(_) => unreachable!("accept lives in the EOF column only"),
-        }
+        self.input.push(sym);
+        self.sink.push(sym)
     }
 
     /// Consumes a whole string.
@@ -423,26 +392,26 @@ impl LrStream {
     /// Number of partial derivations currently on the stack (a measure
     /// of how much structure is still open).
     pub fn pending(&self) -> usize {
-        self.machine.depth()
+        self.sink.machine.depth()
     }
 
     /// `true` while the consumed input is still a viable prefix of some
     /// sentence (and no certification fault has been recorded).
     pub fn is_viable(&self) -> bool {
-        self.dead.is_none() && self.fault.is_none()
+        self.sink.is_viable()
     }
 
     /// The first certification fault, if the incremental checker caught
     /// one mid-stream. `None` for honest drivers.
     pub fn fault(&self) -> Option<&CertifyError> {
-        self.fault.as_ref()
+        self.sink.fault.as_ref()
     }
 
     /// Whether the input so far would be accepted if the stream ended
     /// here — an end-of-input simulation over a scratch state stack,
     /// without logging anything or disturbing the parse.
     pub fn would_accept(&self) -> bool {
-        self.is_viable() && would_accept_states(&self.core.table, self.machine.states())
+        self.is_viable() && would_accept_states(&self.sink.core.table, self.sink.machine.states())
     }
 
     /// Like [`LrStream::would_accept`], but as if the terminals in
@@ -468,7 +437,7 @@ impl LrStream {
             return (false, 0);
         }
         let extra: Vec<Symbol> = extra.into_iter().collect();
-        would_accept_after_states(&self.core.table, self.machine.states(), &extra)
+        would_accept_after_states(&self.sink.core.table, self.sink.machine.states(), &extra)
     }
 
     /// Installs a fault injection on the underlying machine (test-only;
@@ -476,49 +445,26 @@ impl LrStream {
     /// incremental checker catches a corrupted step *at that step*.
     #[doc(hidden)]
     pub fn sabotage(&mut self, s: SabotageLr) {
-        self.machine.set_sabotage(s);
+        self.sink.machine.set_sabotage(s);
     }
 
     /// `(shifts, reduces)` the machine has performed so far — the step
     /// counters [`SabotageLr`] indices refer to (test-only).
     #[doc(hidden)]
     pub fn step_counts(&self) -> (usize, usize) {
-        self.machine.step_counts()
+        self.sink.machine.step_counts()
     }
 
-    /// Ends the stream: runs the remaining reductions. On the
-    /// incremental path the resulting log is already certified — the
-    /// per-step checks compose to the whole-tree contract; on the
-    /// `full_validate` path the tree is materialized and re-validated
-    /// here.
+    /// Ends the stream: runs the remaining reductions. The resulting log
+    /// is already certified — the per-step checks compose to the
+    /// whole-tree contract.
     ///
     /// # Errors
     ///
     /// [`CertifyError`] under the same (driver-bug) conditions as
     /// [`CertifiedLrParser::parse`].
-    pub fn finish(mut self) -> Result<LrOutcome, CertifyError> {
-        if let Some(fault) = self.fault {
-            return Err(fault);
-        }
-        if let Some(reject) = self.dead {
-            return Ok(LrOutcome::Reject(reject));
-        }
-        let cert = (!self.full_validate).then_some(&self.core.cert);
-        match self.machine.feed(&self.core.table, cert, None) {
-            Step::Accepted(log) => {
-                if self.full_validate {
-                    validate_log(&log, &self.core.grammar, &self.input)?;
-                }
-                Ok(LrOutcome::Accept(log))
-            }
-            Step::Rejected { state } => Ok(LrOutcome::Reject(crate::driver::LrReject {
-                at: self.input.len(),
-                state,
-                expected: self.core.table.expected_in(&self.core.cfg, state),
-            })),
-            Step::Faulted(cause) => Err(CertifyError { cause }),
-            Step::Shifted => unreachable!("the EOF column never shifts"),
-        }
+    pub fn finish(self) -> Result<LrOutcome, CertifyError> {
+        self.sink.finish()
     }
 }
 
@@ -528,11 +474,10 @@ impl LrStream {
 ///
 /// Interned [`lambek_core::intern::GrammarId`]s are process-local, so
 /// the claim stack is exported as [`ClaimRef`]s (terminal/nonterminal
-/// *numbers*) and mapped back through the resuming parser's id tables.
-/// Everything here is data; all trust is re-established by
-/// [`CertifiedLrParser::resume_stream`], which re-validates the parts
-/// against the table and the grammar before any of them touch a live
-/// machine.
+/// *numbers*). Everything here is data. Only `input` is used to rebuild
+/// the stream: [`CertifiedLrParser::resume_stream`] replays it through
+/// the certified driver and requires every other field to equal the
+/// replayed run's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LrStreamState {
     /// The LR state stack, bottom marker (state 0) first.
@@ -555,8 +500,8 @@ pub struct LrStreamState {
     pub dead: Option<(usize, usize)>,
 }
 
-/// A session blob failed re-validation against the parser it was
-/// resumed into (see [`CertifiedLrParser::resume_stream`]).
+/// A session blob disagreed with the replay of its input through the
+/// parser it was resumed into (see [`CertifiedLrParser::resume_stream`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LrResumeError {
     /// What was inconsistent.
@@ -574,192 +519,100 @@ impl std::error::Error for LrResumeError {}
 impl LrStream {
     /// Extracts the stream's state for serialization. Returns `None`
     /// for faulted streams (a certification fault is a driver bug; the
-    /// faulted configuration is not a parse state worth parking) and
-    /// for `full_validate` streams (they carry no claim stack to
-    /// re-establish on resume).
+    /// faulted configuration is not a parse state worth parking).
     pub fn export_state(&self) -> Option<LrStreamState> {
-        if self.fault.is_some() || self.full_validate {
+        let sink = &self.sink;
+        if sink.fault.is_some() {
             return None;
         }
-        let claims: Option<Vec<ClaimRef>> = self
+        let claims: Option<Vec<ClaimRef>> = sink
             .machine
             .claims()
             .iter()
-            .map(|&id| self.core.cert.claim_ref(id))
+            .map(|&id| sink.core.cert.claim_ref(id))
             .collect();
+        let (shifts, reduces) = sink.machine.step_counts();
         Some(LrStreamState {
-            states: self.machine.states().to_vec(),
-            trees: self.machine.log().to_parse_trees(),
+            states: sink.machine.states().to_vec(),
+            trees: sink.machine.log().to_parse_trees(),
             claims: claims?,
-            shifts: self.machine.step_counts().0,
-            reduces: self.machine.step_counts().1,
+            shifts,
+            reduces,
             input: self.input.clone(),
-            dead: self.dead.as_ref().map(|r| (r.at, r.state)),
+            dead: sink.dead.as_ref().map(|r| (r.at, r.state)),
         })
     }
 }
 
-/// The `full_validate` check: materializes the log's tree and validates
-/// it whole against the grammar and the input.
-fn validate_log(log: &ReductionLog, grammar: &Grammar, w: &GString) -> Result<(), CertifyError> {
-    let tree = log.to_parse_tree();
-    validate(&tree, grammar, w).map_err(|cause| CertifyError { cause })
-}
-
 impl CertifiedLrParser {
     /// Re-injects extracted stream state — the other half of session
-    /// park/resume. The blob is *untrusted*: before anything touches a
-    /// live machine, every part is re-validated against this parser:
+    /// park/resume. The blob is *untrusted* and is never installed:
+    /// resume replays `st.input` through a fresh stream, with the same
+    /// certified step every live push runs. For a dead stream that is
+    /// the consumed prefix, the one rejecting symbol and the ignored
+    /// suffix. The replayed stream is the resumed stream, so it behaves
+    /// exactly like an uninterrupted one.
     ///
-    /// * the state stack must start at the bottom marker and every
-    ///   transition must be one this parser's table actually performs
-    ///   for the claimed symbol (shift target for a terminal claim,
-    ///   goto target for a nonterminal claim) — so the restored
-    ///   configuration is reachable, and future behaviour is exactly
-    ///   that of an uninterrupted run;
-    /// * every partial tree is re-checked against its claimed grammar
-    ///   (`check_shape` against the μ-system for nonterminals, a leaf
-    ///   comparison for terminals), and the tree yields must tile the
-    ///   consumed input prefix exactly — re-establishing the
-    ///   incremental certifier's stack invariant, so everything the
-    ///   resumed stream ever emits is as certified as if the session
-    ///   had never been interrupted.
+    /// The rest of the blob must equal the replayed run: the state
+    /// stack, the claims, the shift and reduce counters, the rejection
+    /// record, and the trees. Trees are read back into a
+    /// [`ReductionLog`] iteratively and compared as logs, so no check
+    /// recurses over a parked tree, however deep. The replayed steps
+    /// are not published to [`crate::probes`] again: the run that first
+    /// took them already did, or was abandoned before it could.
     ///
     /// # Errors
     ///
-    /// [`LrResumeError`] describing the first inconsistency; the error
-    /// path constructs no stream (a bogus blob can be *rejected*, never
-    /// mis-certified).
+    /// [`LrResumeError`] naming the first part of the blob that differs
+    /// from the replay; the error path returns no stream (a bogus blob
+    /// can be *rejected*, never mis-certified).
     pub fn resume_stream(&self, st: LrStreamState) -> Result<LrStream, LrResumeError> {
         let err = |reason: String| LrResumeError { reason };
-        let table = &self.core.table;
-        let n_states = table.num_states();
-        if st.states.first() != Some(&0) {
-            return Err(err("state stack must start at the bottom marker".into()));
+        let mut sink = self.sink_with_capacity(st.input.len());
+        for sym in st.input.iter() {
+            sink.push_with(sym, Machine::replay);
         }
-        if let Some(&s) = st.states.iter().find(|&&s| s as usize >= n_states) {
-            return Err(err(format!("state {s} out of range (< {n_states})")));
+        if let Some(fault) = &sink.fault {
+            return Err(err(format!("replaying the input faulted: {fault}")));
         }
-        if st.trees.len() != st.claims.len() || st.states.len() != st.trees.len() + 1 {
+        let dead = sink.dead.as_ref().map(|r| (r.at, r.state));
+        if st.dead != dead {
             return Err(err(format!(
-                "stack arity mismatch: {} states, {} trees, {} claims",
-                st.states.len(),
-                st.trees.len(),
-                st.claims.len()
+                "rejection (at, state) {:?} differs from the replay's {dead:?}",
+                st.dead
             )));
         }
-        // Transition consistency: each stack slot must be the table's
-        // own answer for its claim.
-        for (i, &claim) in st.claims.iter().enumerate() {
-            let from = st.states[i] as usize;
-            let to = st.states[i + 1] as usize;
-            let ok = match claim {
-                ClaimRef::Term(t) => {
-                    t < table.eof_column()
-                        && matches!(table.action(from, t), crate::table::Action::Shift(s) if s == to)
-                }
-                ClaimRef::Var(n) => n < table.num_nonterminals() && table.goto(from, n) == Some(to),
-            };
-            if !ok {
-                return Err(err(format!(
-                    "stack slot {i}: no {claim:?} transition {from} -> {to} in this table"
-                )));
-            }
+        let m = &sink.machine;
+        if st.states != m.states() {
+            return Err(err("state stack differs from the replay's".into()));
         }
-        // Claim-by-claim re-certification: shapes against the μ-system,
-        // yields tiling the consumed prefix.
-        let system = self.core.cfg.to_lambek_system();
-        let mut cursor = 0usize;
-        let mut claim_ids = Vec::with_capacity(st.claims.len());
-        let mut log = ReductionLog::with_capacity(log_capacity(st.input.len()));
-        for (i, (tree, &claim)) in st.trees.iter().zip(&st.claims).enumerate() {
-            let id = self
-                .core
-                .cert
-                .claim_id(claim)
-                .ok_or_else(|| err(format!("stack slot {i}: claim {claim:?} out of range")))?;
-            let flat = tree.flatten();
-            let window = st.input.as_slice().get(cursor..cursor + flat.len());
-            if window != Some(flat.as_slice()) {
-                return Err(err(format!(
-                    "stack slot {i}: tree yield does not tile the input at symbol {cursor}"
-                )));
-            }
-            match claim {
-                ClaimRef::Term(t) => {
-                    if !matches!(tree, ParseTree::Char(c) if c.index() == t) {
-                        return Err(err(format!(
-                            "stack slot {i}: terminal claim {t} over a non-leaf tree"
-                        )));
-                    }
-                }
-                ClaimRef::Var(n) => {
-                    if n >= system.len() {
-                        return Err(err(format!("stack slot {i}: nonterminal {n} out of range")));
-                    }
-                    let ParseTree::Roll(inner) = tree else {
-                        return Err(err(format!(
-                            "stack slot {i}: nonterminal claim over a non-Roll tree"
-                        )));
-                    };
-                    lambek_core::grammar::parse_tree::check_shape(
-                        inner,
-                        system.def(n),
-                        Some(&system),
-                    )
-                    .map_err(|e| err(format!("stack slot {i}: claim re-validation failed: {e}")))?;
-                }
-            }
-            // A re-validated tree is a derivation (a leaf, or `roll σ`
-            // over the claim's right-hand side), so it always reads back.
+        if (st.shifts, st.reduces) != m.step_counts() {
+            return Err(err(format!(
+                "step counters (shifts, reduces) {:?} differ from the replay's {:?}",
+                (st.shifts, st.reduces),
+                m.step_counts()
+            )));
+        }
+        let claims_match = st.claims.len() == m.claims().len()
+            && m.claims()
+                .iter()
+                .zip(&st.claims)
+                .all(|(&id, &claim)| self.core.cert.claim_ref(id) == Some(claim));
+        if !claims_match {
+            return Err(err("claim stack differs from the replay's".into()));
+        }
+        let mut log = ReductionLog::with_capacity(m.log().entries().len());
+        for (i, tree) in st.trees.iter().enumerate() {
             let segment = ReductionLog::from_parse_tree(tree)
                 .ok_or_else(|| err(format!("stack slot {i}: tree is not a derivation")))?;
             log.append(&segment);
-            cursor += flat.len();
-            claim_ids.push(id);
         }
-        // The consumed prefix must be exactly the tiled symbols; the
-        // suffix beyond it exists only for dead streams.
-        let consumed = cursor;
-        let dead = match st.dead {
-            None => {
-                if consumed != st.input.len() {
-                    return Err(err(format!(
-                        "live stream consumed {consumed} of {} symbols",
-                        st.input.len()
-                    )));
-                }
-                None
-            }
-            Some((at, state)) => {
-                if at != consumed || at > st.input.len() {
-                    return Err(err(format!(
-                        "dead stream rejected at {at} but tiled {consumed} symbols"
-                    )));
-                }
-                if state >= n_states {
-                    return Err(err(format!("rejecting state {state} out of range")));
-                }
-                Some(crate::driver::LrReject {
-                    at,
-                    state,
-                    expected: table.expected_in(&self.core.cfg, state),
-                })
-            }
-        };
-        if st.shifts != consumed {
-            return Err(err(format!(
-                "shift counter {} disagrees with {consumed} consumed symbols",
-                st.shifts
-            )));
+        if log != *m.log() {
+            return Err(err("trees differ from the replay's derivations".into()));
         }
         Ok(LrStream {
-            core: self.core.clone(),
-            machine: Machine::from_parts(st.states, log, claim_ids, st.shifts, st.reduces),
+            sink,
             input: st.input,
-            dead,
-            fault: None,
-            full_validate: false,
         })
     }
 }

@@ -76,18 +76,9 @@ impl CertTables {
         }
     }
 
-    /// The interned id a [`ClaimRef`] denotes, `None` if the index is
-    /// out of range for this grammar.
-    pub(crate) fn claim_id(&self, claim: ClaimRef) -> Option<GrammarId> {
-        match claim {
-            ClaimRef::Term(i) => self.chr_ids.get(i).copied(),
-            ClaimRef::Var(n) => self.var_ids.get(n).copied(),
-        }
-    }
-
     /// The stable [`ClaimRef`] of an interned claim id (a linear scan:
-    /// this runs once per stack entry at snapshot time, over alphabets
-    /// and nonterminal sets that are small by construction).
+    /// this runs once per stack entry at snapshot and at resume, over
+    /// alphabets and nonterminal sets that are small by construction).
     pub(crate) fn claim_ref(&self, id: GrammarId) -> Option<ClaimRef> {
         if let Some(i) = self.chr_ids.iter().position(|&c| c == id) {
             return Some(ClaimRef::Term(i));
@@ -327,10 +318,6 @@ pub(crate) enum Step {
 }
 
 impl Machine {
-    pub(crate) fn new() -> Machine {
-        Machine::with_capacity(0)
-    }
-
     /// A machine with every stack and the log pre-sized for an input of
     /// `n` symbols, so a run allocates a fixed number of times whatever
     /// the input's length or nesting.
@@ -388,32 +375,6 @@ impl Machine {
         &self.claims
     }
 
-    /// Reassembles a machine from extracted state — the re-injection
-    /// half of session resume. The caller (see
-    /// [`crate::CertifiedLrParser::resume_stream`]) is responsible for
-    /// having *validated* the parts against the table and grammar; this
-    /// constructor only glues them back together.
-    pub(crate) fn from_parts(
-        states: Vec<u32>,
-        log: ReductionLog,
-        claims: Vec<GrammarId>,
-        shifts_done: usize,
-        reduces_done: usize,
-    ) -> Machine {
-        Machine {
-            states,
-            log,
-            claims,
-            sabotage: None,
-            shifts_done,
-            reduces_done,
-            // Resumed steps were (or will be) published by the process
-            // that ran them; this machine publishes only its own.
-            claims_checked: 0,
-            flushed: (shifts_done, reduces_done, 0),
-        }
-    }
-
     /// Publishes the step-count deltas since the last flush to the
     /// process-wide probes — called on terminal steps only, so the
     /// shift/reduce loop stays free of shared-memory traffic.
@@ -458,6 +419,26 @@ impl Machine {
         step
     }
 
+    /// [`Machine::feed`] for a step an earlier run already took (session
+    /// resume replays a parked stream's input): the same certified step,
+    /// with its counts marked as published rather than published. The
+    /// run that first took the step published it, or was abandoned
+    /// before it could.
+    pub(crate) fn replay(
+        &mut self,
+        table: &LrTable,
+        cert: Option<&CertTables>,
+        sym: Option<Symbol>,
+    ) -> Step {
+        let step = self.feed_inner(table, cert, sym);
+        self.flushed = (self.shifts_done, self.reduces_done, self.claims_checked);
+        step
+    }
+
+    /// The step itself. Inlined into both callers, so the live
+    /// [`Machine::feed`] runs the shift/reduce loop in its own frame
+    /// (one call per pushed symbol, not two).
+    #[inline(always)]
     fn feed_inner(
         &mut self,
         table: &LrTable,

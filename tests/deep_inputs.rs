@@ -5,9 +5,11 @@
 //! LR driver built boxed trees, and dropping them recursed once per
 //! level. The served path now carries a flat reduction log, and the
 //! paper-level tree it materializes on request builds, walks and drops
-//! iteratively.
+//! iteratively. Stream sessions parked inside such documents resume on
+//! a small stack too: resume replays the parked input through the
+//! certified driver and compares the parked trees as flat logs.
 
-use lambekd::engine::{Engine, StrOutcome, StrReportOutcome};
+use lambekd::engine::{Engine, StrOutcome, StrReportOutcome, StreamParser};
 use lambekd::frontend::presets;
 
 /// `[0,0,…,0]` with `n` elements: `2n + 1` tokens.
@@ -71,6 +73,47 @@ fn deep_trees_materialize_and_drop_on_a_small_stack() {
                 assert_eq!(tree.size(), derivation.size());
                 assert_eq!(tree.flatten().len(), tokens);
                 drop(tree);
+            }
+        })
+        .unwrap()
+        .join()
+        .expect("no stack overflow on a 256 KiB stack");
+}
+
+#[test]
+fn deep_sessions_resume_on_a_small_stack() {
+    let engine = Engine::new();
+    let json = engine
+        .compile_text(presets::JSON)
+        .expect("the JSON preset compiles");
+    let (flat, flat_tokens) = flat_array(50_000);
+    let (nested, nested_tokens) = nested_arrays(20_000);
+    // Each session is parked before its closing brackets.
+    let flat_cut = flat.len() - 1;
+    let cuts = [
+        (flat, flat_cut, flat_tokens),
+        (nested, 20_000, nested_tokens),
+    ];
+    let sessions: Vec<_> = cuts
+        .into_iter()
+        .map(|(text, cut, tokens)| {
+            let mut stream = engine.stream(&json.spec).expect("JSON streams");
+            assert!(stream.push_chars(&text[..cut]), "a viable prefix");
+            let blob = stream.snapshot().expect("an unfaulted stream parks");
+            (blob, text[cut..].to_owned(), tokens)
+        })
+        .collect();
+    let pipeline = json.pipeline;
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            for (blob, rest, tokens) in sessions {
+                let mut resumed =
+                    StreamParser::resume(pipeline.clone(), &blob).expect("an honest blob resumes");
+                assert!(resumed.push_chars(&rest));
+                let outcome = resumed.finish().expect("certified finish");
+                let tree = outcome.accepted().expect("the document accepts");
+                assert_eq!(tree.flatten().len(), tokens);
             }
         })
         .unwrap()

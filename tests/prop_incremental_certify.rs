@@ -15,8 +15,9 @@
 //!    (reductions checked as performed) and
 //!    [`CertifiedLrParser::parse_full`] (whole-tree `validate` at the
 //!    end) agree on verdicts, trees, and rejection positions — and the
-//!    incremental stream (`stream`) agrees with the full-validation
-//!    stream (`stream_full`) pointwise.
+//!    incremental stream (`stream`) agrees with the one-shot parsers
+//!    pointwise: each push and acceptance probe with the verdict on
+//!    that prefix, the finished outcome with `parse_full`.
 //! 3. **engine** — on raw arithmetic text, the fused lex→LR
 //!    [`parse_str`](lambek_engine::CompiledPipeline::parse_str), the
 //!    two-pass `parse_str_full`, and the character-streamed
@@ -223,8 +224,8 @@ proptest! {
 
     /// LR layer: incremental ≡ full on random LALR(1) grammars — same
     /// verdict, same tree (hash-consed id equality via `==`), same
-    /// rejection position and expected set; and the two stream flavors
-    /// agree with one-shot pointwise.
+    /// rejection position and expected set; and the stream agrees with
+    /// one-shot pointwise.
     #[test]
     fn incremental_lr_equals_full_lr(seed in 0u64..300) {
         let cfg = random_cfg(seed);
@@ -248,17 +249,22 @@ proptest! {
                     &w, incremental, full
                 ),
             }
-            // Streamed ≡ one-shot, in both certification flavors.
+            // Streamed ≡ one-shot. A push keeps the stream viable
+            // exactly when the whole-tree reference, run on the prefix so
+            // far, accepts or runs out of input (rejects at its end).
             let mut inc_stream = parser.stream();
-            let mut full_stream = parser.stream_full();
-            for sym in w.iter() {
-                prop_assert_eq!(inc_stream.push(sym), full_stream.push(sym));
-                prop_assert_eq!(inc_stream.would_accept(), full_stream.would_accept());
+            for (i, sym) in w.iter().enumerate() {
+                let prefix = w.substring(0, i + 1);
+                let viable = match parser.parse_full(&prefix).expect("validation never fails") {
+                    LrOutcome::Accept(_) => true,
+                    LrOutcome::Reject(r) => r.at == prefix.len(),
+                };
+                prop_assert_eq!(inc_stream.push(sym), viable, "{}", &prefix);
+                prop_assert_eq!(inc_stream.would_accept(), parser.recognizes(&prefix), "{}", &prefix);
             }
             let streamed = inc_stream.finish().expect("the driver never faults");
-            let streamed_full = full_stream.finish().expect("validation never fails");
             prop_assert_eq!(streamed.accepted(), incremental.accepted(), "{}", &w);
-            prop_assert_eq!(streamed_full.accepted(), full.accepted(), "{}", &w);
+            prop_assert_eq!(&streamed, &full, "{}", &w);
         }
     }
 
