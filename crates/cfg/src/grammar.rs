@@ -116,9 +116,13 @@ impl Cfg {
     /// engine keys its pipeline cache off this) return the shared
     /// canonical `Arc` without re-encoding.
     pub fn to_lambek(&self) -> Grammar {
+        self.lambek().clone()
+    }
+
+    /// [`Cfg::to_lambek`] by reference, encoded on first use.
+    pub fn lambek(&self) -> &Grammar {
         self.lambek
             .get_or_init(|| mu(self.to_lambek_system(), self.start))
-            .clone()
     }
 
     /// The underlying `μ` system (one definition per nonterminal).

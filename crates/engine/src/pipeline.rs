@@ -1385,3 +1385,163 @@ mod tests {
         }
     }
 }
+
+/// Fault injection at the trust boundary: pipelines assembled from a
+/// corrupted lexer DFA or LALR table, each under the certifier built
+/// from the honest compile, must surface the fault as a stream
+/// contract violation at the step that first reads the corrupted entry.
+#[cfg(test)]
+mod artifact_faults {
+    use std::sync::Arc;
+
+    use lambek_automata::dfa::Dfa;
+    use lambek_lex::LexAutomaton;
+    use lambek_lr::{Action, ProductionRef};
+
+    use super::*;
+    use crate::stream::StreamParser;
+
+    /// `pipeline` with its LR parser (plain or lexed) replaced by
+    /// `corrupt`'s, and its lexer, if any, by `lexer`'s.
+    fn assemble(
+        pipeline: CompiledPipeline,
+        corrupt: impl FnOnce(&CertifiedLrParser) -> CertifiedLrParser,
+        lexer: impl FnOnce(&CertifiedLexer) -> CertifiedLexer,
+    ) -> Arc<CompiledPipeline> {
+        let swap = |backend: CfgBackend| match backend.mode {
+            CfgMode::Lr(lr) => CfgBackend {
+                mode: CfgMode::Lr(corrupt(&lr)),
+            },
+            CfgMode::Earley { .. } => panic!("an LR-backed pipeline"),
+        };
+        let imp = match pipeline.imp {
+            ParserImpl::Cfg(backend) => ParserImpl::Cfg(swap(backend)),
+            ParserImpl::LexedCfg(b) => ParserImpl::LexedCfg(LexedCfgBackend {
+                lexer: lexer(&b.lexer),
+                inner: swap(b.inner),
+            }),
+            ParserImpl::Verified { .. } => panic!("a CFG pipeline"),
+        };
+        Arc::new(CompiledPipeline { imp, ..pipeline })
+    }
+
+    /// `dfa` with state `s`'s accept tag replaced by `tag`.
+    fn retag(dfa: &Dfa, s: usize, tag: usize) -> Dfa {
+        let n = dfa.num_states();
+        let delta = (0..n).flat_map(|q| dfa.delta_row(q).to_vec()).collect();
+        let accepting = (0..n).map(|q| dfa.is_accepting(q)).collect();
+        let mut tags = dfa.tags().to_vec();
+        tags[s] = Some(tag);
+        Dfa::from_flat(dfa.alphabet().clone(), dfa.init(), accepting, delta).with_tags(tags)
+    }
+
+    /// `lr` with production `p`'s injection tag replaced by 99, which
+    /// indexes no alternative of any nonterminal here.
+    fn bad_tag(lr: &CertifiedLrParser, p: usize) -> CertifiedLrParser {
+        let mut table = lr.table().clone();
+        let honest = table.production(p);
+        table.set_production(p, ProductionRef { alt: 99, ..honest });
+        lr.with_table(table)
+    }
+
+    #[test]
+    fn stream_parser_catches_a_lexer_fault_when_the_token_resolves() {
+        // Token 1 of `12+(345+6)` is `+`: serve a DFA whose `+` state
+        // accepts for the `(` rule instead.
+        const K: usize = 1;
+        let honest = PipelineSpec::arith_lexed().compile().unwrap();
+        let pipeline = assemble(
+            honest,
+            |lr| lr.clone(),
+            |lexer| {
+                let spec = lexer.spec().clone();
+                let rule = |name: &str| spec.rules().iter().position(|r| r.name == name).unwrap();
+                let dfa = lexer.automaton().dfa();
+                let plus = dfa.final_state(dfa.init(), &spec.alphabet().parse_str("+").unwrap());
+                assert_eq!(dfa.accept_tag(plus), Some(rule("+")));
+                let corrupted = retag(dfa, plus, rule("("));
+                CertifiedLexer::from_automaton(LexAutomaton::from_dfa(spec, corrupted)).unwrap()
+            },
+        );
+        let mut stream = StreamParser::open(pipeline).unwrap();
+        for c in "12+(345+6)".chars() {
+            stream.push_char(c);
+            let resolved = stream.tokens().unwrap().len();
+            assert_eq!(
+                stream.lex_fault().is_some(),
+                resolved > K,
+                "the fault appears exactly when token {K} resolves"
+            );
+            if resolved > K {
+                assert!(!stream.is_viable());
+                assert!(!stream.would_accept());
+            }
+        }
+        assert!(
+            stream.lex_fault().is_some(),
+            "token {K} resolved mid-stream"
+        );
+        assert!(
+            stream.finish().is_err(),
+            "a lexer fault must surface as a contract violation, not an outcome"
+        );
+    }
+
+    #[test]
+    fn stream_parser_catches_lr_faults_in_both_modes() {
+        // Symbol-level LR stream. The first reduction of `(())` fires on
+        // its first `)`, the third push: corrupt that production's tag.
+        let honest = PipelineSpec::dyck_cfg().compile().unwrap();
+        let lr = honest.cfg_backend().and_then(|b| b.lr()).unwrap().clone();
+        let sigma = lr.cfg().alphabet().clone();
+        let (open, close) = (sigma.symbol("(").unwrap(), sigma.symbol(")").unwrap());
+        let table = lr.table();
+        let Action::Shift(s1) = table.action(0, open.index()) else {
+            panic!("Dyck shifts `(`")
+        };
+        let Action::Shift(s2) = table.action(s1, open.index()) else {
+            panic!("Dyck shifts `((`")
+        };
+        let Action::Reduce(p) = table.action(s2, close.index()) else {
+            panic!("Dyck reduces before `(()`'s `)`")
+        };
+        let mut stream =
+            StreamParser::open(assemble(honest, |lr| bad_tag(lr, p), |l| l.clone())).unwrap();
+        for (i, sym) in sigma.parse_str("(())").unwrap().iter().enumerate() {
+            stream.push(sym);
+            assert_eq!(
+                stream.lr_fault().is_some(),
+                i >= 2,
+                "caught exactly at the corrupted reduction"
+            );
+        }
+        assert!(stream.finish().is_err());
+
+        // Character-level lexed-LR stream: corrupt the tag of the
+        // production `12+3` reduces by first (after shifting NUM, on
+        // the lookahead `+`).
+        let honest = PipelineSpec::arith_lexed().compile().unwrap();
+        let lr = honest
+            .lexed_backend()
+            .unwrap()
+            .cfg_backend()
+            .lr()
+            .unwrap()
+            .clone();
+        let sigma = lr.cfg().alphabet().clone();
+        let (num, add) = (sigma.symbol("NUM").unwrap(), sigma.symbol("+").unwrap());
+        let Action::Shift(s1) = lr.table().action(0, num.index()) else {
+            panic!("the expression grammar shifts NUM")
+        };
+        let Action::Reduce(p) = lr.table().action(s1, add.index()) else {
+            panic!("the expression grammar reduces NUM before `+`")
+        };
+        let mut stream =
+            StreamParser::open(assemble(honest, |lr| bad_tag(lr, p), |l| l.clone())).unwrap();
+        stream.push_chars("12+3");
+        assert!(
+            stream.finish().is_err(),
+            "the corrupted reduction must not survive the lexed finish"
+        );
+    }
+}

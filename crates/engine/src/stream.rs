@@ -17,7 +17,7 @@
 //!   each push shifts one symbol after running the pending reductions —
 //!   O(1) amortized over the input via the dense ACTION/GOTO tables —
 //!   and the partial parse trees stay on the stream's stack, each
-//!   reduction certified *as it is performed* (interned-id claim checks
+//!   reduction certified *as it is performed* (claim-id checks
 //!   against the production's right-hand side).
 //!   [`StreamParser::would_accept`] simulates the end-of-input
 //!   reductions over a scratch overlay of the state stack;
@@ -352,25 +352,6 @@ impl StreamParser {
             Mode::Lr(stream) => stream.fault(),
             Mode::LexedLr { lr, .. } => lr.fault(),
             Mode::Dfa { .. } => None,
-        }
-    }
-
-    /// Injects a one-token lexer fault (test-only; lexed streams only).
-    #[doc(hidden)]
-    pub fn sabotage_lex(&mut self, s: lambek_lex::SabotageLex) {
-        match &mut self.mode {
-            Mode::LexedLr { lex, .. } => lex.sabotage(s),
-            _ => panic!("only lexed streams have a lexer to sabotage"),
-        }
-    }
-
-    /// Injects a one-step LR fault (test-only; LR-backed streams only).
-    #[doc(hidden)]
-    pub fn sabotage_lr(&mut self, s: lambek_lr::SabotageLr) {
-        match &mut self.mode {
-            Mode::Lr(stream) => stream.sabotage(s),
-            Mode::LexedLr { lr, .. } => lr.sabotage(s),
-            Mode::Dfa { .. } => panic!("DFA streams have no LR stack to sabotage"),
         }
     }
 

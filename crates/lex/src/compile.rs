@@ -192,7 +192,22 @@ impl LexAutomaton {
     pub fn compile(spec: LexSpec) -> LexAutomaton {
         let (nfa, tags) = union_nfa(&spec);
         let det = determinize_tagged(&nfa, &tags);
-        let dfa = minimize(&det.dfa);
+        LexAutomaton::from_dfa(spec, minimize(&det.dfa))
+    }
+
+    /// Serves `dfa` as `spec`'s tagged DFA. The DFA is untrusted (the
+    /// certifier re-matches every lexeme by derivatives of the spec's
+    /// rules), so fault-injection tests serve corrupted DFAs this way.
+    /// Panics unless `dfa` is over the spec's alphabet and each of its
+    /// accept tags names a rule.
+    #[doc(hidden)]
+    pub fn from_dfa(spec: LexSpec, dfa: Dfa) -> LexAutomaton {
+        let rules = spec.rules().len();
+        assert!(dfa.alphabet() == spec.alphabet(), "another alphabet");
+        assert!(
+            dfa.tags().iter().flatten().all(|&t| t < rules),
+            "no such rule"
+        );
         let live = dfa.live_states();
         let bytes = ByteDfa::build(&spec, &dfa, &live);
         LexAutomaton {

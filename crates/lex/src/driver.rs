@@ -615,7 +615,6 @@ impl LexAutomaton {
             input: String::new(),
             cursor: Cursor::new(self.core(), usize::MAX),
             dead: None,
-            sabotage: None,
             emitted: 0,
         }
     }
@@ -939,60 +938,6 @@ impl Iterator for CharwiseLexemes<'_> {
     }
 }
 
-/// Test-only fault injection for the push-mode lexer: corrupts exactly
-/// one emitted token so the adversarial suites can prove the
-/// incremental certifier notices *at that token*. Hidden from docs;
-/// never constructed by production code. Probes
-/// ([`LexStream::pending_flush`]) are unaffected — only tokens actually
-/// emitted by `push`/`finish` count.
-#[doc(hidden)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SabotageLex {
-    /// Shift the `token`th emitted token's span one byte right.
-    ShiftSpan {
-        /// Which emitted token (0-based, skips included) to corrupt.
-        token: usize,
-    },
-    /// Rewrite the `token`th emitted token's text.
-    WrongText {
-        /// Which emitted token to corrupt.
-        token: usize,
-        /// The bogus lexeme text.
-        text: String,
-    },
-    /// Rewrite the `token`th emitted token's rule index.
-    WrongRule {
-        /// Which emitted token to corrupt.
-        token: usize,
-        /// The bogus rule index.
-        rule: usize,
-    },
-}
-
-impl SabotageLex {
-    /// Applies the corruption to the freshly emitted `out` tokens,
-    /// advancing the emission counter.
-    fn apply(this: &Option<SabotageLex>, emitted: &mut usize, out: &mut [Token]) {
-        for t in out.iter_mut() {
-            let i = *emitted;
-            *emitted += 1;
-            match this {
-                Some(SabotageLex::ShiftSpan { token }) if *token == i => {
-                    t.span.start += 1;
-                    t.span.end += 1;
-                }
-                Some(SabotageLex::WrongText { token, text }) if *token == i => {
-                    t.text = text.clone();
-                }
-                Some(SabotageLex::WrongRule { token, rule }) if *token == i => {
-                    t.rule = *rule;
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
 /// A push-mode incremental lexer: text in, tokens out as soon as their
 /// right boundary is certain.
 ///
@@ -1015,8 +960,6 @@ pub struct LexStream {
     cursor: Cursor,
     /// The first lexical error; later pushes keep reporting it.
     dead: Option<LexError>,
-    /// Test-only fault injection (see [`SabotageLex`]).
-    sabotage: Option<SabotageLex>,
     /// How many tokens `push`/`finish` have emitted so far (probes via
     /// [`LexStream::pending_flush`] do not count).
     emitted: usize,
@@ -1093,7 +1036,7 @@ impl LexStream {
         }
         let from = out.len();
         let settled = self.cursor.settle_into(&self.core, &self.input, false, out);
-        SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out[from..]);
+        self.emitted += out.len() - from;
         if let Err(e) = &settled {
             self.dead = Some(e.clone());
         }
@@ -1125,15 +1068,8 @@ impl LexStream {
         }
         let from = out.len();
         let settled = self.cursor.settle_into(&self.core, &self.input, true, out);
-        SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out[from..]);
+        self.emitted += out.len() - from;
         settled
-    }
-
-    /// Injects a one-token fault into the emitted stream (test-only;
-    /// see [`SabotageLex`]).
-    #[doc(hidden)]
-    pub fn sabotage(&mut self, s: SabotageLex) {
-        self.sabotage = Some(s);
     }
 
     /// What [`LexStream::finish`] *would* emit, without ending (or
@@ -1159,7 +1095,7 @@ impl LexStream {
     }
 
     /// Extracts the stream's state for serialization (session
-    /// park/resume; sabotage injections are deliberately not exported).
+    /// park/resume).
     ///
     /// The open scan (DFA state, position, last accept) and the memo
     /// are *not* part of the export: the scan is a deterministic

@@ -64,7 +64,7 @@ pub use certified::{
 pub use compile::LexAutomaton;
 pub use driver::{
     CharwiseLexemes, LexError, LexResumeError, LexStream, LexStreamState, Lexemes, MunchMemoShed,
-    RawLexeme, RawLexemes, SabotageLex, Span, Token, TokenStream, MAX_MUNCH_MEMO_BYTES,
+    RawLexeme, RawLexemes, Span, Token, TokenStream, MAX_MUNCH_MEMO_BYTES,
 };
 pub use probes::LexProbes;
 pub use spec::{class, literal, plus, LexRule, LexSpec, LexSpecBuilder, SpecError};

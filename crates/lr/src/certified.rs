@@ -6,8 +6,9 @@
 //! logs are parses of the input. [`CertifiedLrParser`] restores the
 //! paper's intrinsic-verification contract at the subsystem boundary —
 //! **incrementally**: every shift and every reduction is certified as it
-//! happens, by comparing interned grammar ids ([`CertTables`] built once
-//! at compile time) in O(1) per step. The per-step checks maintain the
+//! happens, by comparing claim ids against the certifier's own record
+//! of the grammar ([`CertTables`], read from the `Cfg` once at compile
+//! time) in O(1) per step. The per-step checks maintain the
 //! invariant that each root of the run's [`ReductionLog`] materializes
 //! to a tree that `check_shape`s against its claimed grammar and yields
 //! exactly the input slice it covers, so an accepted log's
@@ -36,8 +37,7 @@ use lambek_core::grammar::expr::Grammar;
 use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog, ValidateError};
 
 use crate::driver::{
-    parse_log, recognize_states, would_accept_after_states, would_accept_states, CertTables,
-    ClaimRef, Machine, SabotageLr, Step,
+    parse_log, recognize_states, would_accept_after_states, CertTables, ClaimRef, Machine, Step,
 };
 use crate::table::{LrConflictReport, LrTable};
 
@@ -91,21 +91,20 @@ impl fmt::Display for CertifyError {
 
 impl std::error::Error for CertifyError {}
 
-/// The shared immutable heart of a compiled LR parser: the grammar (in
-/// both representations), its dense tables, and the interned-id tables
-/// the incremental certifier compares against. One allocation, shared by
-/// the parser and every stream opened from it.
+/// The shared immutable heart of a compiled LR parser: the grammar, its
+/// dense tables, and the incremental certifier's own record of the
+/// grammar. One allocation, shared by the parser and every stream
+/// opened from it.
 #[derive(Debug)]
 struct LrCore {
     cfg: Cfg,
-    grammar: Grammar,
     table: LrTable,
     cert: CertTables,
 }
 
 /// A linear-time LR(1)/LALR parser whose every output derivation is
-/// certified against the grammar — incrementally, one interned-id
-/// comparison per shift and per reduction.
+/// certified against the grammar — incrementally, a few claim-id
+/// comparisons per shift and per reduction.
 ///
 /// Construction rejects grammars with unresolvable conflicts
 /// ([`LrConflictReport`] points at the offending item sets); parsing is
@@ -133,7 +132,7 @@ pub struct CertifiedLrParser {
 
 impl CertifiedLrParser {
     /// Builds the LALR(1) tables for `cfg` and wraps them with the
-    /// certification layer (including the interned-id tables the
+    /// certification layer (including the production record the
     /// incremental checks compare against).
     ///
     /// # Errors
@@ -145,12 +144,28 @@ impl CertifiedLrParser {
         let cert = CertTables::build(&table, cfg);
         Ok(CertifiedLrParser {
             core: Arc::new(LrCore {
-                grammar: cfg.to_lambek(),
                 cfg: cfg.clone(),
                 table,
                 cert,
             }),
         })
+    }
+
+    /// Test support: this parser with its tables replaced by `table` (a
+    /// corrupted copy, see [`LrTable::set_action`]), under the certifier
+    /// built from the honest compile. Panics unless `table` has this
+    /// parser's terminal columns and productions.
+    #[doc(hidden)]
+    pub fn with_table(&self, table: LrTable) -> CertifiedLrParser {
+        let shape = |t: &LrTable| (t.num_terminals(), t.num_productions());
+        assert_eq!(shape(&table), shape(&self.core.table), "another shape");
+        CertifiedLrParser {
+            core: Arc::new(LrCore {
+                cfg: self.core.cfg.clone(),
+                table,
+                cert: self.core.cert.clone(),
+            }),
+        }
     }
 
     /// The grammar the tables were built from.
@@ -160,7 +175,7 @@ impl CertifiedLrParser {
 
     /// The μ-regular encoding derivations are certified against.
     pub fn grammar(&self) -> &Grammar {
-        &self.core.grammar
+        self.core.cfg.lambek()
     }
 
     /// The dense ACTION/GOTO tables (introspection and benchmarks).
@@ -205,7 +220,7 @@ impl CertifiedLrParser {
     pub fn parse_full(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
         match parse_log(&self.core.table, &self.core.cfg, None, w) {
             Ok(Ok(log)) => {
-                validate(&log.to_parse_tree(), &self.core.grammar, w)
+                validate(&log.to_parse_tree(), self.grammar(), w)
                     .map_err(|cause| CertifyError { cause })?;
                 Ok(LrOutcome::Accept(log))
             }
@@ -411,7 +426,7 @@ impl LrStream {
     /// here — an end-of-input simulation over a scratch state stack,
     /// without logging anything or disturbing the parse.
     pub fn would_accept(&self) -> bool {
-        self.is_viable() && would_accept_states(&self.sink.core.table, self.sink.machine.states())
+        self.would_accept_after([])
     }
 
     /// Like [`LrStream::would_accept`], but as if the terminals in
@@ -440,16 +455,9 @@ impl LrStream {
         would_accept_after_states(&self.sink.core.table, self.sink.machine.states(), &extra)
     }
 
-    /// Installs a fault injection on the underlying machine (test-only;
-    /// see [`SabotageLr`]). The adversarial suites use this to prove the
-    /// incremental checker catches a corrupted step *at that step*.
-    #[doc(hidden)]
-    pub fn sabotage(&mut self, s: SabotageLr) {
-        self.sink.machine.set_sabotage(s);
-    }
-
-    /// `(shifts, reduces)` the machine has performed so far — the step
-    /// counters [`SabotageLr`] indices refer to (test-only).
+    /// `(shifts, reduces)` the machine has performed so far, counting
+    /// the step a fault was caught at: fault-injection tests locate the
+    /// step that caught a corrupted table entry by it.
     #[doc(hidden)]
     pub fn step_counts(&self) -> (usize, usize) {
         self.sink.machine.step_counts()
@@ -472,8 +480,7 @@ impl LrStream {
 /// state-extraction half of session park/resume (the serving engine's
 /// snapshot format serializes exactly this).
 ///
-/// Interned [`lambek_core::intern::GrammarId`]s are process-local, so
-/// the claim stack is exported as [`ClaimRef`]s (terminal/nonterminal
+/// The claim stack is exported as [`ClaimRef`]s (terminal/nonterminal
 /// *numbers*). Everything here is data. Only `input` is used to rebuild
 /// the stream: [`CertifiedLrParser::resume_stream`] replays it through
 /// the certified driver and requires every other field to equal the
@@ -525,7 +532,7 @@ impl LrStream {
         if sink.fault.is_some() {
             return None;
         }
-        let claims: Option<Vec<ClaimRef>> = sink
+        let claims = sink
             .machine
             .claims()
             .iter()
@@ -535,7 +542,7 @@ impl LrStream {
         Some(LrStreamState {
             states: sink.machine.states().to_vec(),
             trees: sink.machine.log().to_parse_trees(),
-            claims: claims?,
+            claims,
             shifts,
             reduces,
             input: self.input.clone(),
@@ -597,7 +604,7 @@ impl CertifiedLrParser {
             && m.claims()
                 .iter()
                 .zip(&st.claims)
-                .all(|(&id, &claim)| self.core.cert.claim_ref(id) == Some(claim));
+                .all(|(&id, &claim)| self.core.cert.claim_ref(id) == claim);
         if !claims_match {
             return Err(err("claim stack differs from the replay's".into()));
         }

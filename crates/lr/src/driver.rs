@@ -10,143 +10,118 @@
 //! exactly the μ-regular tree [`Cfg::derivation`] builds, and nothing
 //! on the driver side ever builds a boxed node.
 //!
-//! Every loop carries a *fuel* bound on reductions between shifts. A
-//! conflict-free LALR(1) table never needs it — it exists so that a
-//! hypothetical table-construction bug degrades into a structured
-//! rejection instead of divergence (the property suites run the driver
-//! over randomly generated grammars).
+//! The table is an untrusted artifact, so no loop trusts it to be
+//! consistent: a reduction popping past the bottom marker, a missing
+//! GOTO, a shift in the `$` column, an accept in a symbol column, or
+//! more reductions between two shifts than a *fuel* bound allows, each
+//! degrades into a structured rejection, never a panic or divergence.
+//! Whatever else a corrupted table makes the parsing drivers log, the
+//! certifier ([`CertTables`]) refuses.
 
 use std::fmt;
 
 use lambek_cfg::grammar::{Cfg, GSym};
 use lambek_core::alphabet::{GString, Symbol};
-use lambek_core::grammar::expr::{chr, var};
 use lambek_core::grammar::parse_tree::{LogEntry, ReductionLog, ValidateError};
-use lambek_core::intern::{self, GrammarId};
 
 use crate::table::{Action, LrTable};
 
-/// Precomputed interned-id tables for incremental certification: one
-/// grammar id per terminal (`'c'`), one per nonterminal (`var n`), and
-/// the expected child-id sequence of every table production. All built
-/// once at compile time through the interner, so the per-step checks are
-/// integer comparisons — no interner lock, no grammar traversal.
-#[derive(Debug)]
+/// The incremental certifier's own record of the grammar, read from the
+/// [`Cfg`] at compile time and never from the table it checks (as in
+/// Jourdan, Pottier & Leroy's LR(1) validator, ESOP 2012). Claims are
+/// table-local ids: terminal `i` claims `i`, nonterminal `n` claims
+/// `|Σ| + n`, so every per-step check is an integer comparison.
+#[derive(Debug, Clone)]
 pub(crate) struct CertTables {
-    /// `grammar_id(chr(c))` per alphabet symbol.
-    chr_ids: Vec<GrammarId>,
-    /// `grammar_id(var(n))` per nonterminal.
-    var_ids: Vec<GrammarId>,
-    /// Per table production `p`, the ids its RHS symbols must claim
-    /// (index 0, the synthetic `S' → S`, is unused).
-    rhs_ids: Vec<Vec<GrammarId>>,
+    /// `|Σ|`: the claim id of nonterminal 0.
+    n_terms: u32,
+    /// Per table production `p` (index 0, the synthetic `S' → S`, is
+    /// unused): what a reduction by `p` must log and claim.
+    prods: Vec<CertProduction>,
     /// The claim of a completed start symbol.
-    start_id: GrammarId,
+    start: u32,
+    /// One display name per claim id, read only to render a fault.
+    names: Vec<String>,
+}
+
+/// One production as the certifier knows it.
+#[derive(Debug, Clone, Default)]
+struct CertProduction {
+    /// The claim a reduction pushes: `var(nt)`.
+    claim: u32,
+    /// The injection tag the reduction must log.
+    alt: u32,
+    /// The claims of the RHS symbols, in order (their number is the
+    /// arity the reduction must log).
+    rhs: Box<[u32]>,
 }
 
 impl CertTables {
+    /// Reads the record of each of `table`'s productions from `cfg` (only
+    /// the numbering `p ↦ (nt, alt)` comes from the table).
     pub(crate) fn build(table: &LrTable, cfg: &Cfg) -> CertTables {
-        let chr_ids: Vec<GrammarId> = cfg
-            .alphabet()
-            .symbols()
-            .map(|s| intern::grammar_id(&chr(s)))
-            .collect();
-        let var_ids: Vec<GrammarId> = (0..cfg.num_nonterminals())
-            .map(|n| intern::grammar_id(&var(n)))
-            .collect();
-        let mut rhs_ids = vec![Vec::new()];
+        let n_terms = cfg.alphabet().len() as u32;
+        let claim = |g: &GSym| match g {
+            GSym::T(c) => c.index() as u32,
+            GSym::N(n) => n_terms + *n as u32,
+        };
+        let mut prods = vec![CertProduction::default()];
         for p in 1..table.num_productions() {
             let pr = table.production(p);
-            let rhs = &cfg.alternatives(pr.nt)[pr.alt].rhs;
-            rhs_ids.push(
-                rhs.iter()
-                    .map(|g| match g {
-                        GSym::T(c) => chr_ids[c.index()],
-                        GSym::N(n) => var_ids[*n],
-                    })
+            prods.push(CertProduction {
+                claim: claim(&GSym::N(pr.nt)),
+                alt: pr.alt as u32,
+                rhs: cfg.alternatives(pr.nt)[pr.alt]
+                    .rhs
+                    .iter()
+                    .map(claim)
                     .collect(),
-            );
+            });
         }
-        let start_id = var_ids[cfg.start()];
+        let names = cfg
+            .alphabet()
+            .names()
+            .iter()
+            .map(|c| format!("'{c}'"))
+            .chain((0..cfg.num_nonterminals()).map(|n| cfg.name(n).to_owned()))
+            .collect();
         CertTables {
-            chr_ids,
-            var_ids,
-            rhs_ids,
-            start_id,
+            n_terms,
+            prods,
+            start: claim(&GSym::N(cfg.start())),
+            names,
         }
     }
 
-    /// The stable [`ClaimRef`] of an interned claim id (a linear scan:
-    /// this runs once per stack entry at snapshot and at resume, over
-    /// alphabets and nonterminal sets that are small by construction).
-    pub(crate) fn claim_ref(&self, id: GrammarId) -> Option<ClaimRef> {
-        if let Some(i) = self.chr_ids.iter().position(|&c| c == id) {
-            return Some(ClaimRef::Term(i));
+    /// The stable [`ClaimRef`] of a claim id.
+    pub(crate) fn claim_ref(&self, id: u32) -> ClaimRef {
+        match id.checked_sub(self.n_terms) {
+            None => ClaimRef::Term(id as usize),
+            Some(n) => ClaimRef::Var(n as usize),
         }
-        self.var_ids
-            .iter()
-            .position(|&v| v == id)
-            .map(ClaimRef::Var)
+    }
+
+    /// Renders a claim sequence for a fault report.
+    fn render(&self, ids: &[u32]) -> String {
+        let parts: Vec<&str> = ids.iter().map(|&id| &*self.names[id as usize]).collect();
+        if parts.is_empty() {
+            "ε".to_owned()
+        } else {
+            parts.join(" ⊗ ")
+        }
     }
 }
 
 /// A process-independent reference to a claim on the LR machine's
-/// certification stack: interned [`GrammarId`]s are stable only within
-/// one process, so session snapshots record each claim as *terminal
-/// number `i`* or *nonterminal number `n`* and map it back through the
-/// resuming parser's certification tables.
+/// certification stack: session snapshots record each claim as
+/// *terminal number `i`* or *nonterminal number `n`*, which maps to and
+/// from the parser's table-local claim ids by arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClaimRef {
     /// The claim `chr(c)` for the alphabet's `i`th symbol.
     Term(usize),
     /// The claim `var(n)` for the grammar's `n`th nonterminal.
     Var(usize),
-}
-
-/// Renders a claim sequence for fault reports.
-fn render_claims(ids: &[GrammarId]) -> String {
-    let parts: Vec<String> = ids
-        .iter()
-        .map(|id| intern::grammar(*id).to_string())
-        .collect();
-    if parts.is_empty() {
-        "ε".to_owned()
-    } else {
-        parts.join(" ⊗ ")
-    }
-}
-
-/// Test-only fault injection for the LR machine: corrupts exactly one
-/// step of the run so the adversarial suites can prove the incremental
-/// certifier notices *at that step*. Hidden from docs; never constructed
-/// by production code.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SabotageLr {
-    /// At the `shift`th shift (0-based), log a leaf carrying `sym`
-    /// instead of the input symbol.
-    ShiftLeaf {
-        /// Which shift to corrupt.
-        shift: usize,
-        /// The bogus leaf symbol.
-        sym: Symbol,
-    },
-    /// At the `reduce`th reduction, behave as if the table had said
-    /// `production` (pop its RHS length, log its reduction).
-    ReduceAs {
-        /// Which reduction to corrupt.
-        reduce: usize,
-        /// The table production to substitute.
-        production: usize,
-    },
-    /// At the `reduce`th reduction, log the injection tag `tag`
-    /// instead of the production's alternative.
-    ReduceTag {
-        /// Which reduction to corrupt.
-        reduce: usize,
-        /// The bogus alternative index.
-        tag: usize,
-    },
 }
 
 /// Why the driver rejected an input.
@@ -266,12 +241,14 @@ pub(crate) fn recognize_states(table: &LrTable, w: &GString) -> bool {
                     }
                     fuel -= 1;
                 }
-                Action::Accept => return true,
+                // An accept only counts in the `$` column.
+                Action::Accept => return pos == w.len(),
                 Action::Error => return false,
             }
         }
     }
-    unreachable!("the EOF column only ever accepts or errors")
+    // A shift in the `$` column.
+    false
 }
 
 /// One shift-reduce engine over a dense table, carrying the state stack
@@ -286,12 +263,11 @@ pub(crate) fn recognize_states(table: &LrTable, w: &GString) -> bool {
 pub(crate) struct Machine {
     states: Vec<u32>,
     log: ReductionLog,
-    /// One interned grammar id per stack slot (= per log root): the
-    /// grammar that subtree is claimed (and, inductively, checked) to
-    /// parse. Maintained only when `feed` runs with certification
-    /// tables.
-    claims: Vec<GrammarId>,
-    sabotage: Option<SabotageLr>,
+    /// One claim id per stack slot (= per log root): the grammar that
+    /// subtree is claimed (and, inductively, checked) to parse (see
+    /// [`CertTables`]). Maintained only when `feed` runs with
+    /// certification tables.
+    claims: Vec<u32>,
     shifts_done: usize,
     reduces_done: usize,
     /// Certification checks discharged so far (see
@@ -328,7 +304,6 @@ impl Machine {
             states,
             log: ReductionLog::with_capacity(log_capacity(n)),
             claims: Vec::with_capacity(n + 1),
-            sabotage: None,
             shifts_done: 0,
             reduces_done: 0,
             claims_checked: 0,
@@ -336,13 +311,7 @@ impl Machine {
         }
     }
 
-    /// Installs a fault injection (test-only; see [`SabotageLr`]).
-    pub(crate) fn set_sabotage(&mut self, s: SabotageLr) {
-        self.sabotage = Some(s);
-    }
-
-    /// `(shifts, reduces)` performed so far — the step counters the
-    /// sabotage indices refer to.
+    /// `(shifts, reduces)` performed so far.
     pub(crate) fn step_counts(&self) -> (usize, usize) {
         (self.shifts_done, self.reduces_done)
     }
@@ -371,7 +340,7 @@ impl Machine {
 
     /// The claim stack parallel to the log's roots (empty when the
     /// machine runs without certification tables).
-    pub(crate) fn claims(&self) -> &[GrammarId] {
+    pub(crate) fn claims(&self) -> &[u32] {
         &self.claims
     }
 
@@ -397,15 +366,15 @@ impl Machine {
     /// table shifts, accepts or errors. Symbols outside the grammar's
     /// alphabet are rejected up front (see [`term_column`]).
     ///
-    /// With `cert` tables, every step is certified as it happens: a
-    /// logged leaf must be the input symbol, a reduction's closed
-    /// children must claim exactly the production's RHS ids, the logged
-    /// reduction must carry the production's injection tag, and the
-    /// accepted stack must be a lone start-symbol claim. Each check is
-    /// O(1) in interned-id comparisons, and together they maintain the
-    /// invariant that every root of the log materializes to a tree that
-    /// `check_shape`s against its claim and yields the input slice it
-    /// covers — so an `Accepted` log needs no whole-tree `validate`.
+    /// With `cert` tables, every step is certified as it happens, against
+    /// the certifier's production record, never the table's: a shift
+    /// claims the input symbol it logs, a reduction's closed children
+    /// must claim exactly the production's RHS and its log entry must
+    /// carry the production's tag and arity, and the accepted stack must
+    /// be a lone start-symbol claim. Together these O(1) checks keep
+    /// every root of the log a tree that `check_shape`s against its
+    /// claim and yields the input slice it covers — so an `Accepted` log
+    /// needs no whole-tree `validate`.
     pub(crate) fn feed(
         &mut self,
         table: &LrTable,
@@ -461,41 +430,24 @@ impl Machine {
             let s = *self.states.last().expect("state stack is never empty") as usize;
             match table.action(s, term) {
                 Action::Shift(t) => {
-                    let sym = sym.expect("EOF is never shifted");
-                    let mut leaf = sym;
-                    if let Some(SabotageLr::ShiftLeaf { shift, sym: bogus }) = self.sabotage {
-                        if shift == self.shifts_done {
-                            leaf = bogus;
-                        }
-                    }
+                    // A shift in the `$` column: nothing to shift.
+                    let Some(sym) = sym else {
+                        return Step::Rejected { state: s };
+                    };
                     self.shifts_done += 1;
-                    if let Some(ct) = cert {
-                        self.claims_checked += 1;
-                        if leaf != sym {
-                            return Step::Faulted(ValidateError::ShapeMismatch {
-                                expected: intern::grammar(ct.chr_ids[sym.index()]).to_string(),
-                                found: LogEntry::Shift(leaf).to_string(),
-                            });
-                        }
-                        self.claims.push(ct.chr_ids[sym.index()]);
+                    if cert.is_some() {
+                        self.claims.push(sym.index() as u32);
                     }
-                    self.log.shift(leaf);
+                    self.log.shift(sym);
                     self.states.push(t as u32);
                     return Step::Shifted;
                 }
                 Action::Reduce(p) => {
-                    let (p, prod) = match self.sabotage {
-                        Some(SabotageLr::ReduceAs { reduce, production })
-                            if reduce == self.reduces_done =>
-                        {
-                            (production, table.production(production))
-                        }
-                        _ => (p, table.production(p)),
-                    };
+                    let prod = table.production(p);
                     if prod.rhs_len >= self.states.len() {
                         // An inconsistent table popping past the bottom
                         // marker: degrade to a rejection, not a panic
-                        // (same defense as `would_accept_states`).
+                        // (same defense as `would_accept_after_states`).
                         return Step::Rejected { state: s };
                     }
                     self.states.truncate(self.states.len() - prod.rhs_len);
@@ -507,43 +459,39 @@ impl Machine {
                     let Some(g) = table.goto(top, prod.nt) else {
                         return Step::Rejected { state: top };
                     };
-                    let mut alt = prod.alt as u32;
-                    if let Some(SabotageLr::ReduceTag { reduce, tag }) = self.sabotage {
-                        if reduce == self.reduces_done {
-                            alt = tag as u32;
-                        }
-                    }
                     // The stack's last `rhs_len` roots are this node's
                     // children (`Cfg::derivation`'s right-nested tensor,
                     // `Unit` for an empty RHS) — implicit in the log.
-                    self.log.reduce(alt, prod.rhs_len as u32);
+                    self.log.reduce(prod.alt as u32, prod.rhs_len as u32);
                     self.reduces_done += 1;
                     if let Some(ct) = cert {
-                        let expected = &ct.rhs_ids[p];
-                        // RHS claim sequence + injection tag.
-                        self.claims_checked += expected.len() as u64 + 1;
-                        let popped_from = self.claims.len().checked_sub(expected.len());
+                        let rec = &ct.prods[p];
+                        // RHS claim sequence + logged tag and arity.
+                        self.claims_checked += rec.rhs.len() as u64 + 1;
+                        let popped_from = self.claims.len().checked_sub(rec.rhs.len());
+                        // Element-wise: `==` on `[u32]` calls `memcmp`,
+                        // which costs more than these few claims.
                         let matches_rhs =
-                            popped_from.is_some_and(|k| self.claims[k..] == expected[..]);
+                            popped_from.is_some_and(|k| self.claims[k..].iter().eq(rec.rhs.iter()));
                         if !matches_rhs {
                             return Step::Faulted(ValidateError::ShapeMismatch {
-                                expected: render_claims(expected),
-                                found: render_claims(&self.claims[popped_from.unwrap_or(0)..]),
+                                expected: ct.render(&rec.rhs),
+                                found: ct.render(&self.claims[popped_from.unwrap_or(0)..]),
                             });
                         }
                         let logged = *self.log.entries().last().expect("just logged");
-                        let tag_ok = matches!(
-                            logged,
-                            LogEntry::Reduce { alt, .. } if alt as usize == prod.alt
-                        );
-                        if !tag_ok {
+                        let recorded = LogEntry::Reduce {
+                            alt: rec.alt,
+                            arity: rec.rhs.len() as u32,
+                        };
+                        if logged != recorded {
                             return Step::Faulted(ValidateError::ShapeMismatch {
-                                expected: intern::grammar(ct.var_ids[prod.nt]).to_string(),
+                                expected: format!("{} by {recorded}", ct.render(&[rec.claim])),
                                 found: logged.to_string(),
                             });
                         }
                         self.claims.truncate(popped_from.expect("checked above"));
-                        self.claims.push(ct.var_ids[prod.nt]);
+                        self.claims.push(rec.claim);
                     }
                     self.states.push(g as u32);
                     if fuel == 0 {
@@ -551,16 +499,18 @@ impl Machine {
                     }
                     fuel -= 1;
                 }
+                // An accept in a symbol column would drop the input.
+                Action::Accept if sym.is_some() => return Step::Rejected { state: s },
                 Action::Accept => {
                     if let Some(ct) = cert {
                         self.claims_checked += 1;
                         let lone_start = self.depth() == 1
                             && self.claims.len() == 1
-                            && self.claims[0] == ct.start_id;
+                            && self.claims[0] == ct.start;
                         if !lone_start {
                             return Step::Faulted(ValidateError::ShapeMismatch {
-                                expected: intern::grammar(ct.start_id).to_string(),
-                                found: render_claims(&self.claims),
+                                expected: ct.render(&[ct.start]),
+                                found: ct.render(&self.claims),
                             });
                         }
                     }
@@ -593,13 +543,6 @@ pub(crate) fn parse_log(
         }
     }
     unreachable!("the EOF column only ever accepts or errors")
-}
-
-/// Probes whether ending the input at the current configuration would
-/// accept: simulates the EOF reductions over a scratch copy of the state
-/// stack (no trees are built, nothing is mutated).
-pub(crate) fn would_accept_states(table: &LrTable, states: &[u32]) -> bool {
-    would_accept_after_states(table, states, &[]).0
 }
 
 /// Probes whether consuming `extra` pending terminals and then ending
@@ -635,9 +578,8 @@ pub(crate) fn would_accept_after_states(
         loop {
             steps += 1;
             match table.action(top(base_len, &overlay), term) {
-                // Accept lives only in the `$` column, which is only
-                // probed after the pending symbols are consumed.
-                Action::Accept => return (true, steps),
+                // An accept only counts in the `$` column.
+                Action::Accept => return (k == extra.len(), steps),
                 Action::Shift(t) => {
                     if k == extra.len() {
                         return (false, steps);

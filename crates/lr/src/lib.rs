@@ -21,7 +21,8 @@
 //! * every derivation a [`CertifiedLrParser`] emits — one-shot or via
 //!   the push-mode [`LrStream`] — is certified against the grammar's
 //!   μ-regular encoding *incrementally*: each shift and each reduction
-//!   is checked as it happens via interned grammar-id comparisons, and
+//!   is checked as it happens via claim-id comparisons against the
+//!   certifier's own record of the grammar (not the table's), and
 //!   the per-step checks compose to the whole-tree `validate` contract
 //!   (kept verbatim behind the one-shot [`CertifiedLrParser::parse_full`]
 //!   for the differential suites), so intrinsic verification is
@@ -59,7 +60,7 @@ mod table;
 pub use certified::{
     CertifiedLrParser, CertifyError, LrOutcome, LrResumeError, LrSink, LrStream, LrStreamState,
 };
-pub use driver::{ClaimRef, LrReject, SabotageLr};
+pub use driver::{ClaimRef, LrReject};
 pub use probes::LrProbes;
 pub use table::{Action, ConflictKind, LrConflict, LrConflictReport, LrTable, ProductionRef};
 

@@ -23,10 +23,10 @@ pub struct LrProbes {
     pub shifts: u64,
     /// Reductions performed by completed driver runs.
     pub reduces: u64,
-    /// Certification claims discharged (leaf identity per certified
-    /// shift, RHS-claim sequence plus injection tag per certified
-    /// reduction, lone-start claim per accept). Zero for runs driven
-    /// without certification tables.
+    /// Certification claims discharged (the RHS-claim sequence plus
+    /// the logged tag and arity per certified reduction, the lone-start
+    /// claim per accept). Zero for runs driven without certification
+    /// tables.
     pub claims_checked: u64,
 }
 

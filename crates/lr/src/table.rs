@@ -315,6 +315,40 @@ impl LrTable {
         self.prods.len()
     }
 
+    /// Test support: overwrites one ACTION cell. The table is an
+    /// untrusted artifact, and fault-injection tests run corrupted
+    /// copies under the honest certifier
+    /// ([`crate::CertifiedLrParser::with_table`]). Each setter panics
+    /// unless its indices are in range (a real cell, state, production
+    /// or nonterminal), so the corrupted table is still well formed.
+    #[doc(hidden)]
+    pub fn set_action(&mut self, state: usize, term: usize, a: Action) {
+        assert!(state < self.n_states && term < self.n_terms, "no such cell");
+        match a {
+            Action::Shift(t) => assert!(t < self.n_states, "no such state"),
+            Action::Reduce(p) => assert!((1..self.prods.len()).contains(&p), "no such production"),
+            Action::Error | Action::Accept => {}
+        }
+        self.action[state * self.n_terms + term] = encode(a);
+    }
+
+    /// Test support: overwrites one GOTO cell (see [`LrTable::set_action`]).
+    #[doc(hidden)]
+    pub fn set_goto(&mut self, state: usize, nt: usize, to: Option<usize>) {
+        assert!(state < self.n_states && nt < self.n_nts, "no such cell");
+        assert!(to.is_none_or(|t| t < self.n_states), "no such state");
+        self.goto_[state * self.n_nts + nt] = to.map_or(GOTO_NONE, |t| t as u32);
+    }
+
+    /// Test support: overwrites one production record, to any tag and
+    /// RHS length (see [`LrTable::set_action`]).
+    #[doc(hidden)]
+    pub fn set_production(&mut self, p: usize, prod: ProductionRef) {
+        assert!((1..self.prods.len()).contains(&p), "no such production");
+        assert!(prod.nt < self.n_nts, "no such nonterminal");
+        self.prods[p] = prod;
+    }
+
     /// The terminal columns with a non-error action in `state`, rendered
     /// with the alphabet's symbol names (`$` for end of input) — the
     /// "expected one of …" list of a rejection report.
