@@ -345,15 +345,6 @@ impl ReductionLog {
         self.yield_len
     }
 
-    /// Appends another log's entries after this one's (its roots follow
-    /// this log's roots).
-    pub fn append(&mut self, other: &ReductionLog) {
-        self.entries.extend_from_slice(&other.entries);
-        self.size += other.size;
-        self.yield_len += other.yield_len;
-        self.roots += other.roots;
-    }
-
     /// Materializes every root, in order — iteratively, so a log as
     /// deep as its input never touches the call stack.
     pub fn to_parse_trees(&self) -> Vec<ParseTree> {

@@ -47,10 +47,10 @@
 //!   weight is the *measured* compile time, so expensive lexed-CFG
 //!   pipelines outlive swarms of cheap regex ones;
 //! * serializable stream sessions: [`StreamParser::snapshot`] parks a
-//!   push-mode session as a versioned, checksummed byte blob
-//!   ([`SessionState`]) and [`Engine::resume`] re-validates and revives
-//!   it — on this or any other engine — with the certification
-//!   contract intact.
+//!   push-mode session as a versioned, checksummed log of its input
+//!   ([`SessionState`]) and [`Engine::resume`] revives it — on this or
+//!   any other engine — by pushing that input into a fresh stream, with
+//!   the certification contract intact.
 //!
 //! ```
 //! use lambek_core::alphabet::Alphabet;
@@ -534,22 +534,22 @@ impl Engine {
     /// Revives a parked stream session (see [`StreamParser::snapshot`])
     /// against the pipeline for `spec` — on this engine or any other,
     /// in this process or another. The blob's checksum, version and
-    /// structural spec fingerprint are verified, and the parser state is
-    /// re-derived through the compiled pipeline rather than installed
-    /// (an LR stack by replaying the parked input through the certified
-    /// driver, lexemes re-certified against the raw text), with the
-    /// blob's recorded state required to match. A resumed session thus
-    /// certifies exactly what an uninterrupted one would — a corrupt or
-    /// mismatched blob is a structured [`SessionError`], never a
-    /// mis-certification.
+    /// structural spec fingerprint are verified, then a fresh stream is
+    /// opened and fed the parked input through the live, certified path
+    /// ([`StreamParser::resume`]); nothing else in the blob is
+    /// installed. A resumed session thus certifies exactly what an
+    /// uninterrupted one would — a corrupt or mismatched blob is a
+    /// structured [`SessionError`], never a mis-certification.
     ///
     /// # Errors
     ///
     /// [`SessionError::Corrupt`] for damaged blobs,
     /// [`SessionError::Version`] / [`SessionError::SpecMismatch`] for
-    /// incompatible ones, [`SessionError::Invalid`] for well-formed
-    /// blobs whose state fails re-validation, and
-    /// [`SessionError::Engine`] if the pipeline itself cannot be built.
+    /// incompatible ones, [`SessionError::Invalid`] for a blob whose
+    /// mode is not the pipeline's stream mode, whose input holds a
+    /// symbol outside the pipeline's alphabet, or whose replay records a
+    /// certification fault, and [`SessionError::Engine`] if the pipeline
+    /// itself cannot be built.
     pub fn resume(
         &self,
         spec: &PipelineSpec,

@@ -15,25 +15,48 @@
 //! is process-independent, so a blob parked by one process resumes in
 //! another — but only into a structurally identical pipeline.
 //!
-//! The blob is **untrusted input**. Nothing in it is taken at face
-//! value: decoding is bounds-checked (a truncated or over-long blob is
-//! [`SessionError::Corrupt`]), and the decoded state is then re-derived
-//! through the actual compiled pipeline — the LR stack by replaying the
-//! parked input through the certified driver (the parked stacks,
-//! counters and trees must equal the replay's), lexer state by replaying
-//! the unresolved suffix, tokens by a fresh incremental certifier. A
-//! bogus blob can be *rejected* ([`SessionError::Invalid`]); it can
+//! A session is an input log. A parked parse is fully determined by the
+//! pipeline and the input pushed so far, so the version-2 payload
+//! ([`SESSION_VERSION`]) is that input and nothing else:
+//!
+//! ```text
+//! mode 0 (DFA), 1 (LR):  count u64 | symbol index u16 × count
+//! mode 2 (lexed):        length u64 | UTF-8 raw text
+//! ```
+//!
+//! Resume opens a fresh stream and pushes the input through the live
+//! path. The blob is **untrusted input**, and that replay is the whole
+//! check: decoding is bounds-checked (a truncated or over-long payload
+//! is [`SessionError::Corrupt`]); any input that decodes is something a
+//! client could have pushed, and the certified drivers decide what it
+//! means. A blob can be *rejected* ([`SessionError::Invalid`]); it can
 //! never produce a mis-certified stream.
+//!
+//! Version 1 is read-only. Its payloads start with the same input field
+//! (modes 0 and 2), or carry the LR state stack, partial-derivation
+//! trees, claims and step counters before it (mode 1), which resume
+//! skips without building them. Whatever a v1 payload holds after its
+//! input is ignored: nothing installs it.
 
 use lambek_core::alphabet::{GString, Symbol};
-use lambek_core::grammar::parse_tree::ParseTree;
 
 use crate::EngineError;
 
-/// Version stamp of the session wire format. Bumped on any layout
-/// change; old blobs then fail with [`SessionError::Version`] instead
-/// of being misread.
-pub const SESSION_VERSION: u16 = 1;
+/// Version stamp of the session wire format that snapshots write.
+/// Bumped on any layout change. Resume also reads version 1 (see the
+/// module docs); any other version fails with [`SessionError::Version`]
+/// instead of being misread.
+pub const SESSION_VERSION: u16 = 2;
+
+/// The version before blobs became input logs: read, never written.
+const V1: u16 = 1;
+
+/// Mode tag of a DFA session.
+pub(crate) const MODE_DFA: u8 = 0;
+/// Mode tag of an LR session.
+pub(crate) const MODE_LR: u8 = 1;
+/// Mode tag of a lexed-LR session.
+pub(crate) const MODE_LEXED: u8 = 2;
 
 /// Leading magic of every session blob.
 const MAGIC: [u8; 4] = *b"LBKS";
@@ -106,11 +129,14 @@ pub enum SessionError {
         /// The resuming spec's fingerprint.
         expected: u64,
     },
-    /// The blob decoded, but its state failed re-validation against the
-    /// compiled pipeline (inconsistent stacks, trees, tokens, …).
+    /// The blob decoded, but does not resume into this pipeline: its
+    /// mode is not the pipeline's stream mode, a parked symbol is
+    /// outside the pipeline's alphabet, or replaying the parked input
+    /// recorded a certification fault (a driver bug, not a client
+    /// error).
     Invalid(String),
-    /// The stream cannot be parked or resumed at all (e.g. a faulted
-    /// stream, or a blob whose mode the pipeline has no backend for).
+    /// The stream cannot be parked: it has recorded a certification
+    /// fault.
     Unsupported(String),
     /// The pipeline itself failed to compile during resume.
     Engine(EngineError),
@@ -129,7 +155,7 @@ impl std::fmt::Display for SessionError {
                 "session blob was parked from a different pipeline \
                  (fingerprint {found:#018x}, resuming spec is {expected:#018x})"
             ),
-            SessionError::Invalid(m) => write!(f, "session state failed re-validation: {m}"),
+            SessionError::Invalid(m) => write!(f, "session does not resume here: {m}"),
             SessionError::Unsupported(m) => write!(f, "session not supported: {m}"),
             SessionError::Engine(e) => write!(f, "pipeline failed to compile during resume: {e}"),
         }
@@ -140,8 +166,9 @@ impl std::error::Error for SessionError {}
 
 /// Streaming 64-bit FNV-1a, used for both the blob checksum and the
 /// spec fingerprint. Not cryptographic — it guards against accidental
-/// corruption; *semantic* safety comes from the re-validation pass,
-/// which holds even for deliberately forged blobs.
+/// corruption; *semantic* safety comes from replaying the parked input
+/// through the certified drivers, which holds even for deliberately
+/// forged blobs.
 #[derive(Debug, Clone)]
 pub(crate) struct Fnv64(u64);
 
@@ -174,37 +201,29 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 /// Little-endian byte sink for payload encoding.
 #[derive(Debug, Default)]
-pub(crate) struct Writer {
+struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn new() -> Writer {
+    fn new() -> Writer {
         Writer::default()
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u16(&mut self, v: u16) {
+    fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn usize(&mut self, v: usize) {
+    fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Length-prefixed UTF-8 string.
-    pub(crate) fn str(&mut self, s: &str) {
+    fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -214,9 +233,11 @@ impl Writer {
 /// Every method fails with [`SessionError::Corrupt`] instead of
 /// panicking on truncation.
 #[derive(Debug)]
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The blob's wire-format version.
+    version: u16,
 }
 
 impl<'a> Reader<'a> {
@@ -231,26 +252,30 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, SessionError> {
+    fn u8(&mut self) -> Result<u8, SessionError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16, SessionError> {
+    fn u16(&mut self) -> Result<u16, SessionError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, SessionError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// Skips `count` fields of `width` bytes each.
+    fn skip(&mut self, count: usize, width: usize) -> Result<(), SessionError> {
+        let n = count
+            .checked_mul(width)
+            .ok_or_else(|| SessionError::Corrupt("payload truncated".into()))?;
+        self.take(n).map(|_| ())
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, SessionError> {
+    fn u64(&mut self) -> Result<u64, SessionError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// A length field about to drive a loop or allocation. Rejecting
     /// lengths beyond the remaining byte count caps what a forged blob
     /// can make the decoder allocate.
-    pub(crate) fn len(&mut self) -> Result<usize, SessionError> {
+    fn len(&mut self) -> Result<usize, SessionError> {
         let v = self.u64()?;
         if v > (self.buf.len() - self.pos) as u64 {
             return Err(SessionError::Corrupt(format!(
@@ -262,7 +287,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Length-prefixed UTF-8 string.
-    pub(crate) fn string(&mut self) -> Result<String, SessionError> {
+    fn string(&mut self) -> Result<String, SessionError> {
         let n = self.len()?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
@@ -270,7 +295,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Demands the payload was consumed exactly.
-    pub(crate) fn finish(&self) -> Result<(), SessionError> {
+    fn finish(&self) -> Result<(), SessionError> {
         if self.pos != self.buf.len() {
             return Err(SessionError::Corrupt(format!(
                 "{} trailing bytes after the payload",
@@ -282,7 +307,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Frames a payload into a complete blob: header, payload, checksum.
-pub(crate) fn seal(fingerprint: u64, mode: u8, payload: Writer) -> SessionState {
+fn seal(fingerprint: u64, mode: u8, payload: Writer) -> SessionState {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.buf.len() + 8);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&SESSION_VERSION.to_le_bytes());
@@ -295,13 +320,10 @@ pub(crate) fn seal(fingerprint: u64, mode: u8, payload: Writer) -> SessionState 
 }
 
 /// Opens a blob: checksum first (so corruption is reported as such
-/// regardless of which field the flipped bit landed in), then version,
-/// then spec fingerprint. Returns the mode tag and a reader positioned
-/// at the payload.
-pub(crate) fn open(
-    state: &SessionState,
-    expected_fingerprint: u64,
-) -> Result<(u8, Reader<'_>), SessionError> {
+/// regardless of which field the flipped bit landed in), then version
+/// (2, or the read-only 1), then spec fingerprint. Returns the mode tag
+/// and a reader positioned at the payload.
+fn open(state: &SessionState, expected_fingerprint: u64) -> Result<(u8, Reader<'_>), SessionError> {
     let bytes = &state.bytes;
     if bytes.len() < HEADER_LEN + 8 {
         return Err(SessionError::Corrupt(format!(
@@ -319,7 +341,7 @@ pub(crate) fn open(
         return Err(SessionError::Corrupt("bad magic".into()));
     }
     let version = u16::from_le_bytes(body[4..6].try_into().unwrap());
-    if version != SESSION_VERSION {
+    if version != SESSION_VERSION && version != V1 {
         return Err(SessionError::Version {
             found: version,
             expected: SESSION_VERSION,
@@ -338,12 +360,13 @@ pub(crate) fn open(
         Reader {
             buf: &body[HEADER_LEN..],
             pos: 0,
+            version,
         },
     ))
 }
 
 /// Encodes a token-level string: length + one `u16` symbol index each.
-pub(crate) fn write_gstring(w: &mut Writer, g: &GString) {
+fn write_gstring(w: &mut Writer, g: &GString) {
     w.usize(g.len());
     for sym in g.iter() {
         w.u16(sym.index() as u16);
@@ -353,7 +376,7 @@ pub(crate) fn write_gstring(w: &mut Writer, g: &GString) {
 /// Decodes a token-level string. Symbol indices are *not* checked
 /// against an alphabet here — the caller validates them against the
 /// pipeline it is resuming into.
-pub(crate) fn read_gstring(r: &mut Reader<'_>) -> Result<GString, SessionError> {
+fn read_gstring(r: &mut Reader<'_>) -> Result<GString, SessionError> {
     let n = r.len()?;
     let mut g = GString::with_capacity(n);
     for _ in 0..n {
@@ -362,7 +385,67 @@ pub(crate) fn read_gstring(r: &mut Reader<'_>) -> Result<GString, SessionError> 
     Ok(g)
 }
 
-/// Tree node tags of the wire format.
+/// The input a session parks: what its stream was pushed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ParkedInput {
+    /// A DFA or LR session: the pushed symbols.
+    Symbols(GString),
+    /// A lexed session: the pushed raw text.
+    Text(String),
+}
+
+/// Seals a version-2 blob parking a DFA or LR stream (`mode` 0 or 1)
+/// that was pushed `input`.
+pub(crate) fn park_symbols(fingerprint: u64, mode: u8, input: &GString) -> SessionState {
+    let mut w = Writer::new();
+    write_gstring(&mut w, input);
+    seal(fingerprint, mode, w)
+}
+
+/// Seals a version-2 blob parking a lexed stream that was pushed `text`.
+pub(crate) fn park_text(fingerprint: u64, text: &str) -> SessionState {
+    let mut w = Writer::new();
+    w.str(text);
+    seal(fingerprint, MODE_LEXED, w)
+}
+
+/// Opens a blob parked from the pipeline with `expected_fingerprint`
+/// (see [`open`]) and decodes its mode tag and parked input.
+pub(crate) fn unpark(
+    state: &SessionState,
+    expected_fingerprint: u64,
+) -> Result<(u8, ParkedInput), SessionError> {
+    let (mode, r) = open(state, expected_fingerprint)?;
+    Ok((mode, read_input(r, mode)?))
+}
+
+/// Decodes the parked input of a payload with mode tag `mode` (see the
+/// module docs for both versions' layouts). A version-2 payload must be
+/// consumed exactly; a version-1 payload's fields after the input are
+/// not read.
+fn read_input(mut r: Reader<'_>, mode: u8) -> Result<ParkedInput, SessionError> {
+    let input = match mode {
+        MODE_DFA => ParkedInput::Symbols(read_gstring(&mut r)?),
+        MODE_LR => {
+            if r.version == V1 {
+                skip_v1_lr_state(&mut r)?;
+            }
+            ParkedInput::Symbols(read_gstring(&mut r)?)
+        }
+        MODE_LEXED => ParkedInput::Text(r.string()?),
+        t => {
+            return Err(SessionError::Corrupt(format!(
+                "unknown session mode tag {t}"
+            )))
+        }
+    };
+    if r.version == SESSION_VERSION {
+        r.finish()?;
+    }
+    Ok(input)
+}
+
+/// Tree node tags of the version-1 wire format.
 const TAG_CHAR: u8 = 0;
 const TAG_UNIT: u8 = 1;
 const TAG_PAIR: u8 = 2;
@@ -371,118 +454,45 @@ const TAG_TUPLE: u8 = 4;
 const TAG_TOP: u8 = 5;
 const TAG_ROLL: u8 = 6;
 
-/// Encodes a parse tree pre-order, iteratively — parked derivation
-/// stacks can hold trees whose depth is the input length, so recursion
-/// here would turn a long session into a stack overflow.
-pub(crate) fn write_tree(w: &mut Writer, tree: &ParseTree) {
-    let mut stack = vec![tree];
-    while let Some(t) = stack.pop() {
-        match t {
-            ParseTree::Char(s) => {
-                w.u8(TAG_CHAR);
-                w.u16(s.index() as u16);
-            }
-            ParseTree::Unit => w.u8(TAG_UNIT),
-            ParseTree::Pair(l, r) => {
-                w.u8(TAG_PAIR);
-                stack.push(r);
-                stack.push(l);
-            }
-            ParseTree::Inj { index, tree } => {
-                w.u8(TAG_INJ);
-                w.usize(*index);
-                stack.push(tree);
-            }
-            ParseTree::Tuple(parts) => {
-                w.u8(TAG_TUPLE);
-                w.usize(parts.len());
-                for p in parts.iter().rev() {
-                    stack.push(p);
-                }
-            }
-            ParseTree::Top(g) => {
-                w.u8(TAG_TOP);
-                write_gstring(w, g);
-            }
-            ParseTree::Roll(inner) => {
-                w.u8(TAG_ROLL);
-                stack.push(inner);
-            }
-        }
-    }
+/// Skips what a version-1 LR payload carries before its input: the
+/// state stack (`u32` each), the partial-derivation trees, the claims
+/// (a tag byte and a `u64` each) and the shift and reduce counters.
+fn skip_v1_lr_state(r: &mut Reader<'_>) -> Result<(), SessionError> {
+    let states = r.len()?;
+    r.skip(states, 4)?;
+    skip_v1_trees(r)?;
+    let claims = r.len()?;
+    r.skip(claims, 9)?;
+    r.skip(2, 8)
 }
 
-/// A pending parent during iterative tree decoding.
-enum Frame {
-    /// A pair waiting for its left child.
-    PairLeft,
-    /// A pair holding its left child, waiting for the right.
-    PairRight(ParseTree),
-    /// An injection waiting for its child.
-    Inj(usize),
-    /// A tuple collecting `len` children.
-    Tuple { len: usize, parts: Vec<ParseTree> },
-    /// A roll waiting for its child.
-    Roll,
-}
-
-/// Decodes one parse tree, iteratively (see [`write_tree`]).
-pub(crate) fn read_tree(r: &mut Reader<'_>) -> Result<ParseTree, SessionError> {
-    let mut frames: Vec<Frame> = Vec::new();
-    loop {
-        let mut done = match r.u8()? {
-            TAG_CHAR => Some(ParseTree::Char(Symbol::from_index(r.u16()? as usize))),
-            TAG_UNIT => Some(ParseTree::Unit),
-            TAG_PAIR => {
-                frames.push(Frame::PairLeft);
-                None
-            }
+/// Skips a count-prefixed sequence of version-1 pre-order trees. A
+/// count of subtrees still to skip stands in for recursion, so a tree
+/// as deep as its input skips in constant stack; every node consumes its
+/// tag byte, so a forged count runs into the end of the payload, not
+/// into a long loop. Builds nothing.
+fn skip_v1_trees(r: &mut Reader<'_>) -> Result<(), SessionError> {
+    let mut pending = r.len()?;
+    while pending > 0 {
+        pending -= 1;
+        match r.u8()? {
+            TAG_CHAR => r.skip(1, 2)?,
+            TAG_UNIT => {}
+            TAG_PAIR => pending += 2,
             TAG_INJ => {
-                frames.push(Frame::Inj(r.u64()? as usize));
-                None
+                r.skip(1, 8)?;
+                pending += 1;
             }
-            TAG_TUPLE => {
-                let len = r.len()?;
-                if len == 0 {
-                    Some(ParseTree::Tuple(Vec::new()))
-                } else {
-                    frames.push(Frame::Tuple {
-                        len,
-                        parts: Vec::new(),
-                    });
-                    None
-                }
+            TAG_TUPLE => pending += r.len()?,
+            TAG_TOP => {
+                let n = r.len()?;
+                r.skip(n, 2)?;
             }
-            TAG_TOP => Some(ParseTree::Top(read_gstring(r)?)),
-            TAG_ROLL => {
-                frames.push(Frame::Roll);
-                None
-            }
+            TAG_ROLL => pending += 1,
             t => return Err(SessionError::Corrupt(format!("unknown tree tag {t}"))),
-        };
-        // Bubble the completed subtree up through the waiting parents.
-        while let Some(t) = done.take() {
-            match frames.pop() {
-                None => return Ok(t),
-                Some(Frame::PairLeft) => {
-                    frames.push(Frame::PairRight(t));
-                    break;
-                }
-                Some(Frame::PairRight(l)) => done = Some(ParseTree::pair(l, t)),
-                Some(Frame::Inj(index)) => done = Some(ParseTree::inj(index, t)),
-                Some(Frame::Tuple { len, mut parts }) => {
-                    parts.push(t);
-                    if parts.len() == len {
-                        done = Some(ParseTree::Tuple(parts));
-                    } else {
-                        frames.push(Frame::Tuple { len, parts });
-                        break;
-                    }
-                }
-                Some(Frame::Roll) => done = Some(ParseTree::Roll(Box::new(t))),
-            }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -493,62 +503,60 @@ mod tests {
         Symbol::from_index(i)
     }
 
-    fn sample_tree() -> ParseTree {
-        ParseTree::roll(ParseTree::inj(
-            2,
-            ParseTree::pair(
-                ParseTree::Char(sym(1)),
-                ParseTree::Tuple(vec![
-                    ParseTree::Unit,
-                    ParseTree::Top([sym(0), sym(3)].into_iter().collect()),
-                    ParseTree::roll(ParseTree::Char(sym(7))),
-                ]),
-            ),
-        ))
+    /// Re-frames a sealed blob under another wire-format version, with
+    /// a valid checksum.
+    fn reseal_as(state: SessionState, version: u16) -> SessionState {
+        let mut bytes = state.into_bytes();
+        bytes.truncate(bytes.len() - 8);
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let sum = fnv64(&bytes).to_le_bytes();
+        bytes.extend_from_slice(&sum);
+        SessionState::from_bytes(bytes)
+    }
+
+    /// A v1 LR payload laid out as the v1 encoder wrote it: two states,
+    /// one tree of `depth` nested rolls around a unit, one claim, the
+    /// step counters, `input`, and no rejection.
+    fn v1_lr_payload(depth: usize, input: &GString) -> Writer {
+        let mut w = Writer::new();
+        w.usize(2);
+        w.buf.extend_from_slice(&[0; 8]);
+        w.usize(1);
+        w.buf.extend(std::iter::repeat_n(TAG_ROLL, depth));
+        w.buf.push(TAG_UNIT);
+        w.usize(1);
+        w.buf.push(1);
+        w.u64(0);
+        w.usize(input.len());
+        w.usize(depth);
+        write_gstring(&mut w, input);
+        w.buf.push(0);
+        w
     }
 
     #[test]
-    fn tree_codec_round_trips() {
-        let tree = sample_tree();
-        let mut w = Writer::new();
-        write_tree(&mut w, &tree);
-        let state = seal(42, 9, w);
-        let (mode, mut r) = open(&state, 42).unwrap();
-        assert_eq!(mode, 9);
-        let back = read_tree(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, tree);
+    fn a_deep_v1_lr_tree_skips_on_a_small_stack() {
+        let input: GString = [sym(0), sym(1)].into_iter().collect();
+        let state = reseal_as(seal(3, MODE_LR, v1_lr_payload(200_000, &input)), V1);
+        let decoded = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || unpark(&state, 3))
+            .unwrap()
+            .join()
+            .expect("no stack overflow on a 256 KiB stack");
+        assert_eq!(decoded, Ok((MODE_LR, ParkedInput::Symbols(input))));
     }
 
     #[test]
-    fn deep_trees_do_not_overflow_the_codec() {
-        // Depth ~200k of Roll nesting: fine iteratively, fatal
-        // recursively.
-        let mut tree = ParseTree::Unit;
-        for _ in 0..200_000 {
-            tree = ParseTree::Roll(Box::new(tree));
-        }
-        let mut w = Writer::new();
-        write_tree(&mut w, &tree);
-        let state = seal(0, 0, w);
-        let (_, mut r) = open(&state, 0).unwrap();
-        let back = read_tree(&mut r).unwrap();
-        // Compare the towers iteratively as well: derived `PartialEq`
-        // recurses, and 200k frames would blow the test thread's stack
-        // just as surely as a recursive codec. (Drop is iterative.)
-        let (mut a, mut b, mut depth) = (&tree, &back, 0usize);
-        loop {
-            match (a, b) {
-                (ParseTree::Roll(x), ParseTree::Roll(y)) => {
-                    a = x;
-                    b = y;
-                    depth += 1;
-                }
-                (ParseTree::Unit, ParseTree::Unit) => break,
-                (x, y) => panic!("towers diverge at depth {depth}: {x:?} vs {y:?}"),
-            }
-        }
-        assert_eq!(depth, 200_000);
+    fn a_v1_lr_payload_cut_inside_its_trees_is_corrupt() {
+        let input: GString = [sym(0), sym(1)].into_iter().collect();
+        let full = v1_lr_payload(200_000, &input);
+        // The state count and stack (16 bytes), the tree count (8), and
+        // half of the rolls.
+        let mut cut = Writer::new();
+        cut.buf.extend_from_slice(&full.buf[..16 + 8 + 100_000]);
+        let state = reseal_as(seal(3, MODE_LR, cut), V1);
+        assert!(matches!(unpark(&state, 3), Err(SessionError::Corrupt(_))));
     }
 
     #[test]

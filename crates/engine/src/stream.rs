@@ -49,11 +49,11 @@ use lambek_core::alphabet::{GString, Symbol};
 use lambek_core::grammar::parse_tree::ParseTree;
 use lambek_core::theory::parser::ParseOutcome;
 use lambek_core::transform::TransformError;
-use lambek_lex::{LexCertifier, LexCertifyError, LexStream, LexStreamState, Span, Token};
-use lambek_lr::{CertifyError, ClaimRef, LrOutcome, LrStream, LrStreamState};
+use lambek_lex::{LexCertifier, LexCertifyError, LexStream, Token};
+use lambek_lr::{CertifyError, LrOutcome, LrStream};
 
 use crate::pipeline::CompiledPipeline;
-use crate::session::{self, Reader, SessionError, SessionState, Writer};
+use crate::session::{self, ParkedInput, SessionError, SessionState};
 use crate::EngineError;
 
 /// The backend-specific state of a stream.
@@ -443,21 +443,24 @@ impl StreamParser {
         Some((b, tree))
     }
 
-    /// Parks the stream: serializes its complete state to a versioned,
-    /// checksummed [`SessionState`] that [`crate::Engine::resume`] can later
-    /// turn back into an equivalent live stream — same accepts, same
+    /// The session mode tag of this stream's backend.
+    fn mode_tag(&self) -> u8 {
+        match &self.mode {
+            Mode::Dfa { .. } => session::MODE_DFA,
+            Mode::Lr(_) => session::MODE_LR,
+            Mode::LexedLr { .. } => session::MODE_LEXED,
+        }
+    }
+
+    /// Parks the stream: writes a versioned, checksummed
+    /// [`SessionState`] that [`crate::Engine::resume`] can later turn
+    /// back into an equivalent live stream — same accepts, same
     /// rejects, same certified trees, in this process or another.
     ///
-    /// What goes over the wire is mode-dependent. DFA sessions carry
-    /// only the input (the state sequence is a deterministic replay).
-    /// LR sessions carry the state stack, the partial derivation stack
-    /// with its certification claims (as process-independent
-    /// [`ClaimRef`]s), and the input. Lexed sessions add the raw text,
-    /// the resolved-boundary offset, and every emitted token — the
-    /// open scan is *derived*, not shipped. In every case resume
-    /// re-derives the state from the input through the compiled
-    /// pipeline and checks the rest of the blob against it; the blob is
-    /// never trusted.
+    /// A parked parse is determined by the pipeline and its input, so
+    /// the blob carries the input and nothing else: the pushed symbols
+    /// ([`StreamParser::input`]) for DFA and LR streams, the pushed raw
+    /// text ([`StreamParser::raw_input`]) for lexed streams.
     ///
     /// # Errors
     ///
@@ -465,211 +468,76 @@ impl StreamParser {
     /// certification fault — a faulted configuration is evidence of a
     /// driver bug, not a parse state worth parking.
     pub fn snapshot(&self) -> Result<SessionState, SessionError> {
+        if self.lr_fault().is_some() || self.lex_fault().is_some() {
+            return Err(SessionError::Unsupported(
+                "streams with a recorded certification fault cannot be parked".into(),
+            ));
+        }
         let fingerprint = self.pipeline.spec().session_fingerprint();
-        let mut w = Writer::new();
-        let tag = match &self.mode {
-            Mode::Dfa { input, .. } => {
-                session::write_gstring(&mut w, input);
-                0
-            }
-            Mode::Lr(stream) => {
-                let st = stream.export_state().ok_or_else(|| {
-                    SessionError::Unsupported("faulted LR streams cannot be parked".into())
-                })?;
-                write_lr_state(&mut w, &st);
-                1
-            }
-            Mode::LexedLr {
-                lex,
-                lr,
-                tokens,
-                lex_fault,
-                ..
-            } => {
-                if lex_fault.is_some() {
-                    return Err(SessionError::Unsupported(
-                        "streams with a recorded lexer-certification fault cannot be parked".into(),
-                    ));
-                }
-                let lr_st = lr.export_state().ok_or_else(|| {
-                    SessionError::Unsupported("faulted LR streams cannot be parked".into())
-                })?;
-                write_lex_state(&mut w, &lex.export_state());
-                write_lr_state(&mut w, &lr_st);
-                w.usize(tokens.len());
-                for t in tokens {
-                    write_token(&mut w, t);
-                }
-                2
-            }
-        };
-        Ok(session::seal(fingerprint, tag, w))
+        Ok(match self.raw_input() {
+            Some(text) => session::park_text(fingerprint, text),
+            None => session::park_symbols(fingerprint, self.mode_tag(), self.input()),
+        })
     }
 
     /// Un-parks a session over `pipeline` — the inverse of
     /// [`StreamParser::snapshot`], usually reached through
     /// [`Engine::resume`](crate::Engine::resume).
     ///
-    /// The blob is treated as untrusted input throughout: the checksum
-    /// and version gate the framing, the spec fingerprint gates *which
-    /// pipeline* the state may re-enter, and the decoded state is then
-    /// re-derived piece by piece — DFA input replayed through the
-    /// automaton, LR input replayed through the certified driver (the
-    /// parked state stack, claims, counters, rejection and trees must
-    /// equal the replay's), lexer state re-derived by scanning the
-    /// unresolved suffix, and every token re-certified by a fresh
-    /// incremental certifier (span tiling + derivative-table walk). A
-    /// blob that lies is rejected with a structured error; it cannot
-    /// produce a stream whose future certifications are wrong.
+    /// Resume opens a fresh stream over `pipeline` and pushes the parked
+    /// input through the live path ([`StreamParser::push_all`], or one
+    /// [`StreamParser::push_chars`] of the raw text, which is
+    /// chunk-invariant): the resumed stream *is* a stream that was fed
+    /// that input, so it certifies exactly what an uninterrupted one
+    /// would. The blob is untrusted; its checksum and version gate the
+    /// framing, its spec fingerprint gates which pipeline it may
+    /// re-enter, and the replay decides what the input means.
     ///
     /// # Errors
     ///
     /// [`SessionError::Corrupt`] / [`SessionError::Version`] /
-    /// [`SessionError::SpecMismatch`] for framing-level rejections,
-    /// [`SessionError::Invalid`] when the decoded state fails
-    /// re-validation against this pipeline.
+    /// [`SessionError::SpecMismatch`] for framing-level rejections;
+    /// [`SessionError::Invalid`] when the blob's mode is not this
+    /// pipeline's stream mode, a parked symbol is outside its alphabet,
+    /// or the replay records a certification fault.
     pub fn resume(
         pipeline: Arc<CompiledPipeline>,
         state: &SessionState,
     ) -> Result<StreamParser, SessionError> {
         let fingerprint = pipeline.spec().session_fingerprint();
-        let (tag, mut r) = session::open(state, fingerprint)?;
+        let (tag, input) = session::unpark(state, fingerprint)?;
         let invalid = SessionError::Invalid;
-        let mode = match tag {
-            0 => {
-                let Some(backend) = pipeline.backend() else {
-                    return Err(invalid(
-                        "blob is a DFA session but the pipeline has no DFA backend".into(),
-                    ));
-                };
-                let input = session::read_gstring(&mut r)?;
-                r.finish()?;
-                let n_syms = pipeline.alphabet().names().len();
+        let n_syms = pipeline.alphabet().names().len();
+        let mut stream = StreamParser::open(pipeline).map_err(|e| invalid(e.to_string()))?;
+        if tag != stream.mode_tag() {
+            return Err(invalid(format!(
+                "blob is a mode-{tag} session, the pipeline streams in mode {}",
+                stream.mode_tag()
+            )));
+        }
+        match input {
+            ParkedInput::Symbols(input) => {
+                // Input validation: an out-of-range index would panic
+                // in the DFA's `delta`.
                 if let Some(sym) = input.iter().find(|s| s.index() >= n_syms) {
                     return Err(invalid(format!(
                         "symbol index {} is outside the {n_syms}-symbol alphabet",
                         sym.index()
                     )));
                 }
-                // The state sequence is not on the wire: replaying the
-                // input through the actual automaton *is* the
-                // validation (and the only self-consistent outcome).
-                let mut states = Vec::with_capacity(input.len() + 1);
-                states.push(backend.dfa.init());
-                for sym in input.iter() {
-                    let s = *states.last().expect("seeded with the initial state");
-                    states.push(backend.dfa.delta(s, sym));
-                }
-                Mode::Dfa {
-                    states,
-                    input,
-                    live: backend.dfa.live_states(),
-                }
+                stream.push_all(&input);
             }
-            1 => {
-                let Some(lr) = pipeline.cfg_backend().and_then(|b| b.lr()) else {
-                    return Err(invalid(
-                        "blob is an LR session but the pipeline has no LR backend".into(),
-                    ));
-                };
-                let st = read_lr_state(&mut r)?;
-                r.finish()?;
-                let n_syms = pipeline.alphabet().names().len();
-                if let Some(sym) = st.input.iter().find(|s| s.index() >= n_syms) {
-                    return Err(invalid(format!(
-                        "symbol index {} is outside the {n_syms}-symbol alphabet",
-                        sym.index()
-                    )));
-                }
-                Mode::Lr(lr.resume_stream(st).map_err(|e| invalid(e.to_string()))?)
+            ParkedInput::Text(text) => {
+                stream.push_chars(&text);
             }
-            2 => {
-                let Some(backend) = pipeline.lexed_backend() else {
-                    return Err(invalid(
-                        "blob is a lexed session but the pipeline has no lexer".into(),
-                    ));
-                };
-                let Some(lr_parser) = backend.cfg_backend().lr() else {
-                    return Err(invalid(
-                        "blob is a lexed-LR session but the token grammar is not LR".into(),
-                    ));
-                };
-                let lex_st = read_lex_state(&mut r)?;
-                let lr_st = read_lr_state(&mut r)?;
-                let n = r.len()?;
-                let mut tokens = Vec::with_capacity(n);
-                for _ in 0..n {
-                    tokens.push(read_token(&mut r)?);
-                }
-                r.finish()?;
-                if tokens.len() != lex_st.emitted {
-                    return Err(invalid(format!(
-                        "blob carries {} tokens but the lexer state claims {} were emitted",
-                        tokens.len(),
-                        lex_st.emitted
-                    )));
-                }
-                // Cross-layer consistency: the LR stream must have been
-                // fed exactly the non-skip tokens' symbols, in order.
-                let yielded: GString = tokens.iter().filter_map(|t| t.sym).collect();
-                if yielded != lr_st.input {
-                    return Err(invalid(
-                        "the tokens' symbol yield does not match the LR input".into(),
-                    ));
-                }
-                // Re-certify every parked token from scratch: span
-                // tiling from byte 0, text-vs-input agreement, rule
-                // bounds, symbol assignment, derivative re-match. This
-                // also rebuilds the incremental certifier the resumed
-                // stream carries forward.
-                let mut cert = backend.lexer().certifier();
-                for t in &tokens {
-                    cert.check(&lex_st.input, t)
-                        .map_err(|e| invalid(format!("token re-certification failed: {e}")))?;
-                }
-                match lex_st.dead {
-                    None if cert.cursor() != lex_st.resume_from => {
-                        return Err(invalid(format!(
-                            "tokens tile {} bytes but the resolved boundary is recorded at {}",
-                            cert.cursor(),
-                            lex_st.resume_from
-                        )));
-                    }
-                    // A dead stream delivers every token it settled, so
-                    // its tokens tile up to the error offset. A tiling
-                    // that stops short (as blobs parked by older builds
-                    // do) is accepted; one reaching past it never is.
-                    Some((at, _)) if cert.cursor() > at => {
-                        return Err(invalid(format!(
-                            "tokens tile {} bytes, past the recorded lexical error at byte {at}",
-                            cert.cursor()
-                        )));
-                    }
-                    _ => {}
-                }
-                let lex = backend
-                    .lexer()
-                    .automaton()
-                    .resume_stream(lex_st)
-                    .map_err(|e| invalid(e.to_string()))?;
-                let lr = lr_parser
-                    .resume_stream(lr_st)
-                    .map_err(|e| invalid(e.to_string()))?;
-                Mode::LexedLr {
-                    lex,
-                    lr,
-                    tokens,
-                    cert,
-                    lex_fault: None,
-                }
-            }
-            t => {
-                return Err(SessionError::Corrupt(format!(
-                    "unknown session mode tag {t}"
-                )))
-            }
-        };
-        Ok(StreamParser { pipeline, mode })
+        }
+        if let Some(e) = stream.lr_fault() {
+            return Err(invalid(format!("replaying the parked input faulted: {e}")));
+        }
+        if let Some(e) = stream.lex_fault() {
+            return Err(invalid(format!("replaying the parked input faulted: {e}")));
+        }
+        Ok(stream)
     }
 
     /// Ends the stream, returning the intrinsically checked outcome.
@@ -765,153 +633,6 @@ impl StreamParser {
             }
         }
     }
-}
-
-/// Encodes extracted lexer-stream state (see [`LexStreamState`]).
-fn write_lex_state(w: &mut Writer, st: &LexStreamState) {
-    w.str(&st.input);
-    w.usize(st.resume_from);
-    w.usize(st.emitted);
-    match st.dead {
-        None => w.u8(0),
-        Some((at, c)) => {
-            w.u8(1);
-            w.usize(at);
-            w.u32(c as u32);
-        }
-    }
-}
-
-fn read_lex_state(r: &mut Reader<'_>) -> Result<LexStreamState, SessionError> {
-    let input = r.string()?;
-    let resume_from = r.u64()? as usize;
-    let emitted = r.u64()? as usize;
-    let dead = match r.u8()? {
-        0 => None,
-        1 => {
-            let at = r.u64()? as usize;
-            let c = char::from_u32(r.u32()?).ok_or_else(|| {
-                SessionError::Corrupt("lexical-error character is not a scalar value".into())
-            })?;
-            Some((at, c))
-        }
-        t => return Err(SessionError::Corrupt(format!("bad option tag {t}"))),
-    };
-    Ok(LexStreamState {
-        input,
-        resume_from,
-        emitted,
-        dead,
-    })
-}
-
-/// Encodes extracted LR-stream state (see [`LrStreamState`]).
-fn write_lr_state(w: &mut Writer, st: &LrStreamState) {
-    w.usize(st.states.len());
-    for &s in &st.states {
-        w.u32(s);
-    }
-    w.usize(st.trees.len());
-    for t in &st.trees {
-        session::write_tree(w, t);
-    }
-    w.usize(st.claims.len());
-    for &c in &st.claims {
-        match c {
-            ClaimRef::Term(t) => {
-                w.u8(0);
-                w.usize(t);
-            }
-            ClaimRef::Var(n) => {
-                w.u8(1);
-                w.usize(n);
-            }
-        }
-    }
-    w.usize(st.shifts);
-    w.usize(st.reduces);
-    session::write_gstring(w, &st.input);
-    match st.dead {
-        None => w.u8(0),
-        Some((at, state)) => {
-            w.u8(1);
-            w.usize(at);
-            w.usize(state);
-        }
-    }
-}
-
-fn read_lr_state(r: &mut Reader<'_>) -> Result<LrStreamState, SessionError> {
-    let n = r.len()?;
-    let mut states = Vec::with_capacity(n);
-    for _ in 0..n {
-        states.push(r.u32()?);
-    }
-    let n = r.len()?;
-    let mut trees = Vec::with_capacity(n);
-    for _ in 0..n {
-        trees.push(session::read_tree(r)?);
-    }
-    let n = r.len()?;
-    let mut claims = Vec::with_capacity(n);
-    for _ in 0..n {
-        claims.push(match r.u8()? {
-            0 => ClaimRef::Term(r.u64()? as usize),
-            1 => ClaimRef::Var(r.u64()? as usize),
-            t => return Err(SessionError::Corrupt(format!("bad claim tag {t}"))),
-        });
-    }
-    let shifts = r.u64()? as usize;
-    let reduces = r.u64()? as usize;
-    let input = session::read_gstring(r)?;
-    let dead = match r.u8()? {
-        0 => None,
-        1 => Some((r.u64()? as usize, r.u64()? as usize)),
-        t => return Err(SessionError::Corrupt(format!("bad option tag {t}"))),
-    };
-    Ok(LrStreamState {
-        states,
-        trees,
-        claims,
-        shifts,
-        reduces,
-        input,
-        dead,
-    })
-}
-
-fn write_token(w: &mut Writer, t: &Token) {
-    w.usize(t.rule);
-    w.str(&t.text);
-    w.usize(t.span.start);
-    w.usize(t.span.end);
-    match t.sym {
-        None => w.u8(0),
-        Some(s) => {
-            w.u8(1);
-            w.u16(s.index() as u16);
-        }
-    }
-}
-
-fn read_token(r: &mut Reader<'_>) -> Result<Token, SessionError> {
-    let rule = r.u64()? as usize;
-    let text = r.string()?;
-    let span = Span {
-        start: r.u64()? as usize,
-        end: r.u64()? as usize,
-    };
-    let sym = match r.u8()? {
-        0 => None,
-        1 => Some(lambek_core::alphabet::Symbol::from_index(r.u16()? as usize)),
-        t => return Err(SessionError::Corrupt(format!("bad option tag {t}"))),
-    };
-    Ok(Token {
-        rule,
-        text,
-        span,
-        sym,
-    })
 }
 
 #[cfg(test)]
@@ -1186,6 +907,24 @@ mod tests {
         let engine = Engine::new();
         let mut stream = engine.stream(&PipelineSpec::dyck_cfg()).unwrap();
         stream.push_char('(');
+    }
+
+    #[test]
+    fn a_blob_in_another_mode_is_invalid() {
+        let engine = Engine::new();
+        let spec = PipelineSpec::dyck(8);
+        let pipeline = engine.get_or_compile(&spec).unwrap();
+        let input = Alphabet::parens().parse_str("(()").unwrap();
+        for (tag, resumes) in [(session::MODE_DFA, true), (session::MODE_LR, false)] {
+            let blob = session::park_symbols(spec.session_fingerprint(), tag, &input);
+            match StreamParser::resume(pipeline.clone(), &blob) {
+                Ok(stream) => assert!(resumes && stream.input() == &input, "mode {tag}"),
+                Err(e) => assert!(
+                    !resumes && matches!(e, SessionError::Invalid(_)),
+                    "mode {tag}: {e}"
+                ),
+            }
+        }
     }
 
     #[test]

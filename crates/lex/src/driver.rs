@@ -615,64 +615,6 @@ impl LexAutomaton {
             input: String::new(),
             cursor: Cursor::new(self.core(), usize::MAX),
             dead: None,
-            emitted: 0,
-        }
-    }
-
-    /// Re-injects extracted stream state (see
-    /// [`LexStream::export_state`]). The blob is untrusted: the
-    /// in-flight scan is not taken from it but *re-derived* by one
-    /// resumed scan of the unresolved suffix (`input[resume_from..]`)
-    /// — for an honest snapshot that scan runs out of input alive (by
-    /// definition of `resume_from`), so a scan that settles a token or
-    /// hits a lexical error exposes the blob as inconsistent. Dead
-    /// streams skip the scan: their in-flight state is unreachable by
-    /// construction (every later push just re-reports the recorded
-    /// error).
-    ///
-    /// # Errors
-    ///
-    /// [`LexResumeError`] on any inconsistency; the error path returns
-    /// no stream.
-    pub fn resume_stream(&self, st: LexStreamState) -> Result<LexStream, LexResumeError> {
-        let err = |reason: String| LexResumeError { reason };
-        let mut stream = self.stream();
-        stream.emitted = st.emitted;
-        if let Some((at, found)) = st.dead {
-            if at > st.input.len() {
-                return Err(err(format!(
-                    "lexical error at byte {at} beyond the {}-byte input",
-                    st.input.len()
-                )));
-            }
-            stream.input = st.input;
-            stream.cursor.pos = at;
-            stream.dead = Some(LexError { at, found });
-            return Ok(stream);
-        }
-        if !st.input.is_char_boundary(st.resume_from) {
-            return Err(err(format!(
-                "resume offset {} is not a character boundary of the input",
-                st.resume_from
-            )));
-        }
-        stream.input = st.input;
-        stream.cursor.pos = st.resume_from;
-        let mut tally = crate::probes::ScanTally::default();
-        match stream
-            .cursor
-            .settle(self.core(), &stream.input, false, &mut tally)
-        {
-            None => Ok(stream),
-            Some(Ok(lexeme)) => Err(err(format!(
-                "the unresolved suffix settles a token at {}: the resume offset was \
-                 not the last resolved boundary",
-                lexeme.span
-            ))),
-            Some(Err(e)) => Err(err(format!(
-                "the unresolved suffix hits a lexical error ({e}) on a stream \
-                 recorded as alive"
-            ))),
         }
     }
 }
@@ -960,9 +902,6 @@ pub struct LexStream {
     cursor: Cursor,
     /// The first lexical error; later pushes keep reporting it.
     dead: Option<LexError>,
-    /// How many tokens `push`/`finish` have emitted so far (probes via
-    /// [`LexStream::pending_flush`] do not count).
-    emitted: usize,
 }
 
 impl LexStream {
@@ -1034,9 +973,7 @@ impl LexStream {
         if let Some(e) = &self.dead {
             return if s.is_empty() { Ok(()) } else { Err(e.clone()) };
         }
-        let from = out.len();
         let settled = self.cursor.settle_into(&self.core, &self.input, false, out);
-        self.emitted += out.len() - from;
         if let Err(e) = &settled {
             self.dead = Some(e.clone());
         }
@@ -1066,10 +1003,7 @@ impl LexStream {
         if let Some(e) = self.dead {
             return Err(e);
         }
-        let from = out.len();
-        let settled = self.cursor.settle_into(&self.core, &self.input, true, out);
-        self.emitted += out.len() - from;
-        settled
+        self.cursor.settle_into(&self.core, &self.input, true, out)
     }
 
     /// What [`LexStream::finish`] *would* emit, without ending (or
@@ -1093,59 +1027,7 @@ impl LexStream {
         probe.settle_into(&self.core, &self.input, true, &mut out)?;
         Ok(out)
     }
-
-    /// Extracts the stream's state for serialization (session
-    /// park/resume).
-    ///
-    /// The open scan (DFA state, position, last accept) and the memo
-    /// are *not* part of the export: the scan is a deterministic
-    /// function of the raw input since the last settled boundary, and
-    /// [`LexAutomaton::resume_stream`] re-derives it by scanning that
-    /// unresolved suffix — which both shrinks the wire format and turns
-    /// a corrupted boundary offset into a detected inconsistency
-    /// instead of a trusted lie.
-    pub fn export_state(&self) -> LexStreamState {
-        LexStreamState {
-            input: self.input.clone(),
-            resume_from: self.cursor.pos,
-            emitted: self.emitted,
-            dead: self.dead.as_ref().map(|e| (e.at, e.found)),
-        }
-    }
 }
-
-/// The extracted, process-independent state of a [`LexStream`] (see
-/// [`LexStream::export_state`] / [`LexAutomaton::resume_stream`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexStreamState {
-    /// Every character pushed so far, unlexable suffix included.
-    pub input: String,
-    /// Byte offset of the last resolved token boundary: everything
-    /// before it has been emitted as tokens, everything after it is the
-    /// in-flight munch the resumed stream re-derives.
-    pub resume_from: usize,
-    /// How many tokens the stream had emitted.
-    pub emitted: usize,
-    /// `Some((at, found))` if the stream is dead: the byte offset where
-    /// the unmatchable token begins and its first character.
-    pub dead: Option<(usize, char)>,
-}
-
-/// A lexer session blob failed re-validation against the automaton it
-/// was resumed into (see [`LexAutomaton::resume_stream`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexResumeError {
-    /// What was inconsistent.
-    pub reason: String,
-}
-
-impl fmt::Display for LexResumeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lex stream state failed re-validation: {}", self.reason)
-    }
-}
-
-impl std::error::Error for LexResumeError {}
 
 #[cfg(test)]
 mod tests {
@@ -1290,9 +1172,16 @@ mod tests {
                 assert_eq!(bulk_err, char_err, "{input:?} chunk {chunk}");
                 if bulk_err.is_none() {
                     assert_eq!(bulk_out, char_out, "{input:?} chunk {chunk}");
+                    let boundary = |s: &LexStream| {
+                        (
+                            s.raw_input().to_owned(),
+                            s.pending_chars(),
+                            s.error().cloned(),
+                        )
+                    };
                     assert_eq!(
-                        bulk.export_state(),
-                        charwise.export_state(),
+                        boundary(&bulk),
+                        boundary(&charwise),
                         "{input:?} chunk {chunk}"
                     );
                     assert_eq!(
@@ -1332,7 +1221,6 @@ mod tests {
         let err = stream.push_str_into("1+x", &mut out).unwrap_err();
         assert_eq!(err, LexError { at: 2, found: 'x' });
         assert_eq!(texts(&out), ["1", "+"]);
-        assert_eq!(stream.export_state().emitted, 2);
         assert_eq!(stream.raw_input(), "1+x", "the whole push is recorded");
         // Char by char, the `+` settles in the push that dies.
         let mut stream = auto.stream();

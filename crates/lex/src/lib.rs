@@ -63,8 +63,8 @@ pub use certified::{
 };
 pub use compile::LexAutomaton;
 pub use driver::{
-    CharwiseLexemes, LexError, LexResumeError, LexStream, LexStreamState, Lexemes, MunchMemoShed,
-    RawLexeme, RawLexemes, Span, Token, TokenStream, MAX_MUNCH_MEMO_BYTES,
+    CharwiseLexemes, LexError, LexStream, Lexemes, MunchMemoShed, RawLexeme, RawLexemes, Span,
+    Token, TokenStream, MAX_MUNCH_MEMO_BYTES,
 };
 pub use probes::LexProbes;
 pub use spec::{class, literal, plus, LexRule, LexSpec, LexSpecBuilder, SpecError};

@@ -23,10 +23,9 @@
 //! [`CertifiedLrParser::parse_full`]; the differential property suite
 //! asserts the two paths accept and reject identically.
 //!
-//! Streams have the one certified path. A parked stream
-//! ([`LrStreamState`]) is resumed by replaying its input through a fresh
-//! stream's certified steps; the blob is only compared with the replay,
-//! never trusted or checked on its own.
+//! Streams have the one certified path. A parked stream is resumed by
+//! pushing its input into a fresh stream: the serving engine's session
+//! blobs carry nothing else.
 
 use std::fmt;
 use std::sync::Arc;
@@ -34,10 +33,10 @@ use std::sync::Arc;
 use lambek_cfg::grammar::Cfg;
 use lambek_core::alphabet::{GString, Symbol};
 use lambek_core::grammar::expr::Grammar;
-use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog, ValidateError};
+use lambek_core::grammar::parse_tree::{validate, ReductionLog, ValidateError};
 
 use crate::driver::{
-    parse_log, recognize_states, would_accept_after_states, CertTables, ClaimRef, Machine, Step,
+    parse_log, recognize_states, would_accept_after_states, CertTables, Machine, Step,
 };
 use crate::table::{LrConflictReport, LrTable};
 
@@ -216,9 +215,16 @@ impl CertifiedLrParser {
     /// # Errors
     ///
     /// [`CertifyError`] under the same (driver-bug) conditions as
-    /// [`CertifiedLrParser::parse`].
+    /// [`CertifiedLrParser::parse`], including an accept whose log is
+    /// not exactly one tree (which the blind drive cannot rule out).
     pub fn parse_full(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
         match parse_log(&self.core.table, &self.core.cfg, None, w) {
+            Ok(Ok(log)) if log.roots() != 1 => Err(CertifyError {
+                cause: ValidateError::ShapeMismatch {
+                    expected: "one derivation tree".to_owned(),
+                    found: format!("a log of {} trees", log.roots()),
+                },
+            }),
             Ok(Ok(log)) => {
                 validate(&log.to_parse_tree(), self.grammar(), w)
                     .map_err(|cause| CertifyError { cause })?;
@@ -283,24 +289,15 @@ impl LrSink {
     /// remembers the first rejection for [`LrSink::finish`]).
     #[inline]
     pub fn push(&mut self, sym: Symbol) -> bool {
-        self.push_with(sym, Machine::feed)
-    }
-
-    /// [`LrSink::push`] with the machine step supplied by the caller:
-    /// [`Machine::feed`] for live pushes, [`Machine::replay`] for the
-    /// steps a resumed session re-runs.
-    #[inline]
-    fn push_with<F>(&mut self, sym: Symbol, feed: F) -> bool
-    where
-        F: FnOnce(&mut Machine, &LrTable, Option<&CertTables>, Option<Symbol>) -> Step,
-    {
         let at = self.pushed;
         self.pushed += 1;
         if !self.is_viable() {
             return false;
         }
-        let cert = Some(&self.core.cert);
-        match feed(&mut self.machine, &self.core.table, cert, Some(sym)) {
+        match self
+            .machine
+            .feed(&self.core.table, Some(&self.core.cert), Some(sym))
+        {
             Step::Shifted => true,
             Step::Rejected { state } => {
                 self.dead = Some(crate::driver::LrReject {
@@ -473,153 +470,5 @@ impl LrStream {
     /// [`CertifiedLrParser::parse`].
     pub fn finish(self) -> Result<LrOutcome, CertifyError> {
         self.sink.finish()
-    }
-}
-
-/// The extracted, process-independent state of an [`LrStream`] — the
-/// state-extraction half of session park/resume (the serving engine's
-/// snapshot format serializes exactly this).
-///
-/// The claim stack is exported as [`ClaimRef`]s (terminal/nonterminal
-/// *numbers*). Everything here is data. Only `input` is used to rebuild
-/// the stream: [`CertifiedLrParser::resume_stream`] replays it through
-/// the certified driver and requires every other field to equal the
-/// replayed run's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LrStreamState {
-    /// The LR state stack, bottom marker (state 0) first.
-    pub states: Vec<u32>,
-    /// The partial-derivation stack, one tree per non-bottom state (the
-    /// stream's log roots, materialized: the wire format predates the
-    /// log and keeps trees).
-    pub trees: Vec<ParseTree>,
-    /// The certification claims, parallel to `trees`.
-    pub claims: Vec<ClaimRef>,
-    /// Shifts performed so far (equals the consumed-symbol count).
-    pub shifts: usize,
-    /// Reductions performed so far.
-    pub reduces: usize,
-    /// Every symbol pushed so far, rejected suffix included.
-    pub input: GString,
-    /// `Some((at, state))` if the stream is dead: the input position of
-    /// the first rejected symbol and the state that had no action for
-    /// it. The human-readable expected set is recomputed on resume.
-    pub dead: Option<(usize, usize)>,
-}
-
-/// A session blob disagreed with the replay of its input through the
-/// parser it was resumed into (see [`CertifiedLrParser::resume_stream`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LrResumeError {
-    /// What was inconsistent.
-    pub reason: String,
-}
-
-impl fmt::Display for LrResumeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LR stream state failed re-validation: {}", self.reason)
-    }
-}
-
-impl std::error::Error for LrResumeError {}
-
-impl LrStream {
-    /// Extracts the stream's state for serialization. Returns `None`
-    /// for faulted streams (a certification fault is a driver bug; the
-    /// faulted configuration is not a parse state worth parking).
-    pub fn export_state(&self) -> Option<LrStreamState> {
-        let sink = &self.sink;
-        if sink.fault.is_some() {
-            return None;
-        }
-        let claims = sink
-            .machine
-            .claims()
-            .iter()
-            .map(|&id| sink.core.cert.claim_ref(id))
-            .collect();
-        let (shifts, reduces) = sink.machine.step_counts();
-        Some(LrStreamState {
-            states: sink.machine.states().to_vec(),
-            trees: sink.machine.log().to_parse_trees(),
-            claims,
-            shifts,
-            reduces,
-            input: self.input.clone(),
-            dead: sink.dead.as_ref().map(|r| (r.at, r.state)),
-        })
-    }
-}
-
-impl CertifiedLrParser {
-    /// Re-injects extracted stream state — the other half of session
-    /// park/resume. The blob is *untrusted* and is never installed:
-    /// resume replays `st.input` through a fresh stream, with the same
-    /// certified step every live push runs. For a dead stream that is
-    /// the consumed prefix, the one rejecting symbol and the ignored
-    /// suffix. The replayed stream is the resumed stream, so it behaves
-    /// exactly like an uninterrupted one.
-    ///
-    /// The rest of the blob must equal the replayed run: the state
-    /// stack, the claims, the shift and reduce counters, the rejection
-    /// record, and the trees. Trees are read back into a
-    /// [`ReductionLog`] iteratively and compared as logs, so no check
-    /// recurses over a parked tree, however deep. The replayed steps
-    /// are not published to [`crate::probes`] again: the run that first
-    /// took them already did, or was abandoned before it could.
-    ///
-    /// # Errors
-    ///
-    /// [`LrResumeError`] naming the first part of the blob that differs
-    /// from the replay; the error path returns no stream (a bogus blob
-    /// can be *rejected*, never mis-certified).
-    pub fn resume_stream(&self, st: LrStreamState) -> Result<LrStream, LrResumeError> {
-        let err = |reason: String| LrResumeError { reason };
-        let mut sink = self.sink_with_capacity(st.input.len());
-        for sym in st.input.iter() {
-            sink.push_with(sym, Machine::replay);
-        }
-        if let Some(fault) = &sink.fault {
-            return Err(err(format!("replaying the input faulted: {fault}")));
-        }
-        let dead = sink.dead.as_ref().map(|r| (r.at, r.state));
-        if st.dead != dead {
-            return Err(err(format!(
-                "rejection (at, state) {:?} differs from the replay's {dead:?}",
-                st.dead
-            )));
-        }
-        let m = &sink.machine;
-        if st.states != m.states() {
-            return Err(err("state stack differs from the replay's".into()));
-        }
-        if (st.shifts, st.reduces) != m.step_counts() {
-            return Err(err(format!(
-                "step counters (shifts, reduces) {:?} differ from the replay's {:?}",
-                (st.shifts, st.reduces),
-                m.step_counts()
-            )));
-        }
-        let claims_match = st.claims.len() == m.claims().len()
-            && m.claims()
-                .iter()
-                .zip(&st.claims)
-                .all(|(&id, &claim)| self.core.cert.claim_ref(id) == claim);
-        if !claims_match {
-            return Err(err("claim stack differs from the replay's".into()));
-        }
-        let mut log = ReductionLog::with_capacity(m.log().entries().len());
-        for (i, tree) in st.trees.iter().enumerate() {
-            let segment = ReductionLog::from_parse_tree(tree)
-                .ok_or_else(|| err(format!("stack slot {i}: tree is not a derivation")))?;
-            log.append(&segment);
-        }
-        if log != *m.log() {
-            return Err(err("trees differ from the replay's derivations".into()));
-        }
-        Ok(LrStream {
-            sink,
-            input: st.input,
-        })
     }
 }

@@ -33,8 +33,6 @@ use crate::table::{Action, LrTable};
 /// `|Σ| + n`, so every per-step check is an integer comparison.
 #[derive(Debug, Clone)]
 pub(crate) struct CertTables {
-    /// `|Σ|`: the claim id of nonterminal 0.
-    n_terms: u32,
     /// Per table production `p` (index 0, the synthetic `S' → S`, is
     /// unused): what a reduction by `p` must log and claim.
     prods: Vec<CertProduction>,
@@ -86,18 +84,9 @@ impl CertTables {
             .chain((0..cfg.num_nonterminals()).map(|n| cfg.name(n).to_owned()))
             .collect();
         CertTables {
-            n_terms,
             prods,
             start: claim(&GSym::N(cfg.start())),
             names,
-        }
-    }
-
-    /// The stable [`ClaimRef`] of a claim id.
-    pub(crate) fn claim_ref(&self, id: u32) -> ClaimRef {
-        match id.checked_sub(self.n_terms) {
-            None => ClaimRef::Term(id as usize),
-            Some(n) => ClaimRef::Var(n as usize),
         }
     }
 
@@ -110,18 +99,6 @@ impl CertTables {
             parts.join(" ⊗ ")
         }
     }
-}
-
-/// A process-independent reference to a claim on the LR machine's
-/// certification stack: session snapshots record each claim as
-/// *terminal number `i`* or *nonterminal number `n`*, which maps to and
-/// from the parser's table-local claim ids by arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClaimRef {
-    /// The claim `chr(c)` for the alphabet's `i`th symbol.
-    Term(usize),
-    /// The claim `var(n)` for the grammar's `n`th nonterminal.
-    Var(usize),
 }
 
 /// Why the driver rejected an input.
@@ -332,18 +309,6 @@ impl Machine {
         *self.states.last().expect("state stack is never empty") as usize
     }
 
-    /// The run's log: one root per shifted-or-reduced stack slot, for
-    /// state extraction.
-    pub(crate) fn log(&self) -> &ReductionLog {
-        &self.log
-    }
-
-    /// The claim stack parallel to the log's roots (empty when the
-    /// machine runs without certification tables).
-    pub(crate) fn claims(&self) -> &[u32] {
-        &self.claims
-    }
-
     /// Publishes the step-count deltas since the last flush to the
     /// process-wide probes — called on terminal steps only, so the
     /// shift/reduce loop stays free of shared-memory traffic.
@@ -388,25 +353,9 @@ impl Machine {
         step
     }
 
-    /// [`Machine::feed`] for a step an earlier run already took (session
-    /// resume replays a parked stream's input): the same certified step,
-    /// with its counts marked as published rather than published. The
-    /// run that first took the step published it, or was abandoned
-    /// before it could.
-    pub(crate) fn replay(
-        &mut self,
-        table: &LrTable,
-        cert: Option<&CertTables>,
-        sym: Option<Symbol>,
-    ) -> Step {
-        let step = self.feed_inner(table, cert, sym);
-        self.flushed = (self.shifts_done, self.reduces_done, self.claims_checked);
-        step
-    }
-
-    /// The step itself. Inlined into both callers, so the live
-    /// [`Machine::feed`] runs the shift/reduce loop in its own frame
-    /// (one call per pushed symbol, not two).
+    /// The step itself. Inlined into [`Machine::feed`], so the
+    /// shift/reduce loop runs in its frame (one call per pushed symbol,
+    /// not two) and the probe flush stays outside the loop.
     #[inline(always)]
     fn feed_inner(
         &mut self,

@@ -2,9 +2,10 @@
 //! stream session parked on one engine resumes on a *second* engine
 //! whose cache has never seen the spec — shard B rebuilds the pipeline
 //! from the same grammar **text** (the frontend's structural cache key
-//! guarantees it lands on an observationally identical pipeline), and
-//! `Engine::resume` re-validates every piece of restored state before
-//! the session continues.
+//! guarantees it lands on an observationally identical pipeline). The
+//! blob is the parked raw text; `Engine::resume` checks its framing and
+//! spec fingerprint, then pushes that text into a fresh stream through
+//! the certified drivers before the session continues.
 //!
 //! Run with `cargo run --example migrate_session`.
 
@@ -58,7 +59,7 @@ fn main() {
         .expect_err("a damaged blob must not resume");
     println!("shard B: refused damaged blob ({refusal})");
 
-    // The honest blob resumes; re-validation runs on shard B's side.
+    // The honest blob resumes: shard B replays the parked text.
     let mut resumed = shard_b
         .resume(&handle_b.spec, &blob)
         .expect("honest blobs resume");

@@ -6,8 +6,9 @@
 //! level. The served path now carries a flat reduction log, and the
 //! paper-level tree it materializes on request builds, walks and drops
 //! iteratively. Stream sessions parked inside such documents resume on
-//! a small stack too: resume replays the parked input through the
-//! certified driver and compares the parked trees as flat logs.
+//! a small stack too: a session blob is the parked raw text and nothing
+//! else, and resume pushes it into a fresh stream through the certified
+//! drivers.
 
 use lambekd::engine::{Engine, StrOutcome, StrReportOutcome, StreamParser};
 use lambekd::frontend::presets;
@@ -100,6 +101,9 @@ fn deep_sessions_resume_on_a_small_stack() {
             let mut stream = engine.stream(&json.spec).expect("JSON streams");
             assert!(stream.push_chars(&text[..cut]), "a viable prefix");
             let blob = stream.snapshot().expect("an unfaulted stream parks");
+            // The raw text plus a 31-byte envelope (header, length,
+            // checksum).
+            assert!(blob.len() <= cut + 31, "{} bytes for {cut}", blob.len());
             (blob, text[cut..].to_owned(), tokens)
         })
         .collect();

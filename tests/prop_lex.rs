@@ -30,7 +30,7 @@ use lambek_cfg::earley::earley_recognize;
 use lambek_core::alphabet::{Alphabet, GString};
 use lambek_lex::demo::{arith_spec, arith_token_cfg};
 use lambek_lex::spec::LexSpecBuilder;
-use lambek_lex::{CertifiedLexer, LexAutomaton, LexedOutcome, Token};
+use lambek_lex::{CertifiedLexer, LexAutomaton, LexStream, LexedOutcome, Token};
 use lambek_lr::CertifiedLrParser;
 use regex_grammars::ast::Regex;
 use regex_grammars::derivative::{derivative, matches};
@@ -406,9 +406,12 @@ proptest! {
             }
             prop_assert_eq!(&bulk_err, &char_err, "errors differ on {:?} / {:?}", input, slices);
             prop_assert_eq!(&bulk_out, &char_out, "tokens differ on {:?} / {:?}", input, slices);
+            let boundary = |s: &LexStream| {
+                (s.raw_input().to_owned(), s.pending_chars(), s.error().cloned())
+            };
             prop_assert_eq!(
-                bulk.export_state(),
-                charwise.export_state(),
+                boundary(&bulk),
+                boundary(&charwise),
                 "state differs on {:?} / {:?}",
                 input,
                 slices

@@ -44,6 +44,14 @@ fn assert_symbol_session_equivalence(
         parked.push(sym);
     }
     let blob = parked.snapshot().expect("unfaulted streams park");
+    // The blob is the input log: a 31-byte envelope (header, count,
+    // checksum) and two bytes per parked symbol.
+    prop_assert!(
+        blob.len() <= 31 + 2 * cut,
+        "{} bytes for {} symbols",
+        blob.len(),
+        cut
+    );
     // Round-trip through raw bytes: what resume sees is exactly what a
     // file or socket would deliver.
     let blob = SessionState::from_bytes(blob.into_bytes());
@@ -332,54 +340,83 @@ proptest! {
 }
 
 /// Forged blobs with a *valid* checksum (re-sealed after tampering)
-/// still cannot smuggle inconsistent state past re-validation. This is
-/// the semantic half of the trust boundary, beyond what the checksum
-/// covers; deterministic, so outside the proptest block.
+/// cannot smuggle state past resume: a v2 blob carries only the parked
+/// input, so every tamper either is refused (a length that overruns the
+/// payload, invalid UTF-8, an index outside the alphabet) or decodes to
+/// some other input — and then the resumed stream must be exactly a
+/// fresh stream fed that input. This is the semantic half of the trust
+/// boundary, beyond what the checksum covers; deterministic, so outside
+/// the proptest block.
 #[test]
 fn resealed_tampered_payloads_fail_revalidation_not_certification() {
     let engine = Engine::new();
-    let spec = PipelineSpec::arith_lexed();
-    let mut stream = engine.stream(&spec).unwrap();
-    stream.push_chars("12+(3");
-    let blob = stream.snapshot().unwrap();
-    let bytes = blob.as_bytes();
-    let payload_start = 4 + 2 + 8 + 1; // magic, version, fingerprint, mode
-    let payload_end = bytes.len() - 8; // checksum
+    let sigma = Alphabet::parens();
+    let cases = [
+        (PipelineSpec::arith_lexed(), None),
+        (
+            PipelineSpec::dyck_cfg(),
+            Some(sigma.parse_str("(()(").unwrap()),
+        ),
+        (
+            PipelineSpec::regex(Alphabet::abc(), "(a*b)|c"),
+            Some(Alphabet::abc().parse_str("aab").unwrap()),
+        ),
+    ];
     let mut rejected = 0usize;
-    for i in payload_start..payload_end {
-        for delta in [1u8, 0x80] {
-            let mut forged = bytes[..payload_end].to_vec();
-            forged[i] = forged[i].wrapping_add(delta);
-            // Re-seal: recompute a valid checksum over the tampered
-            // body, exactly as a malicious writer would.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in &forged {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    for (spec, symbols) in cases {
+        let mut stream = engine.stream(&spec).unwrap();
+        match &symbols {
+            Some(w) => stream.push_all(w),
+            None => {
+                stream.push_chars("12+(3");
             }
-            forged.extend_from_slice(&h.to_le_bytes());
-            match engine.resume(&spec, &SessionState::from_bytes(forged)) {
-                // The forgery changed something load-bearing and was
-                // caught by decoding or re-validation.
-                Err(_) => rejected += 1,
-                // Or it resumed — then it must behave exactly like an
-                // honest stream: certified finish, yield-correct tree.
-                Ok(mut resumed) => {
-                    resumed.push_chars(")");
-                    if let Ok(outcome) = resumed.finish() {
-                        if let Some(tree) = outcome.accepted() {
-                            let pipeline = engine.get_or_compile(&spec).unwrap();
-                            validate(tree, pipeline.grammar(), &tree.flatten())
-                                .expect("a resumed session may never mis-certify");
-                        }
+        }
+        let blob = stream.snapshot().unwrap();
+        let bytes = blob.as_bytes();
+        let payload_start = 4 + 2 + 8 + 1; // magic, version, fingerprint, mode
+        let payload_end = bytes.len() - 8; // checksum
+        for i in payload_start..payload_end {
+            for delta in [1u8, 0x80] {
+                let mut forged = bytes[..payload_end].to_vec();
+                forged[i] = forged[i].wrapping_add(delta);
+                // Re-seal: recompute a valid checksum over the tampered
+                // body, exactly as a malicious writer would.
+                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+                for &b in &forged {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                forged.extend_from_slice(&h.to_le_bytes());
+                let Ok(resumed) = engine.resume(&spec, &SessionState::from_bytes(forged)) else {
+                    rejected += 1;
+                    continue;
+                };
+                // It resumed: it must be a fresh stream fed the decoded
+                // input, through to a certified finish.
+                let mut fresh = engine.stream(&spec).unwrap();
+                match resumed.raw_input() {
+                    Some(text) => {
+                        fresh.push_chars(text);
                     }
+                    None => fresh.push_all(resumed.input()),
+                }
+                let what = format!("{} byte {i} + {delta:#x}", spec.label());
+                assert_eq!(resumed.input(), fresh.input(), "{what}");
+                assert_eq!(resumed.raw_input(), fresh.raw_input(), "{what}");
+                assert_eq!(resumed.would_accept(), fresh.would_accept(), "{what}");
+                let outcome = resumed.finish();
+                assert_eq!(outcome, fresh.finish(), "{what}");
+                if let Some(tree) = outcome.ok().as_ref().and_then(|o| o.accepted()) {
+                    let pipeline = engine.get_or_compile(&spec).unwrap();
+                    validate(tree, pipeline.grammar(), &tree.flatten())
+                        .expect("a resumed session may never mis-certify");
                 }
             }
         }
     }
     assert!(
         rejected > 0,
-        "at least some payload tampering must be caught by re-validation"
+        "invalid UTF-8 and out-of-alphabet indices must be refused"
     );
 }
 

@@ -345,14 +345,22 @@ fn single_cell_corruptions(parser: &CertifiedLrParser) -> Vec<(String, LrTable)>
 }
 
 /// The contract over one corrupted table: no panic; the certified parse
-/// faults, rejects, or accepts a log that `validate`s; a recognized word
-/// is never rejected by the certified parse; and a stream that would
-/// accept after a push does not reject at `finish`.
+/// faults, rejects, or accepts a log that `validate`s; the whole-tree
+/// reference `parse_full` gives the same verdict wherever both return
+/// `Ok`; a recognized word is never rejected by the certified parse; and
+/// a stream that would accept after a push does not reject at `finish`.
 fn check_corrupted_table(parser: &CertifiedLrParser, what: &str, words: &[GString]) {
     let grammar = parser.grammar().clone();
     for w in words {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let outcome = parser.parse(w);
+            if let (Ok(certified), Ok(full)) = (&outcome, &parser.parse_full(w)) {
+                assert_eq!(
+                    certified.is_accept(),
+                    full.is_accept(),
+                    "parse and parse_full disagree"
+                );
+            }
             match &outcome {
                 Err(_) => {}
                 Ok(LrOutcome::Reject(_)) => {
