@@ -15,7 +15,8 @@
 //! Expected shape: LR linear with a small constant; Earley super-linear
 //! (≥ 10× behind at n = 1024, typically far more). The trailing group
 //! measures what the engine amortizes: LALR table construction from
-//! scratch vs a cached `get_or_compile` hit.
+//! scratch (Dyck, Fig. 15, a grammar_churn-sized expression grammar and
+//! a wide 12 × 32 operator ladder) vs a cached `get_or_compile` hit.
 
 use lambek_automata::gen::random_dyck;
 use lambek_automata::lookahead::ArithTokens;
@@ -36,6 +37,31 @@ fn chain_expr(t: &ArithTokens, n: usize) -> GString {
         w.push(t.num);
     }
     w
+}
+
+/// A left-associative operator ladder: level `i` has `ops[i]` binary
+/// operators (`'#1'`, `'#2'`, … numbered across the text) over `NUM` and
+/// parentheses.
+fn ladder(ops: &[usize]) -> String {
+    let mut t = String::from("token NUM = [0-9]+ ;\nskip WS = [ \\n]+ ;\n");
+    let mut k = 0;
+    for (i, &n) in ops.iter().enumerate() {
+        let alts: Vec<String> = (0..n)
+            .map(|_| {
+                k += 1;
+                format!("E{i} '#{k}' E{}", i + 1)
+            })
+            .collect();
+        t.push_str(&format!("E{i} ::= {} | E{} ;\n", alts.join(" | "), i + 1));
+    }
+    t.push_str(&format!("E{} ::= NUM | '(' E0 ')' ;\n", ops.len()));
+    t
+}
+
+/// The token-level grammar a text elaborates to.
+fn text_cfg(text: &str) -> Cfg {
+    let ast = lambek_frontend::parse_text(text).unwrap();
+    lambek_frontend::elaborate(text, &ast).unwrap().cfg
 }
 
 fn bench_grammar(group: &str, cfg: &Cfg, inputs: &[(usize, GString)]) {
@@ -83,6 +109,18 @@ fn main() {
     });
     bench("lr_tables/build_expr_tables", || {
         CertifiedLrParser::compile(&expr).unwrap()
+    });
+    // Text-compiled expression grammars: a grammar_churn-sized one
+    // (4 levels of 1–3 operators, 24 states) and a wide ladder of 12
+    // levels × 32 operators (387 terminals, 786 states), where a builder
+    // holding one item per lookahead terminal goes quadratic.
+    let churn = text_cfg(&ladder(&[3, 1, 2, 1]));
+    bench("lr_tables/build_churn_expr", || {
+        CertifiedLrParser::compile(&churn).unwrap()
+    });
+    let wide = text_cfg(&ladder(&[32; 12]));
+    bench("lr_tables/build_wide_expr", || {
+        CertifiedLrParser::compile(&wide).unwrap()
     });
     let engine = Engine::new();
     let spec = PipelineSpec::dyck_cfg();

@@ -3,8 +3,8 @@
 //! The paper's verified parsers (Theorems 4.13/4.14) go through
 //! automata constructions; the general CFG baseline in `lambek-cfg` is
 //! Earley, worst-case cubic. This crate opens the *deterministic*
-//! context-free fragment as a fast serving path: Knuth's LR(1) item-set
-//! construction with LALR-style state merging, dense row-major
+//! context-free fragment as a fast serving path: the LALR(1) automaton
+//! built over LR(0) cores with bitset lookaheads, dense row-major
 //! ACTION/GOTO tables (the same flat-`Vec` idiom as the automata
 //! layer's DFA tables), and a linear-time shift-reduce driver that
 //! records each derivation as a flat postorder
@@ -16,7 +16,7 @@
 //!
 //! * grammars with unresolvable conflicts are rejected *at compile
 //!   time* with a structured [`LrConflictReport`] pointing at the
-//!   offending item sets (the same notion of "deterministic" the Earley
+//!   items that take part in each conflict (the same notion of "deterministic" the Earley
 //!   baseline's ambiguity reporting uses);
 //! * every derivation a [`CertifiedLrParser`] emits — one-shot or via
 //!   the push-mode [`LrStream`] — is certified against the grammar's
