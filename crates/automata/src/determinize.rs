@@ -18,12 +18,13 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use lambek_core::alphabet::GString;
+use lambek_core::alphabet::{GString, Symbol};
 use lambek_core::theory::equivalence::WeakEquiv;
 use lambek_core::transform::{TransformError, Transformer};
 
 use crate::dfa::{parse_dfa, Dfa};
 use crate::nfa::{Nfa, NfaTrace, StateId};
+use crate::partition::SymbolPartition;
 
 /// The result of determinizing an NFA: the DFA plus the subset each DFA
 /// state denotes.
@@ -63,28 +64,104 @@ pub fn determinize_tagged(nfa: &Nfa, tags: &[Option<usize>]) -> Determinized {
     determinize_core(nfa, Some(tags))
 }
 
+/// Compressed adjacency: the edges out of state `s` are
+/// `edges[start[s]..start[s + 1]]`, in the order they were given.
+struct Adjacency<T> {
+    start: Vec<usize>,
+    edges: Vec<T>,
+}
+
+impl<T: Copy> Adjacency<T> {
+    /// Groups `(source, edge)` pairs over `n` states by source.
+    fn new(n: usize, pairs: impl Iterator<Item = (StateId, T)> + Clone) -> Adjacency<T> {
+        let mut start = vec![0; n + 1];
+        for (s, _) in pairs.clone() {
+            start[s + 1] += 1;
+        }
+        for s in 0..n {
+            start[s + 1] += start[s];
+        }
+        let mut edges = match pairs.clone().next() {
+            Some((_, fill)) => vec![fill; start[n]],
+            None => Vec::new(),
+        };
+        let mut cursor = start.clone();
+        for (s, e) in pairs {
+            edges[cursor[s]] = e;
+            cursor[s] += 1;
+        }
+        Adjacency { start, edges }
+    }
+
+    /// The edges out of `s`.
+    fn of(&self, s: StateId) -> &[T] {
+        &self.edges[self.start[s]..self.start[s + 1]]
+    }
+
+    /// The edges out of `s`, mutably.
+    fn of_mut(&mut self, s: StateId) -> &mut [T] {
+        &mut self.edges[self.start[s]..self.start[s + 1]]
+    }
+}
+
+/// The NFA's symbol classes: two symbols share a class iff they label
+/// exactly the same edges. `moves` holds each state's labelled edges
+/// sorted by target, so the symbols on one `src → dst` pair are one
+/// run, and each run splits every class it meets into its members
+/// inside and outside the run.
+fn edge_classes(len: usize, moves: &Adjacency<(StateId, Symbol)>) -> SymbolPartition {
+    let mut label = vec![0u32; len];
+    // Per label: the run that last met it and the label that run moved
+    // its members to.
+    let mut moved: Vec<(usize, u32)> = vec![(0, 0)];
+    let runs = (0..moves.start.len() - 1).flat_map(|s| moves.of(s).chunk_by(|a, b| a.0 == b.0));
+    for (run, edges) in runs.enumerate() {
+        for &(_, c) in edges {
+            let old = label[c.index()] as usize;
+            if moved[old].0 != run + 1 {
+                let fresh = moved.len() as u32;
+                moved[old] = (run + 1, fresh);
+                moved.push((run + 1, fresh));
+            }
+            label[c.index()] = moved[old].1;
+        }
+    }
+    SymbolPartition::from_labels(&label)
+}
+
 fn determinize_core(nfa: &Nfa, tags: Option<&[Option<usize>]>) -> Determinized {
     let alphabet = nfa.alphabet().clone();
-    // Adjacency indexes, built once. `Nfa::step`/`eps_closure` scan the
-    // whole transition lists per call, which is fine for one simulation
-    // step but ruinous inside the subset construction — character
-    // classes expand to |class| labeled edges each, so a lexer-union
-    // NFA over a ~100-symbol alphabet has tens of thousands of
-    // transitions and the naive loop took minutes in debug builds.
-    let mut eps_adj: Vec<Vec<StateId>> = vec![Vec::new(); nfa.num_states()];
-    for e in nfa.eps_transitions() {
-        eps_adj[e.src].push(e.dst);
+    let n = nfa.num_states();
+    // Adjacency indexes, built once: `Nfa::step`/`eps_closure` scan the
+    // whole transition lists per call, fine for one simulation step but
+    // ruinous inside the subset construction.
+    let eps = Adjacency::new(n, nfa.eps_transitions().iter().map(|e| (e.src, e.dst)));
+    let mut moves = Adjacency::new(
+        n,
+        nfa.transitions().iter().map(|t| (t.src, (t.dst, t.label))),
+    );
+    for s in 0..n {
+        moves.of_mut(s).sort_unstable_by_key(|&(dst, _)| dst);
     }
-    let mut moves: Vec<Vec<Vec<StateId>>> =
-        vec![vec![Vec::new(); alphabet.len()]; nfa.num_states()];
-    for t in nfa.transitions() {
-        moves[t.src][t.label.index()].push(t.dst);
-    }
+    // A character class labels one edge per member, so a lexer's union
+    // NFA over ~100 symbols has few classes. The construction steps
+    // once per class, through edges labelled by the class's
+    // representative, and copies the row to every member.
+    let classes = &edge_classes(alphabet.len(), &moves);
+    let k = classes.len();
+    let class_moves = Adjacency::new(
+        n,
+        (0..n).flat_map(|s| {
+            moves.of(s).iter().filter_map(move |&(dst, c)| {
+                let class = classes.class_of(c);
+                (classes.reps()[class] == c).then_some((s, (class, dst)))
+            })
+        }),
+    );
     // Subsets live as fixed-width u64 bitsets during the construction:
     // membership set/test is one shift+or, the interning key hashes
-    // `words` machine words instead of a tree, and the member list is
-    // recovered by bit iteration only once per *discovered* state.
-    let n = nfa.num_states();
+    // `words` machine words, and the member list is recovered by bit
+    // iteration only once per *discovered* state.
     let words = n.div_ceil(64);
     let set = |bits: &mut [u64], s: StateId| -> bool {
         let mask = 1u64 << (s % 64);
@@ -94,7 +171,7 @@ fn determinize_core(nfa: &Nfa, tags: Option<&[Option<usize>]>) -> Determinized {
     };
     let close = |bits: &mut [u64], stack: &mut Vec<StateId>| {
         while let Some(s) = stack.pop() {
-            for &d in &eps_adj[s] {
+            for &d in eps.of(s) {
                 if set(bits, d) {
                     stack.push(d);
                 }
@@ -121,42 +198,49 @@ fn determinize_core(nfa: &Nfa, tags: Option<&[Option<usize>]>) -> Determinized {
         bits
     };
     let mut subset_members: Vec<Vec<StateId>> = vec![members(&start)];
-    let mut index: HashMap<Vec<u64>, StateId> = HashMap::from([(start, 0)]);
-    let mut delta: Vec<Vec<StateId>> = Vec::new();
-    let mut queue: VecDeque<StateId> = VecDeque::from([0]);
-    while let Some(d) = queue.pop_front() {
-        let mut row = Vec::with_capacity(alphabet.len());
-        for c in alphabet.symbols() {
-            let mut next = vec![0u64; words];
-            let mut stack: Vec<StateId> = Vec::new();
-            for &s in &subset_members[d] {
-                for &dst in &moves[s][c.index()] {
-                    if set(&mut next, dst) {
-                        stack.push(dst);
-                    }
+    let mut index: HashMap<Box<[u64]>, StateId> = HashMap::from([(start.into(), 0)]);
+    // Per class: the successor subset being built and its unclosed
+    // states, reused across DFA states.
+    let mut next = vec![0u64; k * words];
+    let mut stacks: Vec<Vec<StateId>> = vec![Vec::new(); k];
+    // Rows over classes, `k` per DFA state, in BFS order: state ids are
+    // handed out in discovery order, so state `d` is processed `d`-th.
+    let mut rows: Vec<StateId> = Vec::new();
+    let mut d = 0;
+    while d < subset_members.len() {
+        for &s in &subset_members[d] {
+            for &(class, dst) in class_moves.of(s) {
+                if set(&mut next[class * words..(class + 1) * words], dst) {
+                    stacks[class].push(dst);
                 }
             }
-            close(&mut next, &mut stack);
-            let id = match index.get(&next) {
+        }
+        for (class, stack) in stacks.iter_mut().enumerate() {
+            let bits = &mut next[class * words..(class + 1) * words];
+            close(bits, stack);
+            let id = match index.get(&*bits) {
                 Some(&id) => id,
                 None => {
                     let id = subset_members.len();
-                    subset_members.push(members(&next));
-                    index.insert(next, id);
-                    queue.push_back(id);
+                    subset_members.push(members(bits));
+                    index.insert((&*bits).into(), id);
                     id
                 }
             };
-            row.push(id);
+            rows.push(id);
+            bits.fill(0);
         }
-        delta.push(row);
-        debug_assert_eq!(delta.len() - 1, d, "rows are filled in BFS order");
+        d += 1;
+    }
+    let mut delta = Vec::with_capacity(subset_members.len() * alphabet.len());
+    for row in rows.chunks_exact(k.max(1)) {
+        classes.expand_row(row, &mut delta);
     }
     let accepting: Vec<bool> = subset_members
         .iter()
         .map(|set| set.iter().any(|&s| nfa.is_accepting(s)))
         .collect();
-    let mut dfa = Dfa::new(alphabet, 0, accepting, delta);
+    let mut dfa = Dfa::from_flat(alphabet, 0, accepting, delta);
     if let Some(tags) = tags {
         let dfa_tags: Vec<Option<usize>> = subset_members
             .iter()

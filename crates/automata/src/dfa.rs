@@ -12,6 +12,7 @@ use lambek_core::grammar::expr::{chr, eps, mu, plus, tensor, var, Grammar, MuSys
 use lambek_core::grammar::parse_tree::ParseTree;
 
 use crate::nfa::StateId;
+use crate::partition::{Refiner, SymbolPartition};
 
 /// A deterministic finite automaton with a total transition function.
 ///
@@ -220,6 +221,22 @@ impl Dfa {
     /// Whether the DFA accepts `w` from `start`.
     pub fn accepts_from(&self, start: StateId, w: &GString) -> bool {
         self.accepting[self.final_state(start, w)]
+    }
+
+    /// The column classes: two symbols share a class iff every state
+    /// has the same successor on both (`δ(·, a) = δ(·, b)` pointwise).
+    /// Computed by splitting the classes state by state on the row.
+    pub fn column_classes(&self) -> SymbolPartition {
+        let n = self.num_states();
+        let mut refiner = Refiner::new(vec![0; self.stride], usize::from(self.stride > 0));
+        for s in 0..n {
+            if refiner.blocks() == self.stride {
+                break;
+            }
+            let row = self.delta_row(s);
+            refiner.split(n, |c| row[c]);
+        }
+        SymbolPartition::from_labels(&refiner.into_blocks())
     }
 
     /// The *live* (co-reachable) states: those from which some accepting

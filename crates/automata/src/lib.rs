@@ -12,6 +12,8 @@
 //! * [`run`] — the Theorem 4.9 verified parser for DFA traces;
 //! * [`determinize`] — Rabin–Scott subset construction with the
 //!   `NtoD`/`DtoN` weak-equivalence transformers (Construction 4.10);
+//! * [`partition`] — the symbol classes determinization and
+//!   minimization step by, one representative per class;
 //! * [`minimize`], [`equiv`], [`ops`] — partition-refinement
 //!   minimization, product equivalence checking, and boolean operations
 //!   (complement/intersection — the Definition 4.5 disjointness oracle
@@ -33,4 +35,8 @@ pub mod lookahead;
 pub mod minimize;
 pub mod nfa;
 pub mod ops;
+pub mod partition;
 pub mod run;
+
+#[cfg(test)]
+mod oracle;

@@ -1,14 +1,14 @@
-//! DFA minimization by partition refinement (Moore's algorithm).
+//! DFA minimization by partition refinement (Moore's algorithm, over
+//! symbol classes).
 //!
 //! An extension beyond the paper used by the experiment harness: minimizing
 //! the determinized automaton before building its trace parser shrinks the
 //! trace grammar, and comparing minimized sizes gives the canonical-form
 //! check used by the DFA-equivalence tests.
 
-use std::collections::HashMap;
-
 use crate::dfa::Dfa;
 use crate::nfa::StateId;
+use crate::partition::Refiner;
 
 /// Removes states unreachable from the initial state.
 pub fn trim(dfa: &Dfa) -> Dfa {
@@ -65,63 +65,89 @@ pub fn trim(dfa: &Dfa) -> Dfa {
 /// initial partition: two states merge only if they agree on both the
 /// accept bit and the tag, so minimization can never collapse a
 /// higher-priority rule's accept state into a lower-priority one.
+///
+/// Refinement runs over the DFA's [column
+/// classes](Dfa::column_classes), one column per class, so its cost
+/// follows the number of classes rather than the alphabet's size. Each
+/// round splits the blocks column by column on their successors'
+/// blocks (Moore's algorithm) until a round splits nothing. States of
+/// the result are numbered in order of their least original state.
 pub fn minimize(dfa: &Dfa) -> Dfa {
-    let dfa = trim(dfa);
-    let alphabet = dfa.alphabet().clone();
-    let n = dfa.num_states();
-    // Initial partition: accepting vs rejecting, refined by accept tag.
-    let mut seed: HashMap<(bool, Option<usize>), usize> = HashMap::new();
-    let mut class: Vec<usize> = (0..n)
-        .map(|s| {
-            let key = (dfa.is_accepting(s), dfa.accept_tag(s));
-            let fresh = seed.len();
-            *seed.entry(key).or_insert(fresh)
-        })
-        .collect();
-    loop {
-        // Signature of a state: (class, classes of successors).
-        let mut sig_index: HashMap<(usize, Vec<usize>), usize> = HashMap::new();
-        let mut next_class = vec![0; n];
-        for s in 0..n {
-            let sig = (
-                class[s],
-                alphabet
-                    .symbols()
-                    .map(|c| class[dfa.delta(s, c)])
-                    .collect::<Vec<_>>(),
-            );
-            let fresh = sig_index.len();
-            next_class[s] = *sig_index.entry(sig).or_insert(fresh);
+    let classes = dfa.column_classes();
+    let k = classes.len();
+    // The reachable states, in index order, and their table over the
+    // class representatives.
+    let mut reached = vec![false; dfa.num_states()];
+    let mut stack = vec![dfa.init()];
+    reached[dfa.init()] = true;
+    while let Some(s) = stack.pop() {
+        for &c in classes.reps() {
+            let t = dfa.delta(s, c);
+            if !reached[t] {
+                reached[t] = true;
+                stack.push(t);
+            }
         }
-        if next_class == class {
+    }
+    let states: Vec<StateId> = (0..dfa.num_states()).filter(|&s| reached[s]).collect();
+    let mut remap = vec![0u32; dfa.num_states()];
+    for (i, &s) in states.iter().enumerate() {
+        remap[s] = i as u32;
+    }
+    let mut table = Vec::with_capacity(states.len() * k);
+    for &s in &states {
+        table.extend(classes.reps().iter().map(|&c| remap[dfa.delta(s, c)]));
+    }
+    // Seed: one block per (accepting, tag).
+    let seed = |i: usize| {
+        let s = states[i];
+        dfa.accept_tag(s)
+            .map_or(usize::from(dfa.is_accepting(s)), |t| t + 2)
+    };
+    let bound = (0..states.len()).map(seed).max().map_or(0, |m| m + 1);
+    let mut refiner = Refiner::new(vec![0; states.len()], 1);
+    refiner.split(bound, seed);
+    let mut keys = vec![0u32; states.len()];
+    loop {
+        let mut split = false;
+        for j in 0..k {
+            let block = refiner.block();
+            for (i, key) in keys.iter_mut().enumerate() {
+                *key = block[table[i * k + j] as usize];
+            }
+            split |= refiner.split(refiner.blocks(), |i| keys[i] as usize);
+        }
+        if !split {
             break;
         }
-        class = next_class;
     }
-    let num_classes = class.iter().max().map_or(0, |&m| m + 1);
-    // One representative per class.
-    let mut rep: Vec<Option<StateId>> = vec![None; num_classes];
-    for s in 0..n {
-        rep[class[s]].get_or_insert(s);
+    // Number the blocks by their least state; that state represents its
+    // block, and every member shares its tag, since tags seeded the
+    // partition and refinement only splits.
+    let block = refiner.block();
+    let mut number = vec![u32::MAX; refiner.blocks()];
+    let mut reps = Vec::with_capacity(refiner.blocks());
+    for (i, &b) in block.iter().enumerate() {
+        if number[b as usize] == u32::MAX {
+            number[b as usize] = reps.len() as u32;
+            reps.push(i);
+        }
     }
-    let accepting: Vec<bool> = rep
-        .iter()
-        .map(|r| dfa.is_accepting(r.expect("every class has a member")))
-        .collect();
-    // Every member of a class shares the representative's tag: tags seed
-    // the initial partition and refinement only ever splits classes.
-    let tags: Vec<Option<usize>> = rep
-        .iter()
-        .map(|r| dfa.accept_tag(r.expect("every class has a member")))
-        .collect();
-    let delta: Vec<Vec<StateId>> = rep
-        .iter()
-        .map(|r| {
-            let s = r.expect("every class has a member");
-            alphabet.symbols().map(|c| class[dfa.delta(s, c)]).collect()
-        })
-        .collect();
-    Dfa::new(alphabet, class[dfa.init()], accepting, delta).with_tags(tags)
+    let mut delta = Vec::with_capacity(reps.len() * dfa.alphabet().len());
+    let mut row = Vec::with_capacity(k);
+    for &i in &reps {
+        row.clear();
+        row.extend(
+            table[i * k..(i + 1) * k]
+                .iter()
+                .map(|&t| number[block[t as usize] as usize] as StateId),
+        );
+        classes.expand_row(&row, &mut delta);
+    }
+    let accepting = reps.iter().map(|&i| dfa.is_accepting(states[i])).collect();
+    let tags = reps.iter().map(|&i| dfa.accept_tag(states[i])).collect();
+    let init = number[block[remap[dfa.init()] as usize] as usize] as StateId;
+    Dfa::from_flat(dfa.alphabet().clone(), init, accepting, delta).with_tags(tags)
 }
 
 #[cfg(test)]

@@ -14,15 +14,41 @@
 //!   subsystem), against Earley over the character-level grammar with
 //!   `NUM` expanded to digit productions (recognition only, to be
 //!   generous to the baseline — tree extraction would slow it further);
-//! * `lex_compile` — spec → tagged DFA construction vs a warm engine
-//!   cache hit for the same lexed spec.
+//! * `lex_compile` — spec → tagged DFA construction for the arithmetic
+//!   lexer; the full `CertifiedLexer::compile` (tagged DFA plus one
+//!   certifier derivative table per rule) for a 6-level generated
+//!   expression grammar of the `grammar_churn` shape and for the json.g
+//!   preset; and a warm engine cache hit for a lexed spec.
 
 use lambek_bench::bench;
 use lambek_cfg::earley::earley_recognize;
 use lambek_engine::{Engine, PipelineSpec};
 use lambek_lex::demo::{arith_char_cfg, arith_spec, arith_text, arith_token_cfg};
-use lambek_lex::{CertifiedLexer, LexAutomaton};
+use lambek_lex::{CertifiedLexer, LexAutomaton, LexSpec};
 use lambek_lr::CertifiedLrParser;
+
+/// A generated expression grammar of the `grammar_churn` shape: `NUM`,
+/// `ID` and whitespace rules, then one precedence level per entry of
+/// `levels`, each with its binary operators, over atoms and parentheses.
+fn churn_expr(levels: &[&[&str]]) -> String {
+    let mut t =
+        String::from("token NUM = [0-9]+ ;\ntoken ID = [a-z] [a-z0-9]* ;\nskip WS = [ \\n]+ ;\n");
+    for (i, ops) in levels.iter().enumerate() {
+        let alts: Vec<String> = ops
+            .iter()
+            .map(|op| format!("E{i} '{op}' E{}", i + 1))
+            .collect();
+        t.push_str(&format!("E{i} ::= {} | E{} ;\n", alts.join(" | "), i + 1));
+    }
+    t.push_str(&format!("E{} ::= NUM | ID | '(' E0 ')' ;\n", levels.len()));
+    t
+}
+
+/// The lexical spec a grammar text elaborates to.
+fn text_spec(text: &str) -> LexSpec {
+    let ast = lambek_frontend::parse_text(text).unwrap();
+    lambek_frontend::elaborate(text, &ast).unwrap().spec
+}
 
 fn main() {
     let auto = LexAutomaton::compile(arith_spec());
@@ -69,6 +95,20 @@ fn main() {
     bench("lex_compile/spec_to_tagged_dfa", || {
         LexAutomaton::compile(arith_spec()).dfa().num_states()
     });
+    let churn = text_spec(&churn_expr(&[
+        &["+", "-"],
+        &["*", "/", "%"],
+        &["<<", ">>"],
+        &["==", "!=", "<="],
+        &["&&"],
+        &["^", "**"],
+    ]));
+    let json = text_spec(lambek_frontend::presets::JSON);
+    for (name, spec) in [("churn_expr", churn), ("json", json)] {
+        bench(&format!("lex_compile/{name}"), || {
+            CertifiedLexer::compile(spec.clone()).unwrap()
+        });
+    }
     let engine = Engine::new();
     let spec = PipelineSpec::arith_lexed();
     engine.get_or_compile(&spec).unwrap();

@@ -1,24 +1,13 @@
-//! Classical grammar analysis: FIRST and FOLLOW sets.
+//! Classical grammar analysis: FIRST sets.
 //!
-//! These are the standard fixpoint computations over a [`Cfg`] that every
-//! table-driven parser construction starts from (Knuth's LR(1) item-set
-//! closure consumes FIRST; SLR-style constructions consume FOLLOW). They
-//! complement the nullability fixpoint of
-//! [`nullable_set`], which was previously the only analysis exposed
-//! publicly:
-//!
-//! * [`first_sets`] — for each nonterminal `A`, the terminals `c` such
-//!   that `A ⇒* c·…` (ε-membership is [`nullable_set`]'s job, so the sets
-//!   here contain terminals only);
-//! * [`follow_sets`] — for each nonterminal `A`, the terminals `c` such
-//!   that `S ⇒* …·A·c·…`, plus whether `A` can occur at the very end of a
-//!   sentential form (the "FOLLOW contains `$`" bit, kept separate so the
-//!   sets stay in terms of real [`Symbol`]s);
-//! * [`first_of_seq`] — FIRST of a sentence fragment `α` relative to a
-//!   continuation set, the helper LR closure needs for `FIRST(β a)`.
-//!
-//! All three are exact (least fixpoints), independent of reachability,
-//! and linear in practice for the grammar sizes this workspace handles.
+//! The standard fixpoint over a [`Cfg`] that table-driven parser
+//! constructions start from (the LALR(1) builder in `lambek-lr` seeds
+//! its lookaheads from it). It complements the nullability fixpoint of
+//! [`nullable_set`]: [`first_sets`] gives, for each nonterminal `A`, the
+//! terminals `c` such that `A ⇒* c·…` (ε-membership is
+//! [`nullable_set`]'s job, so the sets here contain terminals only).
+//! The fixpoint is exact (least), independent of reachability, and
+//! linear in practice for the grammar sizes this workspace handles.
 
 use std::collections::BTreeSet;
 
@@ -79,142 +68,12 @@ pub fn first_sets(cfg: &Cfg) -> Vec<BTreeSet<Symbol>> {
     }
 }
 
-/// FIRST of the fragment `rest` followed by any terminal in `cont`: the
-/// terminals that can begin a string derived from `rest`, plus all of
-/// `cont` when `rest` is nullable. This is the `FIRST(β a)` computation
-/// of the LR(1) closure rule, exposed so table constructions outside this
-/// crate do not re-derive it.
-pub fn first_of_seq(
-    rest: &[GSym],
-    cont: &BTreeSet<Symbol>,
-    first: &[BTreeSet<Symbol>],
-    nullable: &[bool],
-) -> BTreeSet<Symbol> {
-    let mut out = BTreeSet::new();
-    for sym in rest {
-        match sym {
-            GSym::T(c) => {
-                out.insert(*c);
-                return out;
-            }
-            GSym::N(m) => {
-                out.extend(first[*m].iter().copied());
-                if !nullable[*m] {
-                    return out;
-                }
-            }
-        }
-    }
-    out.extend(cont.iter().copied());
-    out
-}
-
-/// Whether the fragment `rest` can derive ε: every symbol is a nullable
-/// nonterminal (a terminal breaks nullability). The shared predicate
-/// behind [`follow_sets`] and the LR closure's `FIRST(β a)` rule.
-pub fn seq_nullable(rest: &[GSym], nullable: &[bool]) -> bool {
-    rest.iter().all(|s| matches!(s, GSym::N(m) if nullable[*m]))
-}
-
-/// FOLLOW sets for every nonterminal, as computed by [`follow_sets`].
-///
-/// The conventional presentation puts a synthetic end-of-input marker `$`
-/// into FOLLOW sets; here the marker is a separate boolean per
-/// nonterminal ([`FollowSets::may_end_input`]) so the terminal sets stay
-/// in terms of real alphabet [`Symbol`]s.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FollowSets {
-    terminals: Vec<BTreeSet<Symbol>>,
-    end: Vec<bool>,
-}
-
-impl FollowSets {
-    /// The terminals that can immediately follow nonterminal `nt` in a
-    /// sentential form derived from the start symbol.
-    pub fn terminals(&self, nt: usize) -> &BTreeSet<Symbol> {
-        &self.terminals[nt]
-    }
-
-    /// Whether `nt` can occur at the end of a complete sentence — the
-    /// "`$ ∈ FOLLOW(nt)`" bit of the textbook presentation.
-    pub fn may_end_input(&self, nt: usize) -> bool {
-        self.end[nt]
-    }
-
-    /// Number of nonterminals covered.
-    pub fn len(&self) -> usize {
-        self.terminals.len()
-    }
-
-    /// `true` when the grammar has no nonterminals (never the case for a
-    /// well-formed [`Cfg`]).
-    pub fn is_empty(&self) -> bool {
-        self.terminals.is_empty()
-    }
-}
-
-/// Computes FOLLOW sets by the textbook fixpoint: for every production
-/// `A → α B β`, `FOLLOW(B) ⊇ FIRST(β)`, and when `β` is nullable,
-/// `FOLLOW(B) ⊇ FOLLOW(A)`; the start symbol may end the input.
-///
-/// # Examples
-///
-/// The Fig. 15 expression grammar: `FOLLOW(Exp) = {)}`,
-/// `FOLLOW(Atom) = {+, )}`, and both may end the input.
-///
-/// ```
-/// use lambek_cfg::analysis::follow_sets;
-/// use lambek_cfg::expr::exp_cfg;
-/// use lambek_automata::lookahead::ArithTokens;
-///
-/// let t = ArithTokens::new();
-/// let follow = follow_sets(&exp_cfg(&t));
-/// assert!(follow.terminals(1).contains(&t.add));
-/// assert!(follow.may_end_input(0) && follow.may_end_input(1));
-/// ```
-pub fn follow_sets(cfg: &Cfg) -> FollowSets {
-    let nullable = nullable_set(cfg);
-    let first = first_sets(cfg);
-    let n = cfg.num_nonterminals();
-    let mut terminals: Vec<BTreeSet<Symbol>> = vec![BTreeSet::new(); n];
-    let mut end = vec![false; n];
-    end[cfg.start()] = true;
-    loop {
-        let mut changed = false;
-        for nt in 0..n {
-            for prod in cfg.alternatives(nt) {
-                for (i, sym) in prod.rhs.iter().enumerate() {
-                    let GSym::N(b) = sym else { continue };
-                    let beta = &prod.rhs[i + 1..];
-                    let beta_first = first_of_seq(beta, &BTreeSet::new(), &first, &nullable);
-                    for c in beta_first {
-                        changed |= terminals[*b].insert(c);
-                    }
-                    if seq_nullable(beta, &nullable) {
-                        let src = terminals[nt].clone();
-                        for c in src {
-                            changed |= terminals[*b].insert(c);
-                        }
-                        if end[nt] && !end[*b] {
-                            end[*b] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !changed {
-            return FollowSets { terminals, end };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dyck::{dyck_cfg, Parens};
     use crate::expr::exp_cfg;
-    use crate::grammar::{anbn, Production};
+    use crate::grammar::anbn;
     use lambek_automata::lookahead::ArithTokens;
     use lambek_core::alphabet::Alphabet;
 
@@ -232,76 +91,16 @@ mod tests {
     }
 
     #[test]
-    fn fig15_follow_sets() {
-        let t = ArithTokens::new();
-        let follow = follow_sets(&exp_cfg(&t));
-        let exp_follow: BTreeSet<_> = [t.rp].into_iter().collect();
-        let atom_follow: BTreeSet<_> = [t.add, t.rp].into_iter().collect();
-        assert_eq!(follow.terminals(EXP), &exp_follow, "FOLLOW(Exp) = {{)}}");
-        assert_eq!(
-            follow.terminals(ATOM),
-            &atom_follow,
-            "FOLLOW(Atom) = {{+, )}}"
-        );
-        assert!(follow.may_end_input(EXP), "Exp is the start symbol");
-        assert!(
-            follow.may_end_input(ATOM),
-            "Exp ⇒ Atom, so Atom can end the input"
-        );
-        assert_eq!(follow.len(), 2);
-        assert!(!follow.is_empty());
-    }
-
-    #[test]
-    fn dyck_first_and_follow() {
+    fn dyck_first_sets() {
         let p = Parens::new();
-        let cfg = dyck_cfg(&p);
-        let first = first_sets(&cfg);
+        let first = first_sets(&dyck_cfg(&p));
         assert_eq!(first[0], [p.open].into_iter().collect());
-        let follow = follow_sets(&cfg);
-        assert_eq!(follow.terminals(0), &[p.close].into_iter().collect());
-        assert!(follow.may_end_input(0));
     }
 
     #[test]
-    fn anbn_first_and_follow() {
+    fn anbn_first_sets() {
         let s = Alphabet::abc();
         let (a, b) = (s.symbol("a").unwrap(), s.symbol("b").unwrap());
-        let cfg = anbn(&s, a, b);
-        assert_eq!(first_sets(&cfg)[0], [a].into_iter().collect());
-        let follow = follow_sets(&cfg);
-        assert_eq!(follow.terminals(0), &[b].into_iter().collect());
-        assert!(follow.may_end_input(0));
-    }
-
-    #[test]
-    fn first_of_seq_respects_nullability() {
-        // S ::= A a ; A ::= ε | b — FIRST(A a) = {a, b}.
-        let s = Alphabet::abc();
-        let (a, b) = (s.symbol("a").unwrap(), s.symbol("b").unwrap());
-        let cfg = Cfg::new(
-            s,
-            vec!["S".to_owned(), "A".to_owned()],
-            vec![
-                vec![Production {
-                    rhs: vec![GSym::N(1), GSym::T(a)],
-                }],
-                vec![
-                    Production { rhs: vec![] },
-                    Production {
-                        rhs: vec![GSym::T(b)],
-                    },
-                ],
-            ],
-            0,
-        );
-        let first = first_sets(&cfg);
-        let nullable = crate::earley::nullable_set(&cfg);
-        let seq = [GSym::N(1), GSym::T(a)];
-        let got = first_of_seq(&seq, &BTreeSet::new(), &first, &nullable);
-        assert_eq!(got, [a, b].into_iter().collect());
-        // An empty fragment yields exactly the continuation set.
-        let cont: BTreeSet<_> = [a].into_iter().collect();
-        assert_eq!(first_of_seq(&[], &cont, &first, &nullable), cont);
+        assert_eq!(first_sets(&anbn(&s, a, b))[0], [a].into_iter().collect());
     }
 }

@@ -4,8 +4,8 @@
 //! (§4.2 of the paper):
 //!
 //! * [`grammar`] — CFGs and their μ-regular encoding into linear types;
-//! * [`analysis`] — FIRST/FOLLOW fixpoints, the inputs of table-driven
-//!   parser constructions (the LR layer consumes them);
+//! * [`analysis`] — the FIRST fixpoint, the input of table-driven
+//!   parser constructions (the LR layer consumes it);
 //! * [`earley`] — the Earley baseline parser (recognition + derivation
 //!   trees in the μ-regular shape, with explicit ambiguity reporting);
 //! * [`dyck`] — the Dyck grammar (Fig. 13), its strong equivalence with

@@ -237,11 +237,12 @@ mod tests {
 
     #[test]
     fn expensive_entries_outlive_cheap_ones() {
-        // Two synthetic entries with a 100:1 cost ratio: after evicting
-        // down to one, the survivor must be the expensive pipeline even
-        // though the cheap one was touched more recently.
+        // Two entries of unequal compile cost: after evicting down to
+        // one, the survivor must be the expensive pipeline even though
+        // the cheap one was touched more recently. The JSON lexer and
+        // its LALR tables cost several times a tiny Dyck pipeline.
         let mut cache = PipelineCache::new(CacheConfig::unbounded());
-        let costly = PipelineSpec::arith_lexed();
+        let costly = PipelineSpec::json_lexed();
         let cheap = PipelineSpec::dyck(3);
         cache.insert(costly.clone(), compiled(&costly));
         cache.insert(cheap.clone(), compiled(&cheap));
@@ -252,7 +253,7 @@ mod tests {
         };
         assert!(
             ratio > 1.0,
-            "lexed-CFG compile must outweigh a tiny Dyck compile (ratio {ratio})"
+            "a lexed-CFG compile must outweigh a tiny Dyck compile (ratio {ratio})"
         );
         // Touch the cheap one last, then force one eviction.
         cache.get(&cheap);

@@ -440,7 +440,7 @@ pub(crate) fn build_lalr(cfg: &Cfg, gi: &GrammarIndex) -> Vec<LalrState> {
 pub(crate) mod oracle {
     use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-    use lambek_cfg::analysis::{first_of_seq, first_sets, seq_nullable};
+    use lambek_cfg::analysis::first_sets;
     use lambek_cfg::earley::nullable_set;
     use lambek_cfg::grammar::{Cfg, GSym};
     use lambek_core::alphabet::Symbol;
@@ -473,16 +473,25 @@ pub(crate) mod oracle {
     }
 
     /// The lookaheads `FIRST(β a)` for a prediction out of an item whose
-    /// dot sits before a nonterminal followed by `β`.
+    /// dot sits before a nonterminal followed by `β`: the terminals that
+    /// can begin `β`, plus `la` when `β` is nullable.
     fn prediction_lookaheads(facts: &Facts, beta: &[GSym], la: u16) -> BTreeSet<u16> {
-        let mut out: BTreeSet<u16> =
-            first_of_seq(beta, &BTreeSet::new(), &facts.first, &facts.nullable)
-                .into_iter()
-                .map(|s| s.index() as u16)
-                .collect();
-        if seq_nullable(beta, &facts.nullable) {
-            out.insert(la);
+        let mut out = BTreeSet::new();
+        for sym in beta {
+            match sym {
+                GSym::T(c) => {
+                    out.insert(c.index() as u16);
+                    return out;
+                }
+                GSym::N(m) => {
+                    out.extend(facts.first[*m].iter().map(|s| s.index() as u16));
+                    if !facts.nullable[*m] {
+                        return out;
+                    }
+                }
+            }
         }
+        out.insert(la);
         out
     }
 
@@ -585,5 +594,43 @@ pub(crate) mod oracle {
             closures[idx] = closed;
         }
         LalrAutomaton { closures, edges }
+    }
+
+    #[test]
+    fn prediction_lookaheads_respect_nullability() {
+        use lambek_cfg::grammar::Production;
+        use lambek_core::alphabet::Alphabet;
+        // S ::= A a ; A ::= ε | b — FIRST(A a $) = {a, b}.
+        let s = Alphabet::abc();
+        let (a, b) = (s.symbol("a").unwrap(), s.symbol("b").unwrap());
+        let cfg = Cfg::new(
+            s,
+            vec!["S".to_owned(), "A".to_owned()],
+            vec![
+                vec![Production {
+                    rhs: vec![GSym::N(1), GSym::T(a)],
+                }],
+                vec![
+                    Production { rhs: vec![] },
+                    Production {
+                        rhs: vec![GSym::T(b)],
+                    },
+                ],
+            ],
+            0,
+        );
+        let facts = Facts {
+            first: first_sets(&cfg),
+            nullable: nullable_set(&cfg),
+        };
+        let (ia, ib, eof) = (a.index() as u16, b.index() as u16, 7);
+        let beta = [GSym::N(1), GSym::T(a)];
+        assert_eq!(prediction_lookaheads(&facts, &beta, eof), [ia, ib].into());
+        // A nullable fragment lets the item's own lookahead through.
+        assert_eq!(
+            prediction_lookaheads(&facts, &beta[..1], eof),
+            [ib, eof].into()
+        );
+        assert_eq!(prediction_lookaheads(&facts, &[], eof), [eof].into());
     }
 }

@@ -30,6 +30,14 @@ fn sconcat(l: Regex, r: Regex) -> Regex {
     }
 }
 
+/// `dl ⊗ r`, cloning `r` only when `dl` is not `∅`.
+fn then(dl: Regex, r: &Regex) -> Regex {
+    match dl {
+        Regex::Empty => Regex::Empty,
+        dl => sconcat(dl, r.clone()),
+    }
+}
+
 /// The Brzozowski derivative `∂_c r`: the residual language after
 /// consuming `c`.
 pub fn derivative(re: &Regex, c: Symbol) -> Regex {
@@ -43,7 +51,7 @@ pub fn derivative(re: &Regex, c: Symbol) -> Regex {
             }
         }
         Regex::Concat(l, r) => {
-            let step_l = sconcat(derivative(l, c), (**r).clone());
+            let step_l = then(derivative(l, c), r);
             if l.nullable() {
                 salt(step_l, derivative(r, c))
             } else {
@@ -51,7 +59,7 @@ pub fn derivative(re: &Regex, c: Symbol) -> Regex {
             }
         }
         Regex::Alt(l, r) => salt(derivative(l, c), derivative(r, c)),
-        Regex::Star(inner) => sconcat(derivative(inner, c), Regex::star((**inner).clone())),
+        Regex::Star(inner) => then(derivative(inner, c), re),
     }
 }
 
