@@ -8,9 +8,9 @@
 //!   tables), the LALR table build, and the engine's construction and
 //!   drop;
 //! * `engine_resubmit_s` — what a *repeat* submission of the same text
-//!   pays through [`Engine::compile_text`]: the meta parse and
-//!   elaboration still run, but the interned `SpecKey` turns the
-//!   compile into a cache hit;
+//!   pays through [`Engine::compile_text`]: the cache's text map
+//!   answers it from one hash of the bytes, with no meta parse,
+//!   elaboration or compile, after the budget checks;
 //! * parse throughput of the compiled pipeline over a corpus document
 //!   in the preset's own format.
 

@@ -20,12 +20,30 @@
 //! than an intrusive LRU list: the population is *pipelines* (tens, not
 //! millions), hits never scan, and the scan runs only when a bound in
 //! [`CacheConfig`] is actually exceeded.
+//!
+//! In front of the structural map sits a **text map**: the exact bytes
+//! of a grammar text that resolved to a resident entry (by a miss or a
+//! structural hit), mapped to the spec and start symbol it elaborated
+//! to. A byte-identical resubmit is answered by one hash of its text,
+//! with no meta parse, elaboration or interning
+//! ([`crate::Engine::compile_text_with`]). Each entry owns one text
+//! alias, its newest wording, and evicting or clearing the entry drops
+//! it, so the text map never keeps a pipeline alive that the structural
+//! map has let go. Texts longer than [`MAX_ALIAS_TEXT_BYTES`] are never
+//! aliased, so the map holds at most that many bytes per entry.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::pipeline::{CompiledPipeline, PipelineSpec};
+use crate::PipelineHandle;
+
+/// The longest text the text map keeps: a longer one (say, a small
+/// grammar wrapped in a large comment) compiles through the full path
+/// on every submission instead of pinning its bytes. Ten times the
+/// largest preset grammar.
+pub(crate) const MAX_ALIAS_TEXT_BYTES: usize = 8 * 1024;
 
 /// Capacity bounds for the engine's pipeline cache.
 ///
@@ -80,6 +98,18 @@ struct Entry {
     /// floor to the same cost), the least recently touched one is the
     /// victim — never the entry whose own insert triggered the scan.
     touched: u64,
+    /// The text-map key that resolves to this entry: the newest wording
+    /// that resolved to it.
+    text: Option<Arc<str>>,
+}
+
+/// What a submitted text elaborated to: the text map's value.
+#[derive(Debug)]
+struct TextAlias {
+    /// The submission's own spec (its key is the entry's key).
+    spec: PipelineSpec,
+    /// The submission's start nonterminal.
+    start: String,
 }
 
 /// The engine's pipeline cache. Not internally synchronized — the
@@ -89,6 +119,9 @@ struct Entry {
 pub(crate) struct PipelineCache {
     config: CacheConfig,
     map: HashMap<PipelineSpec, Entry>,
+    /// The text map: exact submitted text → what it elaborated to. Every
+    /// key is its entry's [`Entry::text`].
+    texts: HashMap<Arc<str>, TextAlias>,
     /// GreedyDual clock: the credit of the last evicted entry. Starts
     /// at 0 and only ever advances, so credits are monotone per touch.
     clock: u128,
@@ -106,6 +139,7 @@ impl PipelineCache {
         PipelineCache {
             config,
             map: HashMap::new(),
+            texts: HashMap::new(),
             clock: 0,
             touches: 0,
             weight_us: 0,
@@ -126,6 +160,46 @@ impl PipelineCache {
         Some(entry.pipeline.clone())
     }
 
+    /// Text-map probe. Unlike [`PipelineCache::get`] it leaves the
+    /// entry's credit alone: the caller refreshes it with `get` once it
+    /// serves the hit.
+    pub(crate) fn peek_text(&self, text: &str) -> Option<PipelineHandle> {
+        let alias = self.texts.get(text)?;
+        // Resident by construction: eviction and `clear` drop aliases.
+        let entry = self.map.get(&alias.spec)?;
+        Some(PipelineHandle {
+            spec: alias.spec.clone(),
+            pipeline: entry.pipeline.clone(),
+            start: alias.start.clone(),
+            cache_hit: true,
+        })
+    }
+
+    /// Records `text` as the alias of `spec`'s entry, replacing the
+    /// entry's previous alias. No-op when the text is already an alias,
+    /// is longer than [`MAX_ALIAS_TEXT_BYTES`], or `spec` is not
+    /// resident (an insert can evict its own entry when
+    /// `max_entries == 0`).
+    pub(crate) fn alias(&mut self, text: &str, spec: &PipelineSpec, start: &str) {
+        if text.len() > MAX_ALIAS_TEXT_BYTES || self.texts.contains_key(text) {
+            return;
+        }
+        let Some(entry) = self.map.get_mut(spec) else {
+            return;
+        };
+        let text: Arc<str> = Arc::from(text);
+        if let Some(previous) = entry.text.replace(text.clone()) {
+            self.texts.remove(&previous);
+        }
+        self.texts.insert(
+            text,
+            TextAlias {
+                spec: spec.clone(),
+                start: start.to_owned(),
+            },
+        );
+    }
+
     /// Inserts a freshly compiled pipeline, records its compile latency,
     /// and evicts minimum-credit entries until both bounds hold.
     pub(crate) fn insert(&mut self, spec: PipelineSpec, pipeline: Arc<CompiledPipeline>) {
@@ -142,6 +216,7 @@ impl PipelineCache {
                 credit: self.clock + u128::from(cost_us),
                 cost_us,
                 touched: self.touches,
+                text: None,
             },
         );
         self.evict_to_bounds(Some(&spec));
@@ -172,7 +247,9 @@ impl PipelineCache {
             let Some((key, credit, cost_us)) = victim else {
                 return; // bounds can only be exceeded by a resident entry
             };
-            self.map.remove(&key);
+            if let Some(text) = self.map.remove(&key).and_then(|entry| entry.text) {
+                self.texts.remove(&text);
+            }
             self.weight_us -= u128::from(cost_us);
             self.clock = self.clock.max(credit);
             self.evictions += 1;
@@ -183,11 +260,24 @@ impl PipelineCache {
         self.map.len()
     }
 
+    /// Texts currently in the text map.
+    #[cfg(test)]
+    pub(crate) fn text_aliases(&self) -> usize {
+        self.texts.len()
+    }
+
+    /// Probes and inserts so far (the touch stamp source).
+    #[cfg(test)]
+    pub(crate) fn touches(&self) -> u64 {
+        self.touches
+    }
+
     /// Drops every entry without touching the eviction counter or the
     /// clock ([`crate::Engine::clear`] is an operator action, not a
     /// capacity event).
     pub(crate) fn clear(&mut self) {
         self.map.clear();
+        self.texts.clear();
         self.weight_us = 0;
     }
 

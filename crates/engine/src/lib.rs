@@ -98,7 +98,7 @@ pub use lambek_frontend::{
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use lambek_core::alphabet::GString;
@@ -333,6 +333,14 @@ impl Engine {
         self.pool.get_or_init(|| WorkerPool::new(0))
     }
 
+    /// The cache lock, poisoned or not. A panic under the lock (say, in
+    /// a compile) leaves the cache consistent: a compile runs before
+    /// the insert that would publish it, and every other update is a
+    /// few field writes that cannot unwind halfway.
+    fn lock_cache(&self) -> MutexGuard<'_, PipelineCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the compiled pipeline for `spec`, compiling it on first
     /// use and serving the shared `Arc` afterwards. A hit refreshes the
     /// entry's eviction credit; a miss may evict other entries to stay
@@ -367,7 +375,7 @@ impl Engine {
         // a high hit bucket, which is exactly the signal an operator
         // wants from these counters.
         let t0 = std::time::Instant::now();
-        let mut cache = self.cache.lock().expect("engine cache poisoned");
+        let mut cache = self.lock_cache();
         if let Some(hit) = cache.get(spec) {
             self.metrics.hits.inc();
             let lookup = t0.elapsed();
@@ -565,7 +573,7 @@ impl Engine {
             hits: self.metrics.hits.get(),
             misses: self.metrics.misses.get(),
             compiles: self.metrics.compiles.get(),
-            entries: self.cache.lock().expect("engine cache poisoned").len(),
+            entries: self.lock_cache().len(),
             hit_latency: self.metrics.hit_lat.snapshot(),
             miss_latency: self.metrics.miss_lat.snapshot(),
         }
@@ -575,7 +583,7 @@ impl Engine {
     /// and worker-pool observability in one structure.
     pub fn engine_stats(&self) -> EngineStats {
         let (evictions, resident_weight, compile_total, compile_max, entries) = {
-            let cache = self.cache.lock().expect("engine cache poisoned");
+            let cache = self.lock_cache();
             (
                 cache.evictions(),
                 cache.resident_weight(),
@@ -609,7 +617,7 @@ impl Engine {
         use lambek_obs::{Metric, MetricValue, Sample};
         let mut out = self.metrics.registry.gather();
         let (evictions, resident_weight, compile_total, compile_max, entries) = {
-            let cache = self.cache.lock().expect("engine cache poisoned");
+            let cache = self.lock_cache();
             (
                 cache.evictions(),
                 cache.resident_weight(),
@@ -815,7 +823,7 @@ impl Engine {
     /// Drops every cached pipeline (counters are kept; operator clears
     /// do not count as evictions).
     pub fn clear(&self) {
-        self.cache.lock().expect("engine cache poisoned").clear();
+        self.lock_cache().clear();
     }
 }
 
@@ -897,6 +905,34 @@ mod tests {
         assert_eq!(engine.stats().entries, 0);
         engine.get_or_compile(&spec).unwrap();
         assert_eq!(engine.stats().compiles, 2);
+    }
+
+    #[test]
+    fn a_poisoned_cache_lock_still_serves() {
+        let engine = Engine::new();
+        let resident = engine.compile_text(ARITH).expect("arith compiles");
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = engine.cache.lock();
+                panic!("a panic under the cache lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(engine.cache.is_poisoned());
+        // Both the text map and the full path still answer.
+        let again = engine.compile_text(ARITH).expect("served from the map");
+        assert!(again.cache_hit);
+        assert!(Arc::ptr_eq(&resident.pipeline, &again.pipeline));
+        let reworded = engine
+            .compile_text(&format!("# reworded\n{ARITH}"))
+            .expect("served by the structural key");
+        assert!(reworded.cache_hit);
+        let reports = engine
+            .parse_many_str(&again.spec, &["1+(2+34)", "1++2"], 1)
+            .expect("parses");
+        let accepted: Vec<bool> = reports.iter().map(|r| r.outcome.is_accept()).collect();
+        assert_eq!(accepted, [true, false]);
+        assert_eq!(engine.stats().entries, 1);
     }
 
     #[test]

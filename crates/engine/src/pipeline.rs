@@ -25,6 +25,7 @@
 //!   grammar) has no general CFG construction, so CFG rejections carry
 //!   the trivial `⊤`-parse of the input as their witness.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lambek_automata::counter::dyck_automaton;
@@ -56,14 +57,18 @@ use crate::EngineError;
 /// table, the pattern string, or the CFG's μ-regular encoding.
 /// Structurally identical alphabets (and structurally identical CFGs)
 /// share cache entries.
+///
+/// The payload sits behind an `Arc`: a clone (a cache key, a
+/// [`CompiledPipeline::spec`], a [`crate::PipelineHandle`]) shares it
+/// instead of copying the lexer spec and grammar.
 #[derive(Debug, Clone)]
 pub struct PipelineSpec {
-    kind: SpecKind,
+    kind: Arc<SpecKind>,
     key: SpecKey,
 }
 
 /// The payload of a [`PipelineSpec`]: what the compiler consumes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum SpecKind {
     /// The verified regex pipeline of Corollary 4.12 (Thompson →
     /// determinize → trace parser → extend).
@@ -101,8 +106,9 @@ enum SpecKind {
     LexedCfg {
         /// Display label for reports.
         name: String,
-        /// The lexical specification (token + skip rules).
-        spec: LexSpec,
+        /// The lexical specification (token + skip rules), shared with
+        /// the compiled lexer.
+        spec: Arc<LexSpec>,
         /// The token-level grammar.
         cfg: Cfg,
     },
@@ -160,7 +166,7 @@ impl PipelineSpec {
             lambek_core::intern::istr(&pattern),
         );
         PipelineSpec {
-            kind: SpecKind::Regex { alphabet, pattern },
+            kind: Arc::new(SpecKind::Regex { alphabet, pattern }),
             key,
         }
     }
@@ -168,7 +174,7 @@ impl PipelineSpec {
     /// A Dyck pipeline spec, exact for inputs of length ≤ `max_len`.
     pub fn dyck(max_len: usize) -> PipelineSpec {
         PipelineSpec {
-            kind: SpecKind::Dyck { max_len },
+            kind: Arc::new(SpecKind::Dyck { max_len }),
             key: SpecKey::Dyck(max_len),
         }
     }
@@ -177,7 +183,7 @@ impl PipelineSpec {
     /// `max_len`.
     pub fn expr(max_len: usize) -> PipelineSpec {
         PipelineSpec {
-            kind: SpecKind::Expr { max_len },
+            kind: Arc::new(SpecKind::Expr { max_len }),
             key: SpecKey::Expr(max_len),
         }
     }
@@ -193,10 +199,10 @@ impl PipelineSpec {
             lambek_core::intern::grammar_id(&cfg.to_lambek()),
         );
         PipelineSpec {
-            kind: SpecKind::Cfg {
+            kind: Arc::new(SpecKind::Cfg {
                 name: name.into(),
                 cfg,
-            },
+            }),
             key,
         }
     }
@@ -217,11 +223,11 @@ impl PipelineSpec {
             lambek_core::intern::grammar_id(&cfg.to_lambek()),
         );
         PipelineSpec {
-            kind: SpecKind::LexedCfg {
+            kind: Arc::new(SpecKind::LexedCfg {
                 name: name.into(),
-                spec,
+                spec: Arc::new(spec),
                 cfg,
-            },
+            }),
             key,
         }
     }
@@ -270,7 +276,7 @@ impl PipelineSpec {
 
     /// A short human-readable label (used in reports and errors).
     pub fn label(&self) -> String {
-        match &self.kind {
+        match &*self.kind {
             SpecKind::Regex { pattern, .. } => format!("regex({pattern})"),
             SpecKind::Dyck { max_len } => format!("dyck(≤{max_len})"),
             SpecKind::Expr { max_len } => format!("expr(≤{max_len})"),
@@ -290,7 +296,7 @@ impl PipelineSpec {
     /// the cache identity.
     pub fn session_fingerprint(&self) -> u64 {
         let mut h = crate::session::Fnv64::new();
-        match &self.kind {
+        match &*self.kind {
             SpecKind::Regex { alphabet, pattern } => {
                 h.update(b"regex");
                 for name in alphabet.names() {
@@ -351,7 +357,7 @@ impl PipelineSpec {
     /// broken spec so text submissions can report it as a budget.
     pub(crate) fn compile_or_shed(&self) -> Result<CompiledPipeline, CompileFailure> {
         let start = Instant::now();
-        let imp = match &self.kind {
+        let imp = match &*self.kind {
             SpecKind::Regex { alphabet, pattern } => {
                 let re = parse_regex(alphabet, pattern)
                     .map_err(|e| EngineError::Compile(format!("{e}")))?;
@@ -387,7 +393,8 @@ impl PipelineSpec {
                     ))));
                 }
                 ParserImpl::LexedCfg(LexedCfgBackend {
-                    lexer: CertifiedLexer::compile(spec.clone()).map_err(CompileFailure::Shed)?,
+                    lexer: CertifiedLexer::compile(Arc::clone(spec))
+                        .map_err(CompileFailure::Shed)?,
                     inner: compile_cfg_backend(cfg),
                 })
             }

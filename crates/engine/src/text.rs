@@ -2,19 +2,33 @@
 //! grammar frontend (`lambek-frontend`) through the engine's pipeline
 //! cache.
 //!
-//! A submitted text is parsed by the frontend's process-wide bootstrap
-//! pipeline — the grammar language's own certified lexer and LALR
-//! parser, compiled once per process and never a cache entry — through
-//! [`parse_text`], the same meta parse every caller runs. It is then
-//! elaborated into a validated lexer + grammar pair, gated by the
-//! caller's [`Budgets`], and finally compiled-or-fetched through the
-//! cache. Because the cache key is interned from the elaborated spec's
-//! *content*, two textually different but structurally equal
-//! submissions share one compiled pipeline.
+//! The lookup has two levels. First the cache's text map: a text that
+//! is byte-for-byte one already resolved to a resident pipeline is
+//! answered by one hash of its bytes — no meta parse, no elaboration,
+//! no interning. Every check that depends on the caller's options still
+//! runs on such a hit: the production budget (counted from the resident
+//! grammar), the state budget (read from its LR table), the deadline,
+//! and the conflict gate — a conflicted pipeline refused under the
+//! default options takes the full path, so its report carries the
+//! text's own annotated spans. The request contract needs no new trust
+//! for this: the pipeline was compiled from the very same bytes, and
+//! every token and tree it serves is still certified at request time.
+//!
+//! On a text miss the submission is parsed by the frontend's
+//! process-wide bootstrap pipeline — the grammar language's own
+//! certified lexer and LALR parser, compiled once per process and never
+//! a cache entry — through [`parse_text`], the same meta parse every
+//! caller runs. It is then elaborated into a validated lexer + grammar
+//! pair, gated by the caller's [`Budgets`], and finally
+//! compiled-or-fetched through the structural cache, which then records
+//! the text in the text map. Because the structural key is interned from
+//! the elaborated spec's *content*, two textually different but
+//! structurally equal submissions share one compiled pipeline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lambek_cfg::grammar::Cfg;
 use lambek_frontend::{
     annotate_conflicts, elaborate, parse_text, probes, BudgetExceeded, BudgetKind, Budgets,
     Elaborated, FrontendReport,
@@ -22,7 +36,7 @@ use lambek_frontend::{
 use lambek_obs::{Stage, Trace};
 
 use crate::pipeline::CompileFailure;
-use crate::{CompiledPipeline, Engine, PipelineSpec};
+use crate::{CfgBackend, CompiledPipeline, Engine, PipelineSpec};
 
 /// Options for [`Engine::compile_text_with`].
 #[derive(Debug, Clone, Default)]
@@ -51,8 +65,9 @@ pub struct PipelineHandle {
     pub pipeline: Arc<CompiledPipeline>,
     /// The user grammar's start nonterminal.
     pub start: String,
-    /// `true` when a structurally equal spec was already resident — no
-    /// compilation happened for this call.
+    /// `true` when no compilation happened for this call: either the
+    /// exact text was already resident (a text-map hit, which also skips
+    /// the meta parse and elaboration) or a structurally equal spec was.
     pub cache_hit: bool,
 }
 
@@ -69,17 +84,27 @@ impl Engine {
         self.compile_text_with(text, &CompileTextOptions::default())
     }
 
-    /// Compiles a grammar-language text end to end: self-hosted
-    /// bootstrap parse ([`parse_text`]), elaboration, budget gates, then
-    /// compile-or-fetch of the user pipeline from the engine cache.
+    /// Compiles a grammar-language text end to end, in two lookups.
     ///
-    /// The deadline is checked after elaboration and again after the
-    /// compile; the production budget before the compile, the state
-    /// budget after it.
+    /// 1. The text map: a byte-identical resubmit of a resident text is
+    ///    served from one hash of its bytes, after the production
+    ///    budget (counted from the resident grammar), the state budget
+    ///    (from its LR table) and the deadline — the checks that depend
+    ///    on `options`. A resident grammar with conflicts, submitted
+    ///    without `allow_conflicts`, goes on to step 2 so its report is
+    ///    annotated exactly as on a first submission. A text-map hit
+    ///    counts as a cache hit in [`Engine::stats`].
+    /// 2. The full path: self-hosted bootstrap parse ([`parse_text`]),
+    ///    elaboration, budget gates, then compile-or-fetch of the user
+    ///    pipeline from the structural cache, which records the text in
+    ///    the text map. The deadline is checked after elaboration and
+    ///    again after the compile; the production budget before the
+    ///    compile, the state budget after it.
     ///
     /// On a tracing engine ([`crate::ObsConfig::tracing`]) every
-    /// successful compile records a trace with `frontend`, `elaborate`,
-    /// `cache` and (on a miss) `compile` stage spans.
+    /// successful compile records a trace: a text-map hit has a `cache`
+    /// span only; the full path has `frontend`, `elaborate`, `cache` and
+    /// (on a miss) `compile` spans.
     ///
     /// A conflicted grammar is rejected by default but stays resident
     /// in its Earley-fallback form, so re-submitting the same text (or
@@ -111,6 +136,9 @@ impl Engine {
         options: &CompileTextOptions,
     ) -> Result<PipelineHandle, FrontendReport> {
         let started = Instant::now();
+        if let Some(handle) = self.resident_text(text, options, started)? {
+            return Ok(handle);
+        }
         let budgets = &options.budgets;
         let ast = parse_text(text)?;
         let frontend_time = started.elapsed();
@@ -120,18 +148,11 @@ impl Engine {
             spec,
             cfg,
             start_name,
-            num_productions,
             rule_spans,
             ..
         } = elaborate(text, &ast).map_err(FrontendReport::Errors)?;
         let elaborate_time = t_elab.elapsed();
-        if num_productions > budgets.max_productions {
-            return Err(FrontendReport::Budget(BudgetExceeded {
-                kind: BudgetKind::Productions,
-                limit: budgets.max_productions as u64,
-                actual: num_productions as u64,
-            }));
-        }
+        check_productions(&cfg, budgets)?;
         check_deadline(started, budgets)?;
 
         let spec = PipelineSpec::lexed_cfg(format!("text:{start_name}"), spec, cfg);
@@ -148,10 +169,9 @@ impl Engine {
                 return Err(FrontendReport::Internal(format!("user pipeline: {e}")));
             }
         };
-        let cfg_backend = pipeline
-            .lexed_backend()
-            .expect("a text pipeline is a lexed-cfg pipeline")
-            .cfg_backend();
+        // A no-op if a concurrent insert has evicted the entry already.
+        self.lock_cache().alias(text, &spec, &start_name);
+        let cfg_backend = text_backend(&pipeline);
         if let Some(report) = cfg_backend.conflicts() {
             if !options.allow_conflicts {
                 return Err(FrontendReport::Conflicts(annotate_conflicts(
@@ -161,36 +181,20 @@ impl Engine {
                 )));
             }
         }
-        if let Some(lr) = cfg_backend.lr() {
-            let states = lr.table().num_states();
-            if states > budgets.max_states {
-                return Err(FrontendReport::Budget(BudgetExceeded {
-                    kind: BudgetKind::States,
-                    limit: budgets.max_states as u64,
-                    actual: states as u64,
-                }));
-            }
-        }
+        check_states(cfg_backend, budgets)?;
         check_deadline(started, budgets)?;
 
-        if self.metrics.tracing {
-            let mut trace = Trace::new(&spec.label(), 0, text.len());
-            let mut at = Duration::ZERO;
-            for (stage, duration) in [
+        self.trace_text(
+            &spec,
+            text,
+            started,
+            &[
                 (Stage::Frontend, Some(frontend_time)),
                 (Stage::Elaborate, Some(elaborate_time)),
                 (Stage::Cache, Some(lookup)),
                 (Stage::Compile, compile),
-            ] {
-                if let Some(duration) = duration {
-                    trace.record(stage, at, duration);
-                    at += duration;
-                }
-            }
-            trace.total = started.elapsed();
-            self.metrics.traces.push(trace);
-        }
-
+            ],
+        );
         Ok(PipelineHandle {
             spec,
             pipeline,
@@ -198,6 +202,105 @@ impl Engine {
             cache_hit: compile.is_none(),
         })
     }
+
+    /// The text-map lookup of [`Engine::compile_text_with`]: `Ok(None)`
+    /// sends the call down the full path — on a text miss, and for a
+    /// conflicted grammar refused under `options`, whose report needs
+    /// the elaborated rule spans. The checks run in the full path's
+    /// order, and the entry's credit is refreshed and the hit counted
+    /// where the full path's structural probe would do both, so a shed
+    /// or a fall-through leaves the cache as a first submission would.
+    fn resident_text(
+        &self,
+        text: &str,
+        options: &CompileTextOptions,
+        started: Instant,
+    ) -> Result<Option<PipelineHandle>, FrontendReport> {
+        let budgets = &options.budgets;
+        let mut cache = self.lock_cache();
+        let Some(handle) = cache.peek_text(text) else {
+            return Ok(None);
+        };
+        let cfg_backend = text_backend(&handle.pipeline);
+        if cfg_backend.conflicts().is_some() && !options.allow_conflicts {
+            return Ok(None);
+        }
+        check_productions(cfg_backend.cfg(), budgets)?;
+        check_deadline(started, budgets)?;
+        cache.get(&handle.spec);
+        drop(cache);
+        let lookup = started.elapsed();
+        self.metrics.hits.inc();
+        self.metrics.hit_lat.record(lookup);
+        check_states(cfg_backend, budgets)?;
+        check_deadline(started, budgets)?;
+
+        self.trace_text(&handle.spec, text, started, &[(Stage::Cache, Some(lookup))]);
+        Ok(Some(handle))
+    }
+
+    /// On a tracing engine, records a text submission's trace: `spans`
+    /// laid end to end from `started`, skipping the stages that did not
+    /// run.
+    fn trace_text(
+        &self,
+        spec: &PipelineSpec,
+        text: &str,
+        started: Instant,
+        spans: &[(Stage, Option<Duration>)],
+    ) {
+        if !self.metrics.tracing {
+            return;
+        }
+        let mut trace = Trace::new(&spec.label(), 0, text.len());
+        let mut at = Duration::ZERO;
+        for &(stage, duration) in spans {
+            if let Some(duration) = duration {
+                trace.record(stage, at, duration);
+                at += duration;
+            }
+        }
+        trace.total = started.elapsed();
+        self.metrics.traces.push(trace);
+    }
+}
+
+/// The CFG backend behind a text pipeline.
+fn text_backend(pipeline: &CompiledPipeline) -> &CfgBackend {
+    pipeline
+        .lexed_backend()
+        .expect("a text pipeline is a lexed-cfg pipeline")
+        .cfg_backend()
+}
+
+/// Sheds a grammar with more productions than [`Budgets::max_productions`].
+fn check_productions(cfg: &Cfg, budgets: &Budgets) -> Result<(), FrontendReport> {
+    let num_productions: usize = (0..cfg.num_nonterminals())
+        .map(|n| cfg.alternatives(n).len())
+        .sum();
+    if num_productions > budgets.max_productions {
+        return Err(FrontendReport::Budget(BudgetExceeded {
+            kind: BudgetKind::Productions,
+            limit: budgets.max_productions as u64,
+            actual: num_productions as u64,
+        }));
+    }
+    Ok(())
+}
+
+/// Sheds an LR table with more states than [`Budgets::max_states`].
+fn check_states(cfg_backend: &CfgBackend, budgets: &Budgets) -> Result<(), FrontendReport> {
+    if let Some(lr) = cfg_backend.lr() {
+        let states = lr.table().num_states();
+        if states > budgets.max_states {
+            return Err(FrontendReport::Budget(BudgetExceeded {
+                kind: BudgetKind::States,
+                limit: budgets.max_states as u64,
+                actual: states as u64,
+            }));
+        }
+    }
+    Ok(())
 }
 
 /// Sheds a compile that has run past its [`Budgets::deadline`].
@@ -219,6 +322,7 @@ fn check_deadline(started: Instant, budgets: &Budgets) -> Result<(), FrontendRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::MAX_ALIAS_TEXT_BYTES;
     use crate::{CacheConfig, FrontendErrorKind, ObsConfig, StrOutcome};
 
     const ARITH: &str = "token NUM = [0-9]+ ;\nskip WS = [ \\t\\n]+ ;\nstart Exp ;\nExp ::= Atom | Atom '+' Exp ;\nAtom ::= NUM | '(' Exp ')' ;\n";
@@ -359,5 +463,186 @@ mod tests {
             }
             other => panic!("expected a compile error, got {:?}", other.err()),
         }
+    }
+
+    const AMBIGUOUS: &str = "token A = 'a' ;\nE ::= E E | A ;\n";
+
+    fn tracing_engine(config: CacheConfig) -> Engine {
+        Engine::with_obs(
+            config,
+            ObsConfig {
+                tracing: true,
+                trace_ring: 8,
+            },
+        )
+    }
+
+    /// Whether the engine's last compile was answered by the text map:
+    /// its trace has a `cache` span and no `frontend` span.
+    fn last_was_text_hit(engine: &Engine) -> bool {
+        let trace = &engine.recent_traces()[0];
+        trace.span_duration(Stage::Cache).is_some()
+            && trace.span_duration(Stage::Frontend).is_none()
+    }
+
+    #[test]
+    fn a_resident_text_is_answered_by_the_text_map() {
+        let engine = tracing_engine(CacheConfig::default());
+        let first = engine.compile_text(ARITH).expect("compiles");
+        assert!(!last_was_text_hit(&engine));
+        let again = engine.compile_text(ARITH).expect("compiles");
+        assert!(last_was_text_hit(&engine));
+        assert!(again.cache_hit);
+        assert!(Arc::ptr_eq(&first.pipeline, &again.pipeline));
+        assert_eq!(again.start, first.start);
+        assert_eq!(again.spec.label(), first.spec.label());
+        let trace = &engine.recent_traces()[0];
+        assert_eq!(
+            trace.spans.len(),
+            1,
+            "a text hit records only its cache span"
+        );
+        // The text hit counts as a cache hit: one miss, one hit.
+        let stats = engine.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(stats.hit_latency.count(), 1);
+    }
+
+    #[test]
+    fn budgets_shed_a_text_hit_as_they_shed_a_first_submission() {
+        let warm = Engine::new();
+        warm.compile_text(ARITH).expect("compiles");
+        for budgets in [
+            Budgets {
+                max_productions: 2,
+                ..Budgets::default()
+            },
+            Budgets {
+                max_states: 3,
+                ..Budgets::default()
+            },
+            Budgets {
+                deadline: Some(Duration::ZERO),
+                ..Budgets::default()
+            },
+        ] {
+            let options = CompileTextOptions {
+                budgets,
+                allow_conflicts: false,
+            };
+            let hit = warm.compile_text_with(ARITH, &options).expect_err("shed");
+            let fresh = Engine::new()
+                .compile_text_with(ARITH, &options)
+                .expect_err("shed");
+            match (&hit, &fresh) {
+                (FrontendReport::Budget(h), FrontendReport::Budget(f)) => {
+                    assert_eq!(h.kind, f.kind);
+                    if h.kind != BudgetKind::Deadline {
+                        assert_eq!(h, f);
+                    }
+                }
+                other => panic!("expected two budget sheds, got {other:?}"),
+            }
+        }
+        // The shed did not unseat the resident pipeline.
+        assert!(warm.compile_text(ARITH).expect("compiles").cache_hit);
+    }
+
+    #[test]
+    fn a_resident_conflicted_text_is_refused_with_a_first_submissions_spans() {
+        let engine = tracing_engine(CacheConfig::default());
+        let allow = CompileTextOptions {
+            allow_conflicts: true,
+            ..CompileTextOptions::default()
+        };
+        engine.compile_text_with(AMBIGUOUS, &allow).expect("served");
+        engine.compile_text_with(AMBIGUOUS, &allow).expect("served");
+        assert!(last_was_text_hit(&engine), "allowed: served from the map");
+        let refused = engine.compile_text(AMBIGUOUS).expect_err("conflicted");
+        let fresh = Engine::new()
+            .compile_text(AMBIGUOUS)
+            .expect_err("conflicted");
+        assert!(
+            matches!(refused, FrontendReport::Conflicts(_)),
+            "{refused:?}"
+        );
+        assert_eq!(refused, fresh);
+    }
+
+    #[test]
+    fn clear_drops_the_text_aliases() {
+        let engine = Engine::new();
+        engine.compile_text(ARITH).expect("compiles");
+        assert_eq!(engine.lock_cache().text_aliases(), 1);
+        engine.clear();
+        assert_eq!(engine.lock_cache().text_aliases(), 0);
+        let again = engine.compile_text(ARITH).expect("compiles");
+        assert!(!again.cache_hit, "a cleared text compiles again");
+        assert_eq!(engine.stats().compiles, 2);
+    }
+
+    #[test]
+    fn each_entry_keeps_only_its_newest_wording() {
+        let engine = tracing_engine(CacheConfig::default());
+        let variants: Vec<String> = (0..24).map(|i| format!("# wording {i}\n{ARITH}")).collect();
+        for text in &variants {
+            engine.compile_text(text).expect("compiles");
+        }
+        assert_eq!(engine.stats().compiles, 1, "one structural entry");
+        assert_eq!(engine.lock_cache().text_aliases(), 1);
+        // The newest wording is a text hit; an older one takes the full
+        // path to a structural hit, and becomes the alias in turn.
+        let newest = &variants[variants.len() - 1];
+        assert!(engine.compile_text(newest).expect("compiles").cache_hit);
+        assert!(last_was_text_hit(&engine));
+        let oldest = engine.compile_text(&variants[0]).expect("compiles");
+        assert!(oldest.cache_hit);
+        assert!(!last_was_text_hit(&engine));
+        assert_eq!(engine.lock_cache().text_aliases(), 1);
+        engine.compile_text(&variants[0]).expect("compiles");
+        assert!(last_was_text_hit(&engine));
+    }
+
+    #[test]
+    fn a_long_text_is_never_pinned_by_the_text_map() {
+        let engine = tracing_engine(CacheConfig::default());
+        let padded = format!("# {}\n{ARITH}", "x".repeat(MAX_ALIAS_TEXT_BYTES));
+        let first = engine.compile_text(&padded).expect("compiles");
+        assert_eq!(engine.lock_cache().text_aliases(), 0);
+        let again = engine.compile_text(&padded).expect("compiles");
+        assert!(again.cache_hit, "the structural key still serves it");
+        assert!(!last_was_text_hit(&engine));
+        assert!(Arc::ptr_eq(&first.pipeline, &again.pipeline));
+        assert_eq!(engine.lock_cache().text_aliases(), 0);
+    }
+
+    #[test]
+    fn a_shed_text_hit_neither_counts_nor_refreshes_its_entry() {
+        let engine = Engine::new();
+        let allow = CompileTextOptions {
+            allow_conflicts: true,
+            ..CompileTextOptions::default()
+        };
+        engine.compile_text(ARITH).expect("compiles");
+        engine.compile_text_with(AMBIGUOUS, &allow).expect("served");
+        let probes = |engine: &Engine| {
+            let stats = engine.stats();
+            (stats.hits, stats.misses, engine.lock_cache().touches())
+        };
+        // A production shed happens before any probe, as on the full path.
+        let shed = CompileTextOptions {
+            budgets: Budgets {
+                max_productions: 2,
+                ..Budgets::default()
+            },
+            allow_conflicts: false,
+        };
+        let before = probes(&engine);
+        engine.compile_text_with(ARITH, &shed).expect_err("shed");
+        assert_eq!(probes(&engine), before);
+        // A refused conflicted text probes once: the full path's lookup.
+        let (hits, misses, touches) = probes(&engine);
+        engine.compile_text(AMBIGUOUS).expect_err("conflicted");
+        assert_eq!(probes(&engine), (hits + 1, misses, touches + 1));
     }
 }

@@ -43,8 +43,6 @@ pub struct Elaborated {
     pub cfg: Cfg,
     /// The start nonterminal's name.
     pub start_name: String,
-    /// Total productions across all rules (the productions budget).
-    pub num_productions: usize,
     /// Per nonterminal (grammar order): its name and declaration span.
     pub rule_spans: Vec<(String, Span)>,
     /// Per nonterminal, per alternative: the alternative's source span.
@@ -541,7 +539,6 @@ pub fn elaborate(text: &str, ast: &SpecAst) -> Result<Elaborated, Vec<FrontendEr
         return Err(errors);
     }
 
-    let num_productions = productions.iter().map(Vec::len).sum();
     let cfg = Cfg::new(
         tokens,
         rule_decls.iter().map(|r| r.name.text.clone()).collect(),
@@ -552,7 +549,6 @@ pub fn elaborate(text: &str, ast: &SpecAst) -> Result<Elaborated, Vec<FrontendEr
         start_name: cfg.name(start_idx).to_owned(),
         spec,
         cfg,
-        num_productions,
         rule_spans: rule_decls
             .iter()
             .map(|r| (r.name.text.clone(), r.span))

@@ -160,13 +160,14 @@ pub struct CertifiedLexer {
 
 impl CertifiedLexer {
     /// Compiles `spec` (Thompson → tagged determinize → minimize) and
-    /// wraps it with the certification layer.
+    /// wraps it with the certification layer. An `Arc`-shared spec is
+    /// kept, not copied.
     ///
     /// # Errors
     ///
     /// [`StateBudgetExceeded`] if the rules' derivative tables cost
     /// more than [`MAX_CERTIFIER_STATES`] state units.
-    pub fn compile(spec: LexSpec) -> Result<CertifiedLexer, StateBudgetExceeded> {
+    pub fn compile(spec: impl Into<Arc<LexSpec>>) -> Result<CertifiedLexer, StateBudgetExceeded> {
         CertifiedLexer::from_automaton(LexAutomaton::compile(spec))
     }
 

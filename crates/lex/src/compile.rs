@@ -61,7 +61,7 @@ pub struct LexAutomaton {
 
 #[derive(Debug)]
 pub(crate) struct LexCore {
-    pub(crate) spec: LexSpec,
+    pub(crate) spec: Arc<LexSpec>,
     pub(crate) dfa: Dfa,
     /// `live[s]`: some accepting state is reachable from `s`. The
     /// driver treats a step into a non-live state as "the current token
@@ -196,8 +196,9 @@ fn union_nfa(spec: &LexSpec) -> (Nfa, Vec<Option<usize>>) {
 
 impl LexAutomaton {
     /// Compiles `spec` through Thompson → tagged determinize → tagged
-    /// minimize.
-    pub fn compile(spec: LexSpec) -> LexAutomaton {
+    /// minimize. An `Arc`-shared spec is kept, not copied.
+    pub fn compile(spec: impl Into<Arc<LexSpec>>) -> LexAutomaton {
+        let spec = spec.into();
         let (nfa, tags) = union_nfa(&spec);
         let det = determinize_tagged(&nfa, &tags);
         LexAutomaton::from_dfa(spec, minimize(&det.dfa))
@@ -209,7 +210,8 @@ impl LexAutomaton {
     /// Panics unless `dfa` is over the spec's alphabet and each of its
     /// accept tags names a rule.
     #[doc(hidden)]
-    pub fn from_dfa(spec: LexSpec, dfa: Dfa) -> LexAutomaton {
+    pub fn from_dfa(spec: impl Into<Arc<LexSpec>>, dfa: Dfa) -> LexAutomaton {
+        let spec = spec.into();
         let rules = spec.rules().len();
         assert!(dfa.alphabet() == spec.alphabet(), "another alphabet");
         assert!(

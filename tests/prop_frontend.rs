@@ -16,6 +16,10 @@
 //!    (compared through token-name translation) on the arithmetic and
 //!    JSON-subset grammars, over random inputs that include unlexable
 //!    and ill-formed ones.
+//! 5. **Text hit ≡ first submission**: resubmitting a text to a warm
+//!    engine, where the cache's text map answers it without a meta
+//!    parse, gives the outcome a fresh engine gives the first
+//!    submission — under random budgets and conflict policy.
 
 use std::sync::OnceLock;
 
@@ -26,7 +30,10 @@ use rand::{Rng, SeedableRng};
 
 use lambekd::cfg::grammar::{Cfg, GSym};
 use lambekd::core::grammar::parse_tree::ParseTree;
-use lambekd::engine::{Engine, FrontendErrorKind, FrontendReport, PipelineSpec, StrOutcome};
+use lambekd::engine::{
+    Budgets, CompileTextOptions, Engine, FrontendErrorKind, FrontendReport, PipelineHandle,
+    PipelineSpec, StrOutcome,
+};
 use lambekd::frontend::surface::ast_eq_modulo_spans;
 use lambekd::frontend::{parse_text, pretty};
 
@@ -190,7 +197,7 @@ fn unquote(name: &str) -> String {
 /// same verdict, and for accepts the same tree shape modulo token
 /// naming.
 fn assert_pipelines_agree(
-    text_pipeline: &lambekd::engine::PipelineHandle,
+    text_pipeline: &PipelineHandle,
     rust_pipeline: &std::sync::Arc<lambekd::engine::CompiledPipeline>,
     input: &str,
 ) -> Result<(), TestCaseError> {
@@ -404,6 +411,94 @@ fn structurally_equal_texts_share_one_cache_entry() {
         entries_before,
         "structurally equal submissions must not add cache entries"
     );
+}
+
+// ---------------------------------------------------------------------
+// 5. A text-map hit answers as a first submission does
+// ---------------------------------------------------------------------
+
+/// What a successful text submission exposes, minus `cache_hit`: the
+/// start symbol, the label, the served grammar, its conflict status and
+/// LR size, and the verdicts on a few sample inputs.
+fn observe(
+    handle: &PipelineHandle,
+    samples: &[String],
+) -> (String, String, String, bool, usize, Vec<bool>) {
+    let backend = handle.pipeline.lexed_backend().expect("lexed");
+    let cfg_backend = backend.cfg_backend();
+    let verdicts = samples
+        .iter()
+        .map(|input| {
+            backend
+                .parse_str(input)
+                .expect("certified parse")
+                .is_accept()
+        })
+        .collect();
+    (
+        handle.start.clone(),
+        handle.spec.label(),
+        cfg_backend.cfg().to_string(),
+        cfg_backend.conflicts().is_some(),
+        cfg_backend.lr().map_or(0, |lr| lr.table().num_states()),
+        verdicts,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Contract 5: a warm engine answers a resubmitted text — from its
+    /// text map — exactly as a fresh engine answers the first
+    /// submission, under random budgets and conflict policy.
+    #[test]
+    fn text_hit_equals_first_submission(seed in 0u64..5000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let text = match rng.gen_range(0..5) {
+            0 => format!("# {}\n{ARITH_TEXT}", gen_ident(&mut rng)),
+            1 => JSON_TEXT.to_string(),
+            2 => "token A = 'a' ;\nE ::= E E | A ;\n".to_string(),
+            _ => gen_spec_text(&mut rng),
+        };
+        let options = CompileTextOptions {
+            budgets: Budgets {
+                max_productions: rng.gen_range(0..24),
+                max_states: rng.gen_range(0..48),
+                deadline: None,
+            },
+            allow_conflicts: rng.gen_bool(0.5),
+        };
+        let samples: Vec<String> = ["", "1+(2+3)", "(1", "a", "aa"]
+            .iter()
+            .map(|s| s.to_string())
+            .chain((0..3).map(|_| gen_literal(&mut rng)))
+            .collect();
+        // Warm up permissively: the text is resident whenever it
+        // compiles at all, whatever `options` later allow.
+        let warm = Engine::new();
+        let permissive = CompileTextOptions {
+            allow_conflicts: true,
+            ..CompileTextOptions::default()
+        };
+        let resident = warm.compile_text_with(&text, &permissive).is_ok();
+        let second = warm.compile_text_with(&text, &options);
+        let first = Engine::new().compile_text_with(&text, &options);
+        match (&first, &second) {
+            (Ok(f), Ok(s)) => {
+                prop_assert!(!f.cache_hit && s.cache_hit);
+                prop_assert_eq!(observe(f, &samples), observe(s, &samples), "{}", text);
+            }
+            (Err(f), Err(s)) => prop_assert_eq!(f, s, "{}", text),
+            _ => prop_assert!(
+                false,
+                "outcomes differ (resident: {}): first {:?}, second {:?}\n{}",
+                resident,
+                first.as_ref().map(|h| &h.start),
+                second.as_ref().map(|h| &h.start),
+                text
+            ),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

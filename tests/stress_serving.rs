@@ -15,7 +15,10 @@
 //! * admission limits shed oversized / expired requests through the
 //!   pooled path as structured outcomes, never as panics;
 //! * a damaged session blob is refused by the checksum at the door —
-//!   no byte of it reaches a parser.
+//!   no byte of it reaches a parser;
+//! * grammar texts resubmitted byte for byte (answered by the cache's
+//!   text map), reworded or never seen keep the same counter algebra,
+//!   and every handle parses as a fresh engine's does.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -23,7 +26,7 @@ use std::time::{Duration, Instant};
 use lambekd::core::alphabet::{Alphabet, GString};
 use lambekd::engine::{
     CacheConfig, Engine, PipelineSpec, PoolStats, ReportOutcome, RequestLimits, SessionError,
-    SessionState,
+    SessionState, StrReportOutcome,
 };
 
 /// A working set of cheap-to-compile pipelines, deliberately larger
@@ -313,4 +316,90 @@ fn sessions_survive_concurrent_park_resume_traffic() {
     let stats = engine.engine_stats();
     assert_eq!(cache.compiles, cache.misses);
     assert_eq!(cache.entries as u64, cache.compiles - stats.evictions);
+}
+
+/// A right-recursive expression grammar over one binary operator.
+fn op_grammar(op: &str) -> String {
+    format!(
+        "token NUM = [0-9]+ ;\nskip WS = ' '+ ;\nE ::= T | T '{op}' E ;\nT ::= NUM | '(' E ')' ;\n"
+    )
+}
+
+/// `text`'s verdicts on an accepted and a rejected probe document, as
+/// a fresh engine serves them.
+fn fresh_verdicts(text: &str, probes: &[&str]) -> Vec<StrReportOutcome> {
+    let engine = Engine::new();
+    let handle = engine.compile_text(text).expect("probe grammars compile");
+    engine
+        .parse_many_str(&handle.spec, probes, 1)
+        .expect("parses")
+        .into_iter()
+        .map(|r| r.outcome)
+        .collect()
+}
+
+#[test]
+fn text_resubmits_keep_the_counter_algebra_under_contention() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 18;
+    const OPS: [&str; 5] = ["+", "-", "*", "/", "^"];
+    // Three entries for five shared grammars plus one fresh grammar per
+    // thread and round: resident texts keep getting evicted under the
+    // threads that resubmit them.
+    let engine = Engine::with_config(CacheConfig {
+        max_entries: 3,
+        max_weight: Duration::from_secs(3600),
+    });
+    let lookups = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for tid in 0..THREADS {
+            let engine = &engine;
+            let lookups = &lookups;
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let fresh_op = format!("o{tid}x{round}");
+                    let op = match round % 3 {
+                        2 => fresh_op.as_str(),
+                        _ => OPS[(tid + round) % OPS.len()],
+                    };
+                    let text = match round % 3 {
+                        // Reworded: a comment no other submission has.
+                        1 => format!("# t{tid} r{round}\n{}", op_grammar(op)),
+                        // Byte-identical across threads and rounds, or
+                        // never seen.
+                        _ => op_grammar(op),
+                    };
+                    let handle = engine.compile_text(&text).expect("compiles");
+                    let accepted = format!("1 {op} (2 {op} 34)");
+                    let rejected = format!("1 {op}");
+                    let probes = [accepted.as_str(), rejected.as_str()];
+                    let reports = engine
+                        .parse_many_str(&handle.spec, &probes, 1)
+                        .expect("parses");
+                    lookups.fetch_add(2, Ordering::Relaxed);
+                    let outcomes: Vec<StrReportOutcome> =
+                        reports.into_iter().map(|r| r.outcome).collect();
+                    assert!(outcomes[0].is_accept() && !outcomes[1].is_accept());
+                    assert_eq!(outcomes, fresh_verdicts(&text, &probes), "{text}");
+                }
+            });
+        }
+    });
+    let cache = engine.stats();
+    let stats = engine.engine_stats();
+    let lookups = lookups.load(Ordering::Relaxed) as u64;
+    assert_eq!(
+        cache.hits + cache.misses,
+        lookups,
+        "text hits count as hits"
+    );
+    assert_eq!(cache.compiles, cache.misses);
+    assert!(stats.evictions <= cache.compiles);
+    assert_eq!(cache.entries as u64, cache.compiles - stats.evictions);
+    assert!(cache.entries <= 3, "cache exceeded its entry bound");
+    assert!(
+        cache.hits > 0,
+        "shared grammars must be resubmitted resident"
+    );
+    assert_eq!(cache.hit_latency.count(), cache.hits);
 }
