@@ -242,14 +242,21 @@ impl Dfa {
     /// The *live* (co-reachable) states: those from which some accepting
     /// state is reachable. A run that enters a non-live state can never
     /// accept any continuation — the viability bit incremental consumers
-    /// (the engine's streaming parser) probe per symbol. Computed by
-    /// backward fixpoint over the dense table; accepting states are live
-    /// by definition.
+    /// (the engine's streaming parser) probe per symbol. Accepting states
+    /// are live by definition.
+    ///
+    /// Two backward sweeps mark every state with a live successor; they
+    /// settle the usual automaton, whose constructions number successors
+    /// after their sources, with no allocation. If the second still marks
+    /// a state, one backward breadth-first search over predecessor lists,
+    /// built in one pass over the unmarked rows, finishes the rest:
+    /// O(states · |Σ|) on any shape, a long chain included.
     pub fn live_states(&self) -> Vec<bool> {
+        let n = self.num_states();
         let mut live = self.accepting.clone();
-        loop {
+        for _ in 0..2 {
             let mut changed = false;
-            for s in 0..self.num_states() {
+            for s in (0..n).rev() {
                 if !live[s] && self.delta_row(s).iter().any(|&t| live[t]) {
                     live[s] = true;
                     changed = true;
@@ -259,6 +266,28 @@ impl Dfa {
                 return live;
             }
         }
+        // The predecessors of each state among those still unmarked,
+        // each once however many symbols lead from it.
+        let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
+        for s in (0..n).filter(|&s| !live[s]) {
+            for &t in self.delta_row(s) {
+                if preds[t].last() != Some(&s) {
+                    preds[t].push(s);
+                }
+            }
+        }
+        let mut queue: Vec<StateId> = (0..n).filter(|&s| live[s]).collect();
+        let mut head = 0;
+        while let Some(&t) = queue.get(head) {
+            head += 1;
+            for &s in &preds[t] {
+                if !live[s] {
+                    live[s] = true;
+                    queue.push(s);
+                }
+            }
+        }
+        live
     }
 
     /// The Bool-indexed trace type `TraceD` of Fig. 11 as a `μ` system.

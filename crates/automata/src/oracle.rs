@@ -130,6 +130,25 @@ pub(crate) fn minimize(dfa: &Dfa) -> Dfa {
     Dfa::new(alphabet, class[dfa.init()], accepting, delta).with_tags(tags)
 }
 
+/// The backward fixpoint [`Dfa::live_states`] replaced: mark every
+/// state with a live successor, and repeat until a pass marks none.
+/// Quadratic on a chain, which gains one live state per pass.
+pub(crate) fn live_states(dfa: &Dfa) -> Vec<bool> {
+    let mut live: Vec<bool> = (0..dfa.num_states()).map(|s| dfa.is_accepting(s)).collect();
+    loop {
+        let mut changed = false;
+        for s in 0..dfa.num_states() {
+            if !live[s] && dfa.delta_row(s).iter().any(|&t| live[t]) {
+                live[s] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            return live;
+        }
+    }
+}
+
 mod equality {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -138,6 +157,7 @@ mod equality {
     use lambek_core::alphabet::{Alphabet, Symbol};
 
     use crate::determinize::{determinize as determinize_plain, determinize_tagged};
+    use crate::dfa::Dfa;
     use crate::minimize::minimize as minimize_classes;
     use crate::nfa::Nfa;
 
@@ -258,6 +278,73 @@ mod equality {
             let (dfa, _) = super::determinize(&nfa, Some(&tags));
             assert!(dfa.column_classes().len() < spec.alphabet().len(), "{name}");
             assert_matches_oracle(&nfa, &tags);
+        }
+    }
+
+    /// A random tagged DFA: up to 40 states over `symbols` symbols, a
+    /// few accepting (some tagged), and transitions that favour a few
+    /// targets and lower-numbered states, so rows repeat successors,
+    /// dead regions occur and liveness often spreads over many sweeps.
+    fn random_tagged_dfa(symbols: usize, seed: u64) -> Dfa {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let names: Vec<String> = (0..symbols).map(|i| format!("s{i}")).collect();
+        let n = rng.gen_range(1..41usize);
+        let hubs = rng.gen_range(1..=n);
+        let accepting: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.1)).collect();
+        let tags = accepting
+            .iter()
+            .map(|&acc| (acc && rng.gen_bool(0.7)).then(|| rng.gen_range(0..4usize)))
+            .collect();
+        let delta = (0..n * symbols)
+            .map(|i| match rng.gen_range(0..3u8) {
+                0 => rng.gen_range(0..hubs),
+                1 => rng.gen_range(0..=i / symbols),
+                _ => rng.gen_range(0..n),
+            })
+            .collect();
+        let init = rng.gen_range(0..n);
+        Dfa::from_flat(Alphabet::new(&names), init, accepting, delta).with_tags(tags)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn live_states_match_the_fixpoint_on_random_tagged_dfas(
+            seed in 0u64..1_000_000,
+            width in 1usize..5,
+        ) {
+            let dfa = random_tagged_dfa([1, 2, 3, 17][width - 1], seed);
+            prop_assert_eq!(dfa.live_states(), super::live_states(&dfa));
+        }
+    }
+
+    /// `n` chain states `n-1 -a-> … -a-> 1 -a-> 0` (accepting), every
+    /// other edge into a dead sink `n`. Numbered against the sweeps, so
+    /// the fixpoint gains one live state per pass; `reversed` numbers it
+    /// with them instead.
+    fn chain(n: usize, reversed: bool) -> Dfa {
+        let id = |s: usize| if reversed && s < n { n - 1 - s } else { s };
+        let mut delta = vec![n; 2 * (n + 1)];
+        for s in 1..n {
+            delta[2 * id(s)] = id(s - 1);
+        }
+        let accepting = (0..=n).map(|s| s == id(0)).collect();
+        Dfa::from_flat(Alphabet::from_chars("ab"), id(n - 1), accepting, delta)
+    }
+
+    #[test]
+    fn live_states_cover_a_long_chain_in_one_search() {
+        for reversed in [false, true] {
+            let small = chain(8, reversed);
+            assert_eq!(small.live_states(), super::live_states(&small));
+            const N: usize = 100_000;
+            let live = chain(N, reversed).live_states();
+            assert!(
+                live[..N].iter().all(|&l| l),
+                "every chain state reaches the end"
+            );
+            assert!(!live[N], "the sink is dead");
         }
     }
 }

@@ -20,12 +20,13 @@
 //!   LR-backed pipelines: each pushed symbol is one dense-table
 //!   transition (or one LR shift plus its pending reductions), and
 //!   [`StreamParser::finish`] produces the fully verified parse;
-//! * [`PipelineSpec::cfg`] — arbitrary context-free grammars served
-//!   through the certified LR(1) subsystem (`lambek-lr`): deterministic
-//!   grammars get linear-time dense-table parsing (with every emitted
-//!   tree re-validated by the core derivation checker), grammars with
-//!   LR conflicts fall back to the Earley baseline, and the conflict
-//!   report is preserved on the compiled [`CfgBackend`].
+//! * [`PipelineSpec::cfg`] — context-free grammars served through the
+//!   certified LR(1) subsystem (`lambek-lr`): LALR(1) grammars get
+//!   linear-time dense-table parsing, every reduction certified as it
+//!   fires; a grammar with LR conflicts is refused at compile time
+//!   ([`EngineError::Compile`] carrying the conflict report), so the
+//!   cache never holds a pipeline that could not serve it in linear
+//!   time.
 //!
 //! Everything here rides on the `Send + Sync` parse-transformer layer
 //! (grammars and transformers are `Arc`-shared) and on the dense
@@ -83,8 +84,8 @@ mod text;
 pub use batch::{ParseReport, ReportOutcome, RequestLimits, StrParseReport, StrReportOutcome};
 pub use cache::CacheConfig;
 pub use pipeline::{
-    CfgBackend, CfgMode, CompiledPipeline, Derivation, DfaBackend, LexedCfgBackend, PipelineSpec,
-    SpecKey, StrOutcome,
+    CfgBackend, CompiledPipeline, Derivation, DfaBackend, LexedCfgBackend, PipelineSpec, SpecKey,
+    StrOutcome,
 };
 pub use pool::PoolStats;
 pub use session::{SessionError, SessionState, SESSION_VERSION};
@@ -111,7 +112,7 @@ use pool::WorkerPool;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The pipeline failed to compile (bad regex syntax, equivalences
-    /// that do not compose, …).
+    /// that do not compose, a grammar that is not LALR(1), …).
     Compile(String),
     /// A streaming parser was requested for a pipeline with no DFA
     /// backend (e.g. the lookahead-automaton expression pipeline).
@@ -349,7 +350,8 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`EngineError::Compile`] if the spec does not compile
-    /// (e.g. regex syntax errors); failed compilations are not cached.
+    /// (e.g. regex syntax errors, or a CFG that is not LALR(1));
+    /// failed compilations are not cached.
     pub fn get_or_compile(
         &self,
         spec: &PipelineSpec,
@@ -533,8 +535,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Compile`] if the pipeline cannot be built,
-    /// or [`EngineError::NoStreamingBackend`] if it is not DFA-backed.
+    /// Returns [`EngineError::Compile`] if the pipeline cannot be built
+    /// (a conflicted CFG among them), or
+    /// [`EngineError::NoStreamingBackend`] if it has neither a DFA nor
+    /// LR tables behind it.
     pub fn stream(&self, spec: &PipelineSpec) -> Result<StreamParser, EngineError> {
         StreamParser::open(self.get_or_compile(spec)?)
     }
@@ -1027,15 +1031,8 @@ mod tests {
     #[test]
     fn budgets_shed_structurally() {
         let engine = Engine::new();
-        let with = |budgets: Budgets| {
-            engine.compile_text_with(
-                ARITH,
-                &CompileTextOptions {
-                    budgets,
-                    ..CompileTextOptions::default()
-                },
-            )
-        };
+        let with =
+            |budgets: Budgets| engine.compile_text_with(ARITH, &CompileTextOptions { budgets });
         match with(Budgets {
             max_productions: 2,
             ..Budgets::default()

@@ -12,29 +12,27 @@
 //!   [`PipelineSpec::dyck`], [`PipelineSpec::expr`]) wrap a
 //!   [`VerifiedParser`] built by the paper's constructions, optionally
 //!   with a dense [`DfaBackend`] for streaming;
-//! * **CFG pipelines** ([`PipelineSpec::cfg`]) take an arbitrary
-//!   [`Cfg`] and compile it to the certified LR(1)/LALR tables of
-//!   `lambek-lr` — linear-time parsing for the deterministic fragment —
-//!   falling back to the Earley baseline when the grammar has LR
-//!   conflicts (the [`CfgBackend`] records the conflict report either
-//!   way). Accepted derivations from both paths are certified — the LR
-//!   run step by step, the Earley tree by the core derivation checker —
-//!   preserving the intrinsic-verification contract, and raw-text
-//!   parses serve them as a flat [`ReductionLog`] (see [`Derivation`]);
-//!   the *rejection* side of Definition 4.6 (a disjoint negative
-//!   grammar) has no general CFG construction, so CFG rejections carry
-//!   the trivial `⊤`-parse of the input as their witness.
+//! * **CFG pipelines** ([`PipelineSpec::cfg`]) take a [`Cfg`] and
+//!   compile it to the certified LALR(1) tables of `lambek-lr` —
+//!   linear-time parsing whose every reduction is certified as it
+//!   fires, preserving the intrinsic-verification contract. A grammar
+//!   with LR conflicts is refused at compile time with its
+//!   [`LrConflictReport`]; no pipeline serves it. Raw-text parses serve
+//!   the certified derivation as a flat [`ReductionLog`] (see
+//!   [`Derivation`]); the *rejection* side of Definition 4.6 (a
+//!   disjoint negative grammar) has no general CFG construction, so CFG
+//!   rejections carry the trivial `⊤`-parse of the input as their
+//!   witness.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lambek_automata::counter::dyck_automaton;
 use lambek_automata::dfa::{Dfa, DfaTraceGrammar};
-use lambek_cfg::earley::{earley_parse, earley_recognize, EarleyParse};
 use lambek_cfg::grammar::Cfg;
 use lambek_core::alphabet::{Alphabet, GString};
 use lambek_core::grammar::expr::Grammar;
-use lambek_core::grammar::parse_tree::{validate, ParseTree, ReductionLog};
+use lambek_core::grammar::parse_tree::{ParseTree, ReductionLog};
 use lambek_core::theory::parser::{ParseOutcome, VerifiedParser};
 use lambek_core::transform::TransformError;
 use lambek_lex::{
@@ -91,9 +89,8 @@ enum SpecKind {
         /// Truncation bound of the lookahead automaton.
         max_len: usize,
     },
-    /// A context-free grammar compiled to certified LR tables (Earley
-    /// fallback on conflict). No truncation bound: valid for inputs of
-    /// any length.
+    /// A context-free grammar compiled to certified LALR(1) tables. No
+    /// truncation bound: valid for inputs of any length.
     Cfg {
         /// Display label for reports.
         name: String,
@@ -188,9 +185,9 @@ impl PipelineSpec {
         }
     }
 
-    /// A CFG pipeline spec: `cfg` compiled to certified LR tables when
-    /// the grammar is LALR(1), to the Earley baseline otherwise. `name`
-    /// is the display label; the cache identity is the grammar itself
+    /// A CFG pipeline spec: `cfg` compiled to certified LALR(1) tables
+    /// (a conflicted grammar does not compile). `name` is the display
+    /// label; the cache identity is the grammar itself
     /// (interned μ-regular encoding + alphabet), so two structurally
     /// equal CFGs share one pipeline regardless of label.
     pub fn cfg(name: impl Into<String>, cfg: Cfg) -> PipelineSpec {
@@ -208,10 +205,10 @@ impl PipelineSpec {
     }
 
     /// A raw-text pipeline: `spec`'s certified maximal-munch lexer
-    /// composed with the CFG backend for `cfg` (LR tables when the
-    /// grammar is LALR(1), Earley fallback otherwise). The cache
-    /// identity is the pair (lexer spec, grammar), both interned;
-    /// `name` is only the display label.
+    /// composed with the certified LALR(1) tables for `cfg` (a
+    /// conflicted grammar does not compile). The cache identity is the
+    /// pair (lexer spec, grammar), both interned; `name` is only the
+    /// display label.
     ///
     /// The spec's token alphabet and the grammar's alphabet must be
     /// equal — [`PipelineSpec::compile`] rejects mismatches.
@@ -344,17 +341,17 @@ impl PipelineSpec {
     /// # Errors
     ///
     /// Returns [`EngineError::Compile`] on regex syntax errors, if the
-    /// underlying equivalences fail to compose, or if a lexed spec's
+    /// underlying equivalences fail to compose, if a lexed spec's
     /// certifier tables exceed [`lambek_lex::MAX_CERTIFIER_STATES`] (the
-    /// message names the rule and the cap). A CFG spec never fails to
-    /// compile: LR conflicts fall back to Earley, with the conflict
-    /// report preserved on the [`CfgBackend`].
+    /// message names the rule and the cap), or if a CFG spec's grammar
+    /// is not LALR(1) (the message is the [`LrConflictReport`]).
     pub fn compile(&self) -> Result<CompiledPipeline, EngineError> {
         self.compile_or_shed().map_err(EngineError::from)
     }
 
-    /// [`PipelineSpec::compile`], keeping a shed lexer apart from a
-    /// broken spec so text submissions can report it as a budget.
+    /// [`PipelineSpec::compile`], keeping a shed lexer and a conflicted
+    /// grammar apart from a broken spec so text submissions can report
+    /// them as a budget and an annotated conflict report.
     pub(crate) fn compile_or_shed(&self) -> Result<CompiledPipeline, CompileFailure> {
         let start = Instant::now();
         let imp = match &*self.kind {
@@ -367,7 +364,7 @@ impl PipelineSpec {
                 let tg = dfa.trace_grammar();
                 ParserImpl::Verified {
                     parser: rp.verified_parser().clone(),
-                    dfa: Some(DfaBackend { dfa, tg }),
+                    dfa: Some(Box::new(DfaBackend { dfa, tg })),
                 }
             }
             SpecKind::Dyck { max_len } => {
@@ -375,14 +372,14 @@ impl PipelineSpec {
                 let tg = dfa.trace_grammar();
                 ParserImpl::Verified {
                     parser: lambek_cfg::dyck::dyck_parser(*max_len),
-                    dfa: Some(DfaBackend { dfa, tg }),
+                    dfa: Some(Box::new(DfaBackend { dfa, tg })),
                 }
             }
             SpecKind::Expr { max_len } => ParserImpl::Verified {
                 parser: lambek_cfg::expr::exp_parser(*max_len),
                 dfa: None,
             },
-            SpecKind::Cfg { cfg, .. } => ParserImpl::Cfg(compile_cfg_backend(cfg)),
+            SpecKind::Cfg { cfg, .. } => ParserImpl::Cfg(CfgBackend::compile(cfg)?),
             SpecKind::LexedCfg { name, spec, cfg } => {
                 if spec.token_alphabet() != cfg.alphabet() {
                     return Err(CompileFailure::Error(EngineError::Compile(format!(
@@ -392,10 +389,12 @@ impl PipelineSpec {
                         cfg.alphabet().names(),
                     ))));
                 }
+                // The LR tables first: a conflicted grammar is refused
+                // before its lexer, the costlier compile, is built.
                 ParserImpl::LexedCfg(LexedCfgBackend {
+                    inner: CfgBackend::compile(cfg)?,
                     lexer: CertifiedLexer::compile(Arc::clone(spec))
                         .map_err(CompileFailure::Shed)?,
-                    inner: compile_cfg_backend(cfg),
                 })
             }
         };
@@ -415,6 +414,8 @@ pub(crate) enum CompileFailure {
     /// The spec compiles, but its lexer's certifier tables would exceed
     /// the state cap.
     Shed(StateBudgetExceeded),
+    /// The grammar is not LALR(1).
+    Conflicts(LrConflictReport),
 }
 
 impl From<EngineError> for CompileFailure {
@@ -428,6 +429,7 @@ impl From<CompileFailure> for EngineError {
         match failure {
             CompileFailure::Error(e) => e,
             CompileFailure::Shed(shed) => EngineError::Compile(shed.to_string()),
+            CompileFailure::Conflicts(report) => EngineError::Compile(report.to_string()),
         }
     }
 }
@@ -442,92 +444,45 @@ pub struct DfaBackend {
     pub tg: DfaTraceGrammar,
 }
 
-/// How a CFG pipeline parses: certified LR tables when the grammar is
-/// deterministic, the Earley baseline otherwise.
-#[derive(Debug, Clone)]
-pub enum CfgMode {
-    /// The grammar compiled conflict-free; parsing is linear-time LR
-    /// (the parser owns the grammar, in both representations).
-    Lr(CertifiedLrParser),
-    /// The grammar is outside the LALR(1) fragment; parsing is Earley.
-    Earley {
-        /// The grammar being served.
-        cfg: Cfg,
-        /// Its μ-regular encoding, for tree certification.
-        grammar: Grammar,
-        /// Why LR compilation was rejected — the offending item sets.
-        conflicts: LrConflictReport,
-    },
-}
-
-/// The compiled form of a [`PipelineSpec::cfg`] spec.
+/// The compiled form of a [`PipelineSpec::cfg`] spec: the grammar's
+/// certified LALR(1) parser.
 #[derive(Debug, Clone)]
 pub struct CfgBackend {
-    mode: CfgMode,
-}
-
-/// Compiles a CFG to its backend: LR tables when conflict-free, Earley
-/// with the preserved conflict report otherwise.
-fn compile_cfg_backend(cfg: &Cfg) -> CfgBackend {
-    let mode = match CertifiedLrParser::compile(cfg) {
-        Ok(lr) => CfgMode::Lr(lr),
-        Err(conflicts) => CfgMode::Earley {
-            cfg: cfg.clone(),
-            grammar: cfg.to_lambek(),
-            conflicts,
-        },
-    };
-    CfgBackend { mode }
+    pub(crate) lr: CertifiedLrParser,
 }
 
 impl CfgBackend {
+    /// Compiles `cfg` to certified LALR(1) tables, or refuses it with
+    /// the conflicting item sets.
+    fn compile(cfg: &Cfg) -> Result<CfgBackend, CompileFailure> {
+        CertifiedLrParser::compile(cfg)
+            .map(|lr| CfgBackend { lr })
+            .map_err(CompileFailure::Conflicts)
+    }
+
     /// The grammar being served.
     pub fn cfg(&self) -> &Cfg {
-        match &self.mode {
-            CfgMode::Lr(lr) => lr.cfg(),
-            CfgMode::Earley { cfg, .. } => cfg,
-        }
+        self.lr.cfg()
     }
 
     /// The μ-regular encoding accepted trees are validated against.
     pub fn grammar(&self) -> &Grammar {
-        match &self.mode {
-            CfgMode::Lr(lr) => lr.grammar(),
-            CfgMode::Earley { grammar, .. } => grammar,
-        }
+        self.lr.grammar()
     }
 
-    /// LR tables or Earley fallback.
-    pub fn mode(&self) -> &CfgMode {
-        &self.mode
-    }
-
-    /// The certified LR parser, when the grammar compiled conflict-free.
+    /// The certified LR parser. Always `Some`: a conflicted grammar
+    /// does not compile. The `Option` stays so that callers written
+    /// against the signature (`let Some(lr) = backend.lr() else ..`)
+    /// keep building.
     pub fn lr(&self) -> Option<&CertifiedLrParser> {
-        match &self.mode {
-            CfgMode::Lr(lr) => Some(lr),
-            CfgMode::Earley { .. } => None,
-        }
+        Some(&self.lr)
     }
 
-    /// The conflict report, when the grammar fell back to Earley.
-    pub fn conflicts(&self) -> Option<&LrConflictReport> {
-        match &self.mode {
-            CfgMode::Lr(_) => None,
-            CfgMode::Earley { conflicts, .. } => Some(conflicts),
-        }
-    }
-
-    /// Parses with the backing parser and certifies the result: any
-    /// accepted tree is validated against the μ-regular grammar and the
-    /// input before being returned.
+    /// Parses with the certified LR driver: any accepted tree is a
+    /// derivation certified against the μ-regular grammar and the input.
     fn parse(&self, w: &GString) -> Result<ParseOutcome, TransformError> {
-        let accepted = match &self.mode {
-            CfgMode::Lr(_) => self.parse_log(w)?.map(|log| log.to_parse_tree()),
-            CfgMode::Earley { cfg, grammar, .. } => earley_tree(cfg, grammar, w)?,
-        };
-        Ok(match accepted {
-            Some(tree) => ParseOutcome::Accept(tree),
+        Ok(match self.parse_log(w)? {
+            Some(log) => ParseOutcome::Accept(log.to_parse_tree()),
             // No general complement construction for CFGs: the rejection
             // witness is the trivial ⊤-parse of the input (yield-correct,
             // but ⊤ is not disjoint from the grammar — see module docs).
@@ -535,54 +490,18 @@ impl CfgBackend {
         })
     }
 
-    /// [`CfgBackend::parse`] without the paper-level tree: the certified
-    /// derivation as a [`ReductionLog`] (the LR run's own; the Earley
-    /// fallback's validated tree read back at this boundary), `None` on
-    /// rejection.
+    /// [`CfgBackend::parse`] without the paper-level tree: the LR run's
+    /// certified [`ReductionLog`], `None` on rejection.
     fn parse_log(&self, w: &GString) -> Result<Option<ReductionLog>, TransformError> {
-        Ok(match &self.mode {
-            CfgMode::Lr(lr) => match lr.parse(w).map_err(lr_fault)? {
-                LrOutcome::Accept(log) => Some(log),
-                LrOutcome::Reject(_) => None,
-            },
-            CfgMode::Earley { cfg, grammar, .. } => {
-                earley_tree(cfg, grammar, w)?.map(|tree| earley_log(&tree))
-            }
+        Ok(match self.lr.parse(w).map_err(lr_fault)? {
+            LrOutcome::Accept(log) => Some(log),
+            LrOutcome::Reject(_) => None,
         })
     }
 
     fn accepts(&self, w: &GString) -> bool {
-        match &self.mode {
-            CfgMode::Lr(lr) => lr.recognizes(w),
-            CfgMode::Earley { cfg, .. } => earley_recognize(cfg, w),
-        }
+        self.lr.recognizes(w)
     }
-}
-
-/// Runs the Earley fallback and certifies its witness: the tree (the
-/// first derivation, alternatives in order, if the grammar is
-/// ambiguous) is validated against the μ-regular grammar and `w`.
-fn earley_tree(
-    cfg: &Cfg,
-    grammar: &Grammar,
-    w: &GString,
-) -> Result<Option<ParseTree>, TransformError> {
-    match earley_parse(cfg, w) {
-        EarleyParse::Unique(tree) | EarleyParse::Ambiguous { tree, .. } => {
-            validate(&tree, grammar, w).map_err(|cause| TransformError::OutputShape {
-                transformer: "earley-fallback".to_owned(),
-                cause,
-            })?;
-            Ok(Some(tree))
-        }
-        EarleyParse::NoParse => Ok(None),
-    }
-}
-
-/// The Earley fallback's validated tree as a log: a tree that validates
-/// against a CFG's μ-regular encoding is a derivation, so it reads back.
-fn earley_log(tree: &ParseTree) -> ReductionLog {
-    ReductionLog::from_parse_tree(tree).expect("a validated CFG tree is a derivation")
 }
 
 /// Maps an LR certification fault to the engine's error plane.
@@ -595,9 +514,9 @@ fn lr_fault(e: lambek_lr::CertifyError) -> TransformError {
 
 /// A certified derivation as a raw-text parse serves it.
 ///
-/// CFG pipelines — LR tables and the Earley fallback alike — serve the
-/// flat [`ReductionLog`]: no boxed node is built unless the caller asks
-/// for the tree. The paper's automaton constructions (regex, bounded
+/// CFG pipelines serve the LR run's flat [`ReductionLog`]: no boxed
+/// node is built unless the caller asks for the tree. The paper's
+/// automaton constructions (regex, bounded
 /// Dyck and expression pipelines) build their trees as they parse and
 /// serve them as they are.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -658,9 +577,9 @@ pub enum StrOutcome {
     /// The text lexed but the token string is not in the grammar.
     RejectParse {
         /// Byte span of the offending token in the raw text (empty
-        /// span at the end for "input ended too soon"; the whole input
-        /// when the Earley fallback, which has no error position,
-        /// rejected).
+        /// span at the end for "input ended too soon"). Non-lexed
+        /// pipelines, which read one symbol per character, span the
+        /// whole input.
         span: Span,
         /// Human-readable rejection (the LR driver's expected-set
         /// report when available).
@@ -706,7 +625,7 @@ impl LexedCfgBackend {
         &self.lexer
     }
 
-    /// The token-level CFG backend (LR tables or Earley fallback).
+    /// The token-level CFG backend (certified LALR(1) tables).
     pub fn cfg_backend(&self) -> &CfgBackend {
         &self.inner
     }
@@ -714,16 +633,13 @@ impl LexedCfgBackend {
     /// Lexes `input` and parses the token string, certifying both
     /// layers. Rejections carry byte offsets into `input`.
     ///
-    /// On LR-backed grammars this is the *fused* hot path: each lexeme
-    /// the byte-sliced scanner yields is certified by span (running
-    /// tiling cursor plus one walk of its rule's eager derivative
-    /// table, no text copied) and its symbol shifted straight into the
-    /// LR stack — whose reductions are themselves certified as
-    /// performed — with no
-    /// `Vec<Token>`, no [`TokenStream`] and no per-token `String` ever
-    /// allocated; accordingly the outcome's `tokens` field is `None`.
-    /// The Earley fallback needs the whole token string anyway and
-    /// runs [`LexedCfgBackend::parse_str_tokens`].
+    /// This is the *fused* hot path: each lexeme the byte-sliced scanner
+    /// yields is certified by span (running tiling cursor plus one walk
+    /// of its rule's eager derivative table, no text copied) and its
+    /// symbol shifted straight into the LR stack — whose reductions are
+    /// themselves certified as performed — with no `Vec<Token>`, no
+    /// [`TokenStream`] and no per-token `String` ever allocated;
+    /// accordingly the outcome's `tokens` field is `None`.
     ///
     /// A lex whose munch memo outgrows its cap ends early and comes
     /// back as [`StrOutcome::ShedLex`].
@@ -734,15 +650,12 @@ impl LexedCfgBackend {
     /// LR/validation internal error. "Not in the language" is an `Ok`
     /// rejection.
     pub fn parse_str(&self, input: &str) -> Result<StrOutcome, TransformError> {
-        let CfgMode::Lr(lr) = &self.inner.mode else {
-            return self.parse_str_tokens(input);
-        };
         let mut cert = self.lexer.certifier();
         // A loose lower bound on the yield length: arithmetic-style
         // inputs average a handful of bytes per yield token, so the LR
         // machine's stacks mostly avoid regrowth without over-reserving
         // on token-sparse inputs.
-        let mut lrs = lr.sink_with_capacity(input.len() / 8);
+        let mut lrs = self.inner.lr.sink_with_capacity(input.len() / 8);
         // Span of the yield token whose shift the LR machine first
         // refused. Lex errors keep priority over LR rejections, exactly
         // as when lexing runs to completion first: a doomed LR stack
@@ -772,10 +685,9 @@ impl LexedCfgBackend {
 
     /// [`LexedCfgBackend::parse_str`] materializing the certified
     /// [`TokenStream`] alongside the outcome: the certified lexer's
-    /// [`CertifiedLexer::lex`], then the backend over the token string
-    /// (the certified LR [`CertifiedLrParser::parse`], or the Earley
-    /// fallback). Callers that only need the verdict and derivation
-    /// should prefer the fused [`LexedCfgBackend::parse_str`].
+    /// [`CertifiedLexer::lex`], then [`CertifiedLrParser::parse`] over
+    /// the token string. Callers that only need the verdict and
+    /// derivation should prefer the fused [`LexedCfgBackend::parse_str`].
     ///
     /// # Errors
     ///
@@ -801,8 +713,8 @@ impl LexedCfgBackend {
         )
     }
 
-    /// Parses a certified lex of `input` with `lr_parse` (or the Earley
-    /// fallback), the token stream riding along in the outcome.
+    /// Parses a certified lex of `input` with `lr_parse`, the token
+    /// stream riding along in the outcome.
     fn parse_lexed(
         &self,
         input: &str,
@@ -814,13 +726,8 @@ impl LexedCfgBackend {
             LexedOutcome::Shed(shed) => return Ok(StrOutcome::ShedLex(shed)),
             LexedOutcome::Tokens(ts) => ts,
         };
-        match &self.inner.mode {
-            CfgMode::Lr(lr) => {
-                let outcome = lr_parse(lr, tokens.yield_string()).map_err(lr_fault)?;
-                Ok(lr_str_outcome(input, outcome, Some(tokens), None))
-            }
-            CfgMode::Earley { cfg, grammar, .. } => earley_str_outcome(cfg, grammar, input, tokens),
-        }
+        let outcome = lr_parse(&self.inner.lr, tokens.yield_string()).map_err(lr_fault)?;
+        Ok(lr_str_outcome(input, outcome, Some(tokens), None))
     }
 }
 
@@ -856,31 +763,6 @@ fn lr_str_outcome(
     }
 }
 
-/// The Earley fallback over a lexed token stream: the certified tree,
-/// read back as a log, with the stream riding along; rejections span the
-/// whole input (Earley reports no error position).
-fn earley_str_outcome(
-    cfg: &Cfg,
-    grammar: &Grammar,
-    input: &str,
-    tokens: TokenStream,
-) -> Result<StrOutcome, TransformError> {
-    Ok(match earley_tree(cfg, grammar, tokens.yield_string())? {
-        Some(tree) => StrOutcome::Accept {
-            derivation: Derivation::Log(earley_log(&tree)),
-            tokens: Some(tokens),
-        },
-        None => StrOutcome::RejectParse {
-            span: Span {
-                start: 0,
-                end: input.len(),
-            },
-            message: "token string is not in the grammar (Earley fallback)".to_owned(),
-            tokens: Some(tokens),
-        },
-    })
-}
-
 /// A char-per-symbol parse's outcome: no token stream, and rejections
 /// span the whole input.
 fn char_outcome(input: &str, derived: Option<Derivation>) -> StrOutcome {
@@ -906,9 +788,9 @@ enum ParserImpl {
     /// A paper-construction verified parser, optionally DFA-backed.
     Verified {
         parser: VerifiedParser,
-        dfa: Option<DfaBackend>,
+        dfa: Option<Box<DfaBackend>>,
     },
-    /// A CFG compiled to LR tables (or the Earley fallback).
+    /// A CFG compiled to certified LALR(1) tables.
     Cfg(CfgBackend),
     /// A certified lexer composed with a CFG backend (raw-text input).
     LexedCfg(LexedCfgBackend),
@@ -930,7 +812,7 @@ impl CompiledPipeline {
 
     /// The composed verified parser (Definition 4.6), for the
     /// verified-transformer pipelines; `None` for CFG pipelines, whose
-    /// parser is the certified LR driver / Earley fallback behind
+    /// parser is the certified LR driver behind
     /// [`CompiledPipeline::cfg_backend`].
     pub fn parser(&self) -> Option<&VerifiedParser> {
         match &self.imp {
@@ -944,7 +826,7 @@ impl CompiledPipeline {
     /// do not).
     pub fn backend(&self) -> Option<&DfaBackend> {
         match &self.imp {
-            ParserImpl::Verified { dfa, .. } => dfa.as_ref(),
+            ParserImpl::Verified { dfa, .. } => dfa.as_deref(),
             ParserImpl::Cfg(_) | ParserImpl::LexedCfg(_) => None,
         }
     }
@@ -1115,6 +997,7 @@ mod tests {
     use super::*;
     use lambek_cfg::dyck::{dyck_cfg, parse_dyck_string, Parens};
     use lambek_cfg::grammar::{GSym, Production};
+    use lambek_core::grammar::parse_tree::validate;
 
     #[test]
     // `Cfg`'s μ-encoding memo gives `PipelineSpec` interior mutability in
@@ -1186,7 +1069,6 @@ mod tests {
         let p = PipelineSpec::dyck_cfg().compile().unwrap();
         let b = p.cfg_backend().expect("cfg pipeline");
         assert!(b.lr().is_some(), "Dyck is LALR(1)");
-        assert!(b.conflicts().is_none());
         assert!(p.parser().is_none(), "no verified transformer here");
         assert!(p.backend().is_none(), "no DFA either");
         let parens = Parens::new();
@@ -1199,8 +1081,8 @@ mod tests {
     }
 
     #[test]
-    fn conflicted_cfg_falls_back_to_earley() {
-        // S ::= S S | a — ambiguous, hence conflicted, hence Earley.
+    fn conflicted_cfg_is_refused_at_compile() {
+        // S ::= S S | a — ambiguous, hence conflicted, hence refused.
         let s = Alphabet::abc();
         let a = s.symbol("a").unwrap();
         let cfg = Cfg::new(
@@ -1216,17 +1098,16 @@ mod tests {
             ]],
             0,
         );
-        let p = PipelineSpec::cfg("ambiguous", cfg).compile().unwrap();
-        let b = p.cfg_backend().unwrap();
-        assert!(b.lr().is_none());
-        let report = b.conflicts().expect("conflicts are preserved");
+        let spec = PipelineSpec::cfg("ambiguous", cfg);
+        let Err(CompileFailure::Conflicts(report)) = spec.compile_or_shed() else {
+            panic!("a conflicted grammar must not compile");
+        };
         assert!(!report.conflicts.is_empty());
-        // The fallback still serves (and certifies) parses.
-        let w = s.parse_str("aaa").unwrap();
-        let outcome = p.parse(&w).unwrap();
-        assert!(outcome.is_accept());
-        assert_eq!(outcome.accepted().unwrap().flatten(), w);
-        assert!(!p.parse(&s.parse_str("b").unwrap()).unwrap().is_accept());
+        // The public door renders the same report into its message.
+        match spec.compile() {
+            Err(EngineError::Compile(m)) => assert_eq!(m, report.to_string()),
+            other => panic!("expected a compile error, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]
@@ -1415,11 +1296,8 @@ mod artifact_faults {
         corrupt: impl FnOnce(&CertifiedLrParser) -> CertifiedLrParser,
         lexer: impl FnOnce(&CertifiedLexer) -> CertifiedLexer,
     ) -> Arc<CompiledPipeline> {
-        let swap = |backend: CfgBackend| match backend.mode {
-            CfgMode::Lr(lr) => CfgBackend {
-                mode: CfgMode::Lr(corrupt(&lr)),
-            },
-            CfgMode::Earley { .. } => panic!("an LR-backed pipeline"),
+        let swap = |backend: CfgBackend| CfgBackend {
+            lr: corrupt(&backend.lr),
         };
         let imp = match pipeline.imp {
             ParserImpl::Cfg(backend) => ParserImpl::Cfg(swap(backend)),

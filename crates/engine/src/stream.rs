@@ -13,7 +13,7 @@
 //!   guarantee: it runs the pipeline's composed verified parser over
 //!   the accumulated input end-to-end, because intrinsic verification
 //!   is a property of the whole composed transformer.
-//! * **LR mode** (CFG pipelines whose grammar compiled conflict-free):
+//! * **LR mode** (CFG pipelines, all LALR(1) by construction):
 //!   each push shifts one symbol after running the pending reductions —
 //!   O(1) amortized over the input via the dense ACTION/GOTO tables —
 //!   and the partial parse trees stay on the stream's stack, each
@@ -25,8 +25,7 @@
 //!   closes the lone-start obligation — no whole-tree re-validation, yet
 //!   the same intrinsic guarantee as the one-shot path.
 //!
-//! * **Lexed-LR mode** (raw-text pipelines whose token grammar
-//!   compiled conflict-free): characters go in through
+//! * **Lexed-LR mode** (raw-text pipelines): characters go in through
 //!   [`StreamParser::push_chars`] (or one at a time through
 //!   [`StreamParser::push_char`]); a push-mode [`LexStream`] resumes its
 //!   open maximal-munch scan over each chunk and feeds each resolved
@@ -38,9 +37,6 @@
 //!   completes the LR reductions, and closes the two end-of-input
 //!   obligations (full tiling coverage; a lone start claim) — the
 //!   finish cost is the pending suffix, not the stream.
-//!
-//! CFG pipelines that fell back to Earley have no incremental driver
-//! and refuse to open a stream (lexed or not).
 
 use std::sync::Arc;
 
@@ -124,8 +120,7 @@ impl StreamParser {
     ///
     /// Returns [`EngineError::NoStreamingBackend`] if the pipeline has
     /// neither a dense DFA nor LR tables behind it (the
-    /// lookahead-automaton expression pipeline; CFG pipelines on the
-    /// Earley fallback).
+    /// lookahead-automaton expression pipeline).
     pub fn open(pipeline: Arc<CompiledPipeline>) -> Result<StreamParser, EngineError> {
         let mode = if let Some(backend) = pipeline.backend() {
             Mode::Dfa {
@@ -133,13 +128,13 @@ impl StreamParser {
                 input: GString::new(),
                 live: backend.dfa.live_states(),
             }
-        } else if let Some(lr) = pipeline.cfg_backend().and_then(|b| b.lr()) {
-            Mode::Lr(lr.stream())
-        } else if let Some(lr) = pipeline.lexed_backend().and_then(|b| b.cfg_backend().lr()) {
-            let lexer = pipeline.lexed_backend().expect("just matched").lexer();
+        } else if let Some(b) = pipeline.cfg_backend() {
+            Mode::Lr(b.lr.stream())
+        } else if let Some(b) = pipeline.lexed_backend() {
+            let lexer = b.lexer();
             Mode::LexedLr {
                 lex: lexer.automaton().stream(),
-                lr: lr.stream(),
+                lr: b.cfg_backend().lr.stream(),
                 tokens: Vec::new(),
                 cert: lexer.certifier(),
                 lex_fault: None,
@@ -928,7 +923,7 @@ mod tests {
     }
 
     #[test]
-    fn earley_fallback_has_no_stream() {
+    fn a_conflicted_cfg_is_refused_before_a_stream_opens() {
         use lambek_cfg::grammar::{Cfg, GSym, Production};
         let s = Alphabet::abc();
         let a = s.symbol("a").unwrap();
@@ -948,7 +943,7 @@ mod tests {
         let engine = Engine::new();
         assert!(matches!(
             engine.stream(&PipelineSpec::cfg("amb", ambiguous)),
-            Err(EngineError::NoStreamingBackend(_))
+            Err(EngineError::Compile(m)) if m.contains("not LALR(1)")
         ));
     }
 }

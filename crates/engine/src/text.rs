@@ -5,14 +5,12 @@
 //! The lookup has two levels. First the cache's text map: a text that
 //! is byte-for-byte one already resolved to a resident pipeline is
 //! answered by one hash of its bytes — no meta parse, no elaboration,
-//! no interning. Every check that depends on the caller's options still
+//! no interning. Every check that depends on the caller's budgets still
 //! runs on such a hit: the production budget (counted from the resident
-//! grammar), the state budget (read from its LR table), the deadline,
-//! and the conflict gate — a conflicted pipeline refused under the
-//! default options takes the full path, so its report carries the
-//! text's own annotated spans. The request contract needs no new trust
-//! for this: the pipeline was compiled from the very same bytes, and
-//! every token and tree it serves is still certified at request time.
+//! grammar), the state budget (read from its LR table) and the
+//! deadline. The request contract needs no new trust for this: the
+//! pipeline was compiled from the very same bytes, and every token and
+//! tree it serves is still certified at request time.
 //!
 //! On a text miss the submission is parsed by the frontend's
 //! process-wide bootstrap pipeline — the grammar language's own
@@ -23,7 +21,10 @@
 //! compiled-or-fetched through the structural cache, which then records
 //! the text in the text map. Because the structural key is interned from
 //! the elaborated spec's *content*, two textually different but
-//! structurally equal submissions share one compiled pipeline.
+//! structurally equal submissions share one compiled pipeline. A grammar
+//! that is not LALR(1) is refused at that compile, with the conflicts
+//! annotated by the text's source spans, and never becomes resident: no
+//! text hit can be a conflicted grammar.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,15 +47,12 @@ pub struct CompileTextOptions {
     /// ([`lambek_lex::MAX_CERTIFIER_STATES`] state units), shed as
     /// [`BudgetKind::States`] too.
     pub budgets: Budgets,
-    /// Serve grammars with LALR conflicts through the Earley fallback
-    /// instead of rejecting them (default `false`: conflicts come back
-    /// as a structured [`FrontendReport::Conflicts`] with source
-    /// spans).
-    pub allow_conflicts: bool,
 }
 
 /// A successfully compiled text submission: the cached pipeline plus
-/// the submission's identity.
+/// the submission's identity. The pipeline's grammar is LALR(1) — a
+/// conflicted one comes back as [`FrontendReport::Conflicts`] instead —
+/// so every request it serves runs the certified LR driver.
 #[derive(Debug, Clone)]
 pub struct PipelineHandle {
     /// The spec the pipeline is cached under (its [`PipelineSpec::key`]
@@ -90,10 +88,8 @@ impl Engine {
     ///    served from one hash of its bytes, after the production
     ///    budget (counted from the resident grammar), the state budget
     ///    (from its LR table) and the deadline — the checks that depend
-    ///    on `options`. A resident grammar with conflicts, submitted
-    ///    without `allow_conflicts`, goes on to step 2 so its report is
-    ///    annotated exactly as on a first submission. A text-map hit
-    ///    counts as a cache hit in [`Engine::stats`].
+    ///    on `options`. A text-map hit counts as a cache hit in
+    ///    [`Engine::stats`].
     /// 2. The full path: self-hosted bootstrap parse ([`parse_text`]),
     ///    elaboration, budget gates, then compile-or-fetch of the user
     ///    pipeline from the structural cache, which records the text in
@@ -106,9 +102,9 @@ impl Engine {
     /// span only; the full path has `frontend`, `elaborate`, `cache` and
     /// (on a miss) `compile` spans.
     ///
-    /// A conflicted grammar is rejected by default but stays resident
-    /// in its Earley-fallback form, so re-submitting the same text (or
-    /// retrying with `allow_conflicts`) does not recompile it.
+    /// A grammar that is not LALR(1) is refused with
+    /// [`FrontendReport::Conflicts`] and is not cached, so each
+    /// submission of it runs the full path and returns the same report.
     ///
     /// # Errors
     ///
@@ -165,23 +161,20 @@ impl Engine {
                     actual: shed.needed as u64,
                 }));
             }
+            Err(CompileFailure::Conflicts(report)) => {
+                return Err(FrontendReport::Conflicts(annotate_conflicts(
+                    report,
+                    &rule_spans,
+                    text,
+                )));
+            }
             Err(CompileFailure::Error(e)) => {
                 return Err(FrontendReport::Internal(format!("user pipeline: {e}")));
             }
         };
         // A no-op if a concurrent insert has evicted the entry already.
         self.lock_cache().alias(text, &spec, &start_name);
-        let cfg_backend = text_backend(&pipeline);
-        if let Some(report) = cfg_backend.conflicts() {
-            if !options.allow_conflicts {
-                return Err(FrontendReport::Conflicts(annotate_conflicts(
-                    report.clone(),
-                    &rule_spans,
-                    text,
-                )));
-            }
-        }
-        check_states(cfg_backend, budgets)?;
+        check_states(text_backend(&pipeline), budgets)?;
         check_deadline(started, budgets)?;
 
         self.trace_text(
@@ -204,12 +197,10 @@ impl Engine {
     }
 
     /// The text-map lookup of [`Engine::compile_text_with`]: `Ok(None)`
-    /// sends the call down the full path — on a text miss, and for a
-    /// conflicted grammar refused under `options`, whose report needs
-    /// the elaborated rule spans. The checks run in the full path's
-    /// order, and the entry's credit is refreshed and the hit counted
-    /// where the full path's structural probe would do both, so a shed
-    /// or a fall-through leaves the cache as a first submission would.
+    /// on a text miss sends the call down the full path. The checks run
+    /// in the full path's order, and the entry's credit is refreshed and
+    /// the hit counted where the full path's structural probe would do
+    /// both, so a shed leaves the cache as a first submission would.
     fn resident_text(
         &self,
         text: &str,
@@ -222,9 +213,6 @@ impl Engine {
             return Ok(None);
         };
         let cfg_backend = text_backend(&handle.pipeline);
-        if cfg_backend.conflicts().is_some() && !options.allow_conflicts {
-            return Ok(None);
-        }
         check_productions(cfg_backend.cfg(), budgets)?;
         check_deadline(started, budgets)?;
         cache.get(&handle.spec);
@@ -290,15 +278,13 @@ fn check_productions(cfg: &Cfg, budgets: &Budgets) -> Result<(), FrontendReport>
 
 /// Sheds an LR table with more states than [`Budgets::max_states`].
 fn check_states(cfg_backend: &CfgBackend, budgets: &Budgets) -> Result<(), FrontendReport> {
-    if let Some(lr) = cfg_backend.lr() {
-        let states = lr.table().num_states();
-        if states > budgets.max_states {
-            return Err(FrontendReport::Budget(BudgetExceeded {
-                kind: BudgetKind::States,
-                limit: budgets.max_states as u64,
-                actual: states as u64,
-            }));
-        }
+    let states = cfg_backend.lr.table().num_states();
+    if states > budgets.max_states {
+        return Err(FrontendReport::Budget(BudgetExceeded {
+            kind: BudgetKind::States,
+            limit: budgets.max_states as u64,
+            actual: states as u64,
+        }));
     }
     Ok(())
 }
@@ -324,6 +310,8 @@ mod tests {
     use super::*;
     use crate::cache::MAX_ALIAS_TEXT_BYTES;
     use crate::{CacheConfig, FrontendErrorKind, ObsConfig, StrOutcome};
+
+    const AMBIGUOUS: &str = "token A = 'a' ;\nE ::= E E | A ;\n";
 
     const ARITH: &str = "token NUM = [0-9]+ ;\nskip WS = [ \\t\\n]+ ;\nstart Exp ;\nExp ::= Atom | Atom '+' Exp ;\nAtom ::= NUM | '(' Exp ')' ;\n";
 
@@ -410,29 +398,15 @@ mod tests {
             }
             other => panic!("expected diagnostics, got {other:?}"),
         }
-        // Conflicted grammars come back as annotated conflict reports…
-        let ambiguous = "token A = 'a' ;\nE ::= E E | A ;\n";
-        match engine.compile_text(ambiguous) {
+        // Conflicted grammars come back as annotated conflict reports,
+        // and nothing is left resident.
+        match engine.compile_text(AMBIGUOUS) {
             Err(FrontendReport::Conflicts(report)) => {
                 assert!(!report.sites.is_empty());
             }
             other => panic!("expected conflicts, got {other:?}"),
         }
-        // …unless the caller opts into the Earley fallback.
-        let opts = CompileTextOptions {
-            allow_conflicts: true,
-            ..CompileTextOptions::default()
-        };
-        let handle = engine
-            .compile_text_with(ambiguous, &opts)
-            .expect("Earley fallback serves conflicted grammars");
-        assert!(handle
-            .pipeline
-            .lexed_backend()
-            .expect("lexed")
-            .cfg_backend()
-            .conflicts()
-            .is_some());
+        assert_eq!(engine.stats().entries, 0);
     }
 
     #[test]
@@ -464,8 +438,6 @@ mod tests {
             other => panic!("expected a compile error, got {:?}", other.err()),
         }
     }
-
-    const AMBIGUOUS: &str = "token A = 'a' ;\nE ::= E E | A ;\n";
 
     fn tracing_engine(config: CacheConfig) -> Engine {
         Engine::with_obs(
@@ -526,10 +498,7 @@ mod tests {
                 ..Budgets::default()
             },
         ] {
-            let options = CompileTextOptions {
-                budgets,
-                allow_conflicts: false,
-            };
+            let options = CompileTextOptions { budgets };
             let hit = warm.compile_text_with(ARITH, &options).expect_err("shed");
             let fresh = Engine::new()
                 .compile_text_with(ARITH, &options)
@@ -549,24 +518,20 @@ mod tests {
     }
 
     #[test]
-    fn a_resident_conflicted_text_is_refused_with_a_first_submissions_spans() {
-        let engine = tracing_engine(CacheConfig::default());
-        let allow = CompileTextOptions {
-            allow_conflicts: true,
-            ..CompileTextOptions::default()
-        };
-        engine.compile_text_with(AMBIGUOUS, &allow).expect("served");
-        engine.compile_text_with(AMBIGUOUS, &allow).expect("served");
-        assert!(last_was_text_hit(&engine), "allowed: served from the map");
-        let refused = engine.compile_text(AMBIGUOUS).expect_err("conflicted");
+    fn a_resubmitted_conflicted_text_is_refused_with_a_first_submissions_spans() {
+        let engine = Engine::new();
+        let first = engine.compile_text(AMBIGUOUS).expect_err("conflicted");
+        let again = engine.compile_text(AMBIGUOUS).expect_err("conflicted");
         let fresh = Engine::new()
             .compile_text(AMBIGUOUS)
             .expect_err("conflicted");
-        assert!(
-            matches!(refused, FrontendReport::Conflicts(_)),
-            "{refused:?}"
-        );
-        assert_eq!(refused, fresh);
+        assert!(matches!(first, FrontendReport::Conflicts(_)), "{first:?}");
+        assert_eq!(again, first);
+        assert_eq!(again, fresh);
+        // Never resident, so the resubmit took the full path again.
+        let stats = engine.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (0, 0, 2));
+        assert_eq!(engine.lock_cache().text_aliases(), 0);
     }
 
     #[test]
@@ -619,12 +584,7 @@ mod tests {
     #[test]
     fn a_shed_text_hit_neither_counts_nor_refreshes_its_entry() {
         let engine = Engine::new();
-        let allow = CompileTextOptions {
-            allow_conflicts: true,
-            ..CompileTextOptions::default()
-        };
         engine.compile_text(ARITH).expect("compiles");
-        engine.compile_text_with(AMBIGUOUS, &allow).expect("served");
         let probes = |engine: &Engine| {
             let stats = engine.stats();
             (stats.hits, stats.misses, engine.lock_cache().touches())
@@ -635,14 +595,14 @@ mod tests {
                 max_productions: 2,
                 ..Budgets::default()
             },
-            allow_conflicts: false,
         };
         let before = probes(&engine);
         engine.compile_text_with(ARITH, &shed).expect_err("shed");
         assert_eq!(probes(&engine), before);
-        // A refused conflicted text probes once: the full path's lookup.
+        // A refused conflicted text probes once: the full path's lookup,
+        // a miss.
         let (hits, misses, touches) = probes(&engine);
         engine.compile_text(AMBIGUOUS).expect_err("conflicted");
-        assert_eq!(probes(&engine), (hits + 1, misses, touches + 1));
+        assert_eq!(probes(&engine), (hits, misses + 1, touches + 1));
     }
 }

@@ -118,7 +118,7 @@ fn lr_batch_fans_out_and_certifies() {
 }
 
 #[test]
-fn lr_and_earley_backed_cfg_batches_agree() {
+fn lr_and_verified_dyck_batches_agree() {
     // The same (deterministic) grammar parsed through the LR tables and
     // through the truncated verified Dyck pipeline must accept the same
     // inputs within the truncation bound.

@@ -23,8 +23,8 @@
 //! lexer compiles, so certification costs O(lexeme) at each munch
 //! boundary instead of a second whole-input pass (`lex_full` keeps the
 //! old pass as the differential reference). The certified token-level
-//! `GString` then flows into the workspace's certified CFG backends (LR
-//! or Earley), giving raw-text → certified parse tree end to end;
+//! `GString` then flows into the workspace's certified LR backend,
+//! giving raw-text → certified parse tree end to end;
 //! `lambek-engine` packages that composition as `lexed_cfg` pipelines.
 //!
 //! ```

@@ -607,7 +607,7 @@ pub enum Stage {
     /// Grammar/automaton compilation on a cache miss.
     Compile,
     /// The pipeline's parse call: for raw text, lexing, lexeme
-    /// certification and the LR (or Earley) drive together.
+    /// certification and the LR drive together.
     Parse,
     /// Report assembly after the drive returns.
     Finish,

@@ -14,16 +14,12 @@ fn main() {
     let pipeline = engine.get_or_compile(&spec).expect("compiles");
     let backend = pipeline.lexed_backend().expect("lexed pipeline");
     println!(
-        "compiled {}: {} lex rules over {} chars → tagged DFA with {} states; {}",
+        "compiled {}: {} lex rules over {} chars → tagged DFA with {} states; \
+         token grammar is LALR(1)",
         spec.label(),
         backend.lexer().spec().rules().len(),
         backend.lexer().spec().alphabet().len(),
         backend.lexer().automaton().dfa().num_states(),
-        if backend.cfg_backend().lr().is_some() {
-            "token grammar is LALR(1)"
-        } else {
-            "token grammar fell back to Earley"
-        },
     );
 
     // A batch of raw texts: three valid documents, one with a lexical

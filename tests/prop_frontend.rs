@@ -418,12 +418,12 @@ fn structurally_equal_texts_share_one_cache_entry() {
 // ---------------------------------------------------------------------
 
 /// What a successful text submission exposes, minus `cache_hit`: the
-/// start symbol, the label, the served grammar, its conflict status and
-/// LR size, and the verdicts on a few sample inputs.
+/// start symbol, the label, the served grammar, its LR size, and the
+/// verdicts on a few sample inputs.
 fn observe(
     handle: &PipelineHandle,
     samples: &[String],
-) -> (String, String, String, bool, usize, Vec<bool>) {
+) -> (String, String, String, usize, Vec<bool>) {
     let backend = handle.pipeline.lexed_backend().expect("lexed");
     let cfg_backend = backend.cfg_backend();
     let verdicts = samples
@@ -439,7 +439,6 @@ fn observe(
         handle.start.clone(),
         handle.spec.label(),
         cfg_backend.cfg().to_string(),
-        cfg_backend.conflicts().is_some(),
         cfg_backend.lr().map_or(0, |lr| lr.table().num_states()),
         verdicts,
     )
@@ -450,7 +449,7 @@ proptest! {
 
     /// Contract 5: a warm engine answers a resubmitted text — from its
     /// text map — exactly as a fresh engine answers the first
-    /// submission, under random budgets and conflict policy.
+    /// submission, under random budgets.
     #[test]
     fn text_hit_equals_first_submission(seed in 0u64..5000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -466,7 +465,6 @@ proptest! {
                 max_states: rng.gen_range(0..48),
                 deadline: None,
             },
-            allow_conflicts: rng.gen_bool(0.5),
         };
         let samples: Vec<String> = ["", "1+(2+3)", "(1", "a", "aa"]
             .iter()
@@ -476,10 +474,7 @@ proptest! {
         // Warm up permissively: the text is resident whenever it
         // compiles at all, whatever `options` later allow.
         let warm = Engine::new();
-        let permissive = CompileTextOptions {
-            allow_conflicts: true,
-            ..CompileTextOptions::default()
-        };
+        let permissive = CompileTextOptions::default();
         let resident = warm.compile_text_with(&text, &permissive).is_ok();
         let second = warm.compile_text_with(&text, &options);
         let first = Engine::new().compile_text_with(&text, &options);

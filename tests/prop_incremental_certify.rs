@@ -23,8 +23,7 @@
 //!    two-pass `parse_str_full`, and the character-streamed
 //!    [`StreamParser`](lambek_engine::StreamParser) agree on verdict,
 //!    tree, and rejection offsets; a conflicted grammar behind the same
-//!    lexer checks the Earley fallback's `parse_str` ≡
-//!    `parse_str_tokens` ≡ `parse_str_full`.
+//!    lexer is refused at compile time.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use lambek_cfg::grammar::{Cfg, GSym, Production};
 use lambek_core::alphabet::{Alphabet, GString, Symbol};
 use lambek_core::theory::unambiguous::all_strings;
-use lambek_engine::{Engine, PipelineSpec, StrOutcome, StrReportOutcome};
+use lambek_engine::{Engine, EngineError, PipelineSpec, StrOutcome, StrReportOutcome};
 use lambek_lex::spec::LexSpecBuilder;
 use lambek_lex::{CertifiedLexer, LexAutomaton, LexedOutcome};
 use lambek_lr::{CertifiedLrParser, LrOutcome};
@@ -166,7 +165,7 @@ fn random_arith_text(seed: u64) -> String {
 
 /// The arithmetic lexer in front of the ambiguous `E → E + E | ( E ) |
 /// NUM`: LR compilation hits shift/reduce conflicts, so the pipeline
-/// serves through the Earley fallback.
+/// does not compile.
 fn conflicted_arith_lexed() -> PipelineSpec {
     let spec = lambek_lex::demo::arith_spec();
     let sigma = spec.token_alphabet().clone();
@@ -271,104 +270,98 @@ proptest! {
     /// Engine layer: the fused incremental `parse_str`, the two-pass
     /// `parse_str_full`, the batch `parse_many_str`, and the
     /// character-streamed `StreamParser` agree on verdict, tree, and
-    /// rejection offsets for raw arithmetic text — on the LR-backed
-    /// arithmetic pipeline, and on a conflicted grammar over the same
-    /// lexer, whose Earley fallback `parse_str` serves through
-    /// `parse_str_tokens`.
+    /// rejection offsets for raw arithmetic text on the LR-backed
+    /// arithmetic pipeline.
     #[test]
     fn fused_engine_path_equals_two_pass_and_stream(seed in 0u64..300) {
         let engine = Engine::new();
         let input = random_arith_text(seed);
-        for (spec, lr_backed) in [
-            (PipelineSpec::arith_lexed(), true),
-            (conflicted_arith_lexed(), false),
-        ] {
-            let pipeline = engine.get_or_compile(&spec).unwrap();
-            let backend = pipeline.lexed_backend().expect("lexed pipeline");
-            prop_assert_eq!(backend.cfg_backend().lr().is_some(), lr_backed);
+        let spec = PipelineSpec::arith_lexed();
+        let pipeline = engine.get_or_compile(&spec).unwrap();
+        let backend = pipeline.lexed_backend().expect("lexed pipeline");
 
-            let fused = pipeline.parse_str(&input).unwrap();
-            let full = backend.parse_str_full(&input).unwrap();
-            if lr_backed {
-                // The fused path never materializes tokens; it must agree
-                // with the two-pass reference on everything else.
-                match (&fused, &full) {
-                    (
-                        StrOutcome::Accept { derivation: a, tokens: ta },
-                        StrOutcome::Accept { derivation: b, .. },
-                    ) => {
-                        prop_assert_eq!(a, b, "trees differ on {:?}", input);
-                        prop_assert!(ta.is_none(), "fused path materialized tokens on {:?}", input);
-                    }
-                    (
-                        StrOutcome::RejectParse { span: sa, message: ma, tokens: ta },
-                        StrOutcome::RejectParse { span: sb, message: mb, .. },
-                    ) => {
-                        prop_assert_eq!(sa, sb, "rejection spans differ on {:?}", input);
-                        prop_assert_eq!(ma, mb, "rejection messages differ on {:?}", input);
-                        prop_assert!(ta.is_none(), "fused path materialized tokens on {:?}", input);
-                    }
-                    (StrOutcome::RejectLex(a), StrOutcome::RejectLex(b)) => {
-                        prop_assert_eq!(a, b, "lex rejections differ on {:?}", input);
-                    }
-                    _ => prop_assert!(
-                        false,
-                        "verdicts differ on {:?}: fused {:?}, full {:?}",
-                        input, fused, full
-                    ),
-                }
-            } else {
-                // The Earley fallback needs the token string, so the
-                // served outcome is the materializing one, stream and all.
-                prop_assert_eq!(&fused, &full, "Earley parse_str differs on {:?}", input);
+        let fused = pipeline.parse_str(&input).unwrap();
+        let full = backend.parse_str_full(&input).unwrap();
+        // The fused path never materializes tokens; it must agree
+        // with the two-pass reference on everything else.
+        match (&fused, &full) {
+            (
+                StrOutcome::Accept { derivation: a, tokens: ta },
+                StrOutcome::Accept { derivation: b, .. },
+            ) => {
+                prop_assert_eq!(a, b, "trees differ on {:?}", input);
+                prop_assert!(ta.is_none(), "fused path materialized tokens on {:?}", input);
             }
-
-            // The token-materializing incremental path is extensionally
-            // identical to the two-pass reference, token streams included.
-            let materialized = backend.parse_str_tokens(&input).unwrap();
-            prop_assert_eq!(&materialized, &full, "parse_str_tokens differs on {:?}", input);
-
-            // Batch goes through the same fused path: same verdict class
-            // and same rejection offsets.
-            let batch = engine.parse_many_str(&spec, &[input.as_str()], 1).unwrap();
-            prop_assert_eq!(batch.len(), 1);
-            match (&batch[0].outcome, &fused) {
-                (StrReportOutcome::Accepted { .. }, StrOutcome::Accept { .. }) => {}
-                (
-                    StrReportOutcome::RejectedParse { span, message },
-                    StrOutcome::RejectParse { span: fspan, message: fmessage, .. },
-                ) => {
-                    prop_assert_eq!(span, fspan, "batch span differs on {:?}", input);
-                    prop_assert_eq!(message, fmessage, "batch message differs on {:?}", input);
-                }
-                (StrReportOutcome::RejectedLex { at, .. }, StrOutcome::RejectLex(e)) => {
-                    prop_assert_eq!(*at, e.at, "batch lex offset differs on {:?}", input);
-                }
-                (batch, fused) => prop_assert!(
-                    false,
-                    "batch verdict differs on {:?}: batch {:?}, fused {:?}",
-                    input, batch, fused
-                ),
+            (
+                StrOutcome::RejectParse { span: sa, message: ma, tokens: ta },
+                StrOutcome::RejectParse { span: sb, message: mb, .. },
+            ) => {
+                prop_assert_eq!(sa, sb, "rejection spans differ on {:?}", input);
+                prop_assert_eq!(ma, mb, "rejection messages differ on {:?}", input);
+                prop_assert!(ta.is_none(), "fused path materialized tokens on {:?}", input);
             }
-
-            if !lr_backed {
-                // No LR tables, no push-mode stream.
-                prop_assert!(engine.stream(&spec).is_err(), "Earley pipelines do not stream");
-                continue;
+            (StrOutcome::RejectLex(a), StrOutcome::RejectLex(b)) => {
+                prop_assert_eq!(a, b, "lex rejections differ on {:?}", input);
             }
-            // Character streaming: same verdict, same tree.
-            let mut stream = engine.stream(&spec).unwrap();
-            stream.push_chars(&input);
-            prop_assert_eq!(
-                stream.would_accept(),
-                fused.is_accept(),
-                "would_accept diverges on {:?}",
-                input
-            );
-            let outcome = stream.finish().unwrap();
-            prop_assert_eq!(outcome.is_accept(), fused.is_accept(), "{:?}", input);
-            let fused_tree = fused.accepted().map(|d| d.to_parse_tree());
-            prop_assert_eq!(outcome.accepted(), fused_tree.as_ref(), "{:?}", input);
+            _ => prop_assert!(
+                false,
+                "verdicts differ on {:?}: fused {:?}, full {:?}",
+                input, fused, full
+            ),
         }
+
+        // The token-materializing incremental path is extensionally
+        // identical to the two-pass reference, token streams included.
+        let materialized = backend.parse_str_tokens(&input).unwrap();
+        prop_assert_eq!(&materialized, &full, "parse_str_tokens differs on {:?}", input);
+
+        // Batch goes through the same fused path: same verdict class
+        // and same rejection offsets.
+        let batch = engine.parse_many_str(&spec, &[input.as_str()], 1).unwrap();
+        prop_assert_eq!(batch.len(), 1);
+        match (&batch[0].outcome, &fused) {
+            (StrReportOutcome::Accepted { .. }, StrOutcome::Accept { .. }) => {}
+            (
+                StrReportOutcome::RejectedParse { span, message },
+                StrOutcome::RejectParse { span: fspan, message: fmessage, .. },
+            ) => {
+                prop_assert_eq!(span, fspan, "batch span differs on {:?}", input);
+                prop_assert_eq!(message, fmessage, "batch message differs on {:?}", input);
+            }
+            (StrReportOutcome::RejectedLex { at, .. }, StrOutcome::RejectLex(e)) => {
+                prop_assert_eq!(*at, e.at, "batch lex offset differs on {:?}", input);
+            }
+            (batch, fused) => prop_assert!(
+                false,
+                "batch verdict differs on {:?}: batch {:?}, fused {:?}",
+                input, batch, fused
+            ),
+        }
+
+        // Character streaming: same verdict, same tree.
+        let mut stream = engine.stream(&spec).unwrap();
+        stream.push_chars(&input);
+        prop_assert_eq!(
+            stream.would_accept(),
+            fused.is_accept(),
+            "would_accept diverges on {:?}",
+            input
+        );
+        let outcome = stream.finish().unwrap();
+        prop_assert_eq!(outcome.is_accept(), fused.is_accept(), "{:?}", input);
+        let fused_tree = fused.accepted().map(|d| d.to_parse_tree());
+        prop_assert_eq!(outcome.accepted(), fused_tree.as_ref(), "{:?}", input);
     }
+}
+
+/// The conflicted grammar behind the arithmetic lexer does not compile,
+/// so no path above can serve it.
+#[test]
+fn a_conflicted_grammar_behind_the_arith_lexer_is_refused() {
+    let engine = Engine::new();
+    assert!(matches!(
+        engine.get_or_compile(&conflicted_arith_lexed()),
+        Err(EngineError::Compile(m)) if m.contains("not LALR(1)")
+    ));
+    assert_eq!(engine.stats().entries, 0);
 }
