@@ -577,9 +577,10 @@ pub enum StrOutcome {
     /// The text lexed but the token string is not in the grammar.
     RejectParse {
         /// Byte span of the offending token in the raw text (empty
-        /// span at the end for "input ended too soon"). Non-lexed
-        /// pipelines, which read one symbol per character, span the
-        /// whole input.
+        /// span at the end for "input ended too soon"). Non-lexed CFG
+        /// pipelines read one symbol per character, so their token is
+        /// the character the LR driver refused; the paper's automaton
+        /// constructions span the whole input.
         span: Span,
         /// Human-readable rejection (the LR driver's expected-set
         /// report when available).
@@ -763,25 +764,6 @@ fn lr_str_outcome(
     }
 }
 
-/// A char-per-symbol parse's outcome: no token stream, and rejections
-/// span the whole input.
-fn char_outcome(input: &str, derived: Option<Derivation>) -> StrOutcome {
-    match derived {
-        Some(derivation) => StrOutcome::Accept {
-            derivation,
-            tokens: None,
-        },
-        None => StrOutcome::RejectParse {
-            span: Span {
-                start: 0,
-                end: input.len(),
-            },
-            message: "input is not in the grammar".to_owned(),
-            tokens: None,
-        },
-    }
-}
-
 /// How a [`CompiledPipeline`] actually parses.
 #[derive(Debug, Clone)]
 enum ParserImpl {
@@ -902,21 +884,52 @@ impl CompiledPipeline {
     /// token string, with rejections mapped to byte offsets of `input`.
     /// Other pipelines read the text through their alphabet's
     /// char-per-symbol parsing (a character outside the alphabet is a
-    /// [`StrOutcome::RejectLex`] at its byte offset) and report parse
-    /// rejections over the whole input.
+    /// [`StrOutcome::RejectLex`] at its byte offset). A CFG pipeline's
+    /// parse rejection spans the character its LR driver refused, or is
+    /// empty at the end when the input ended too soon; the paper's
+    /// constructions report theirs over the whole input.
     ///
     /// # Errors
     ///
     /// Contract violations of the underlying transformers, exactly as
     /// [`CompiledPipeline::parse`].
     pub fn parse_str(&self, input: &str) -> Result<StrOutcome, TransformError> {
-        if let ParserImpl::LexedCfg(b) = &self.imp {
-            return b.parse_str(input);
-        }
-        match self.read_chars(input) {
-            Ok(w) => Ok(char_outcome(input, self.derive(&w)?)),
-            Err(e) => Ok(StrOutcome::RejectLex(e)),
-        }
+        let backend = match &self.imp {
+            ParserImpl::LexedCfg(b) => return b.parse_str(input),
+            ParserImpl::Cfg(b) => Some(b),
+            ParserImpl::Verified { .. } => None,
+        };
+        let w = match self.read_chars(input) {
+            Ok(w) => w,
+            Err(e) => return Ok(StrOutcome::RejectLex(e)),
+        };
+        let Some(b) = backend else {
+            return Ok(match self.parse(&w)? {
+                ParseOutcome::Accept(tree) => StrOutcome::Accept {
+                    derivation: Derivation::Tree(tree),
+                    tokens: None,
+                },
+                ParseOutcome::Reject(_) => StrOutcome::RejectParse {
+                    span: Span {
+                        start: 0,
+                        end: input.len(),
+                    },
+                    message: "input is not in the grammar".to_owned(),
+                    tokens: None,
+                },
+            });
+        };
+        let outcome = b.lr.parse(&w).map_err(lr_fault)?;
+        // The refused symbol is the `at`-th character; past the last
+        // one, the span is the empty one at the end.
+        let refused = match &outcome {
+            LrOutcome::Reject(r) => input.char_indices().nth(r.at).map(|(at, c)| Span {
+                start: at,
+                end: at + c.len_utf8(),
+            }),
+            LrOutcome::Accept(_) => None,
+        };
+        Ok(lr_str_outcome(input, outcome, None, refused))
     }
 
     /// The char-per-symbol reading of raw text through the parser's
@@ -928,20 +941,6 @@ impl CompiledPipeline {
             .char_indices()
             .map(|(at, c)| sigma.symbol_of_char(c).ok_or(LexError { at, found: c }))
             .collect()
-    }
-
-    /// The certified derivation of `w`, `None` on rejection: the
-    /// reduction log for CFG pipelines, the tree for the paper's
-    /// constructions (whose rejection witnesses raw-text parses drop).
-    fn derive(&self, w: &GString) -> Result<Option<Derivation>, TransformError> {
-        Ok(match &self.imp {
-            ParserImpl::Verified { parser, .. } => match parser.parse(w)? {
-                ParseOutcome::Accept(tree) => Some(Derivation::Tree(tree)),
-                ParseOutcome::Reject(_) => None,
-            },
-            ParserImpl::Cfg(b) => b.parse_log(w)?.map(Derivation::Log),
-            ParserImpl::LexedCfg(b) => b.inner.parse_log(w)?.map(Derivation::Log),
-        })
     }
 
     /// Fast acceptance check: a dense-table DFA or LR run when one is
@@ -1246,8 +1245,15 @@ mod tests {
         assert!(p.accepts_str("(()())"));
         match p.parse_str("(()").unwrap() {
             StrOutcome::RejectParse { span, tokens, .. } => {
-                assert_eq!((span.start, span.end), (0, 3), "whole-input span");
+                assert_eq!((span.start, span.end), (3, 3), "the input ended too soon");
                 assert!(tokens.is_none(), "no lexer, no token stream");
+            }
+            other => panic!("expected a parse rejection, got {other:?}"),
+        }
+        match p.parse_str("())(").unwrap() {
+            StrOutcome::RejectParse { span, message, .. } => {
+                assert_eq!((span.start, span.end), (2, 3), "the unmatched ')'");
+                assert!(message.contains("position 2"), "{message}");
             }
             other => panic!("expected a parse rejection, got {other:?}"),
         }

@@ -427,6 +427,7 @@ impl LexCertifier {
     /// # Errors
     ///
     /// As [`LexCertifier::check`], with matching messages.
+    #[inline]
     pub fn check_raw(&mut self, input: &str, l: &RawLexeme) -> Result<(), LexCertifyError> {
         let i = self.index;
         if l.span.start != self.cursor {
@@ -455,6 +456,7 @@ impl LexCertifier {
     /// [`LexCertifier::check_raw`]: rule/symbol bookkeeping plus the
     /// independent derivative re-match, a walk over `text`'s characters
     /// in the rule's table.
+    #[inline]
     fn check_membership(
         &self,
         i: usize,

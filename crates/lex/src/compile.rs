@@ -33,11 +33,11 @@
 //! execution tables** (`ByteDfa`): ASCII byte values are partitioned
 //! into *byte-equivalence classes* (the DFA's column classes that have
 //! an ASCII member), and the driver's hot loop steps through a flat
-//! `[state × class] → state` table via a 256-entry class map — no char
-//! decoding, no `Alphabet` hash probe, and the co-reachability check
-//! folded into a DEAD sentinel row. Bytes ≥ 0x80 (and ASCII bytes
-//! outside the alphabet) fall back to char-at-a-time stepping, so
-//! non-ASCII alphabets keep exact char-level semantics.
+//! table of premultiplied state ids via a 256-entry column map — no
+//! char decoding, no `Alphabet` hash probe, no multiply, and the
+//! co-reachability check folded into a DEAD sentinel row. Bytes ≥ 0x80
+//! (and ASCII bytes outside the alphabet) fall back to char-at-a-time
+//! stepping, so non-ASCII alphabets keep exact char-level semantics.
 
 use std::sync::Arc;
 
@@ -77,40 +77,49 @@ pub(crate) struct LexCore {
 /// ASCII byte values are partitioned into equivalence classes: two bytes
 /// land in the same class iff their alphabet symbols have identical
 /// transition columns (`δ(·, a) = δ(·, b)` pointwise,
-/// [`Dfa::column_classes`]). The scanner then
-/// steps `state → next[state · nclasses + class_of[byte]]` — one shift,
-/// one add, two loads per byte. Three more tricks are folded in:
+/// [`Dfa::column_classes`]). State ids are **premultiplied**: a state's
+/// id is its row's offset in the flat table, `state × stride`, so the
+/// scanner steps `id → next[id + column_of[byte]]` — one add and two
+/// loads per byte, no multiply on the chain each step waits for. Three
+/// more tricks are folded in:
 ///
-/// * **Class 0 is the dead class**: ASCII bytes outside the alphabet
+/// * **Column 0 is the accept column**: `next[id]` is `tag + 1` of the
+///   state's accept tag (0 = not accepting), so the last-accept update
+///   reads the row the step just landed on, and the id needs no
+///   division to find it.
+/// * **Column 1 is the dead class**: ASCII bytes outside the alphabet
 ///   (and all bytes ≥ 0x80, which never take this path) map to it, and
-///   every `next` entry for it is `DEAD` — so "character not in Σ" and
+///   every entry of it is `DEAD` — so "character not in Σ" and
 ///   "transition died" are the same table lookup.
 /// * **Co-reachability is pre-applied**: an entry whose true successor
 ///   is not live (`!live[t]`) is stored as `DEAD`, so the per-step
 ///   `live[]` probe of the char-level loop disappears.
-/// * **Accepts are packed**: `accept[s]` is `tag + 1` (0 = not
-///   accepting), so the last-accept update is one load and one compare
-///   instead of an `Option<usize>` table probe.
 ///
-/// `DEAD` is the sentinel state `num_states`; it has its own all-`DEAD`
-/// row so a scan that died stays dead without branching.
+/// `DEAD` is the sentinel row after the DFA's `num_states` rows; it is
+/// all `DEAD` and not accepting, so a scan that died stays dead without
+/// branching. Plain state ids stay at the boundaries (the char-level
+/// DFA, the munch memo's one bit per state): [`ByteDfa::plain`] and
+/// [`ByteDfa::premultiply`] convert.
 #[derive(Debug)]
 pub(crate) struct ByteDfa {
-    /// Byte value → equivalence class. Class 0 is the dead class; bytes
-    /// ≥ 0x80 are mapped to it but the scanner never consults them here
-    /// (they take the char-decoding fallback).
-    pub(crate) class_of: [u8; 256],
-    /// Number of classes, dead class included (row stride of `next`).
+    /// Byte value → table column (class + 1). Bytes outside the
+    /// alphabet map to the dead class's column 1; bytes ≥ 0x80 do too,
+    /// but the scanner never consults them here (they take the
+    /// char-decoding fallback).
+    pub(crate) column_of: [u8; 256],
+    /// Number of byte classes, dead class included.
     pub(crate) nclasses: usize,
-    /// Flat `[state × class] → state` table, `(num_states + 1)` rows —
-    /// the last row is the DEAD sentinel's.
+    /// Row width of `next`: the accept column plus one per class.
+    stride: usize,
+    /// `⌈2³² / stride⌉`: [`ByteDfa::plain`] divides by `stride` with one
+    /// multiply.
+    reciprocal: u64,
+    /// Flat premultiplied table, `(num_states + 1)` rows of `stride`
+    /// entries — the last row is the DEAD sentinel's.
     pub(crate) next: Vec<u32>,
-    /// `tag + 1` of each state's accept tag, 0 when not accepting
-    /// (entry `num_states` — DEAD — is 0).
-    pub(crate) accept: Vec<u32>,
-    /// The DFA's initial state.
+    /// The DFA's initial state (premultiplied).
     pub(crate) init: u32,
-    /// The DEAD sentinel (`num_states`).
+    /// The DEAD sentinel (premultiplied).
     pub(crate) dead: u32,
 }
 
@@ -122,7 +131,7 @@ impl ByteDfa {
         // ASCII member, numbered from 1 in byte order.
         let columns = dfa.column_classes();
         let mut byte_class = vec![0u8; columns.len()];
-        let mut class_of = [0u8; 256];
+        let mut column_of = [1u8; 256];
         let mut class_sym = Vec::new(); // representative symbol per class (class 0 has none)
         for b in 0u8..0x80 {
             let Some(sym) = sigma.symbol_of_char(b as char) else {
@@ -133,33 +142,48 @@ impl ByteDfa {
                 class_sym.push(sym);
                 *cls = class_sym.len() as u8;
             }
-            class_of[b as usize] = *cls;
+            column_of[b as usize] = *cls + 1;
         }
         let nclasses = class_sym.len() + 1;
-        let dead = n as u32;
-        // The table, DEAD row included. Class-0 columns stay DEAD; real
-        // classes pre-apply the co-reachability filter.
-        let mut next = vec![dead; (n + 1) * nclasses];
+        let stride = nclasses + 1;
+        let dead = u32::try_from(n * stride).expect("premultiplied state ids fit u32");
+        let id = |s: usize| (s * stride) as u32;
+        // The table, DEAD row included. Dead-class columns stay DEAD;
+        // real classes pre-apply the co-reachability filter.
+        let mut next = vec![dead; (n + 1) * stride];
         for s in 0..n {
+            let row = &mut next[s * stride..(s + 1) * stride];
+            row[0] = dfa.accept_tag(s).map_or(0, |tag| tag as u32 + 1);
             for (k, &sym) in class_sym.iter().enumerate() {
                 let t = dfa.delta(s, sym);
-                next[s * nclasses + (k + 1)] = if live[t] { t as u32 } else { dead };
+                row[k + 2] = if live[t] { id(t) } else { dead };
             }
         }
-        let mut accept = vec![0u32; n + 1];
-        for (s, a) in accept.iter_mut().take(n).enumerate() {
-            if let Some(tag) = dfa.accept_tag(s) {
-                *a = tag as u32 + 1;
-            }
-        }
+        next[n * stride] = 0;
         ByteDfa {
-            class_of,
+            column_of,
             nclasses,
+            stride,
+            reciprocal: (1u64 << 32).div_ceil(stride as u64),
             next,
-            accept,
-            init: dfa.init() as u32,
+            init: id(dfa.init()),
             dead,
         }
+    }
+
+    /// The plain state of premultiplied `id`: `id / stride`, exact for
+    /// every id `s × stride` of the table, since the rounding error
+    /// `s × (stride × reciprocal − 2³²)` stays below `s × stride`, which
+    /// fits `u32`.
+    #[inline]
+    pub(crate) fn plain(&self, id: u32) -> u32 {
+        ((u64::from(id) * self.reciprocal) >> 32) as u32
+    }
+
+    /// The premultiplied id of plain state `s`.
+    #[inline]
+    pub(crate) fn premultiply(&self, s: usize) -> u32 {
+        (s * self.stride) as u32
     }
 }
 
@@ -289,6 +313,27 @@ mod tests {
         assert_eq!(tag_after("iff"), Some(1));
         assert_eq!(tag_after(" "), Some(2), "skip rules are rules too");
         assert_eq!(tag_after(""), None);
+    }
+
+    #[test]
+    fn plain_ids_invert_premultiplied_ones() {
+        let auto = LexAutomaton::compile(keyword_spec());
+        let bt = &auto.core.bytes;
+        for s in 0..=auto.dfa().num_states() {
+            assert_eq!(bt.plain(bt.premultiply(s)) as usize, s);
+        }
+        // The reciprocal stays exact up to the largest id that fits u32.
+        for stride in [2usize, 3, 7, 129, 1000] {
+            let wide = ByteDfa {
+                stride,
+                reciprocal: (1u64 << 32).div_ceil(stride as u64),
+                ..ByteDfa::build(auto.spec(), auto.dfa(), auto.live())
+            };
+            let top = u32::MAX as usize / stride;
+            for s in [0, 1, top / 2, top - 1, top] {
+                assert_eq!(wide.plain(wide.premultiply(s)) as usize, s, "{stride} {s}");
+            }
+        }
     }
 
     #[test]

@@ -261,6 +261,17 @@ pub(crate) struct Scan {
 }
 
 impl Scan {
+    /// The scan of a token at byte `at` before it steps: the DFA in
+    /// `init`, nothing accepted. A scan resumes from where it ran out of
+    /// input, so this is where a fresh one "ran out".
+    fn start(init: u32, at: usize) -> Scan {
+        Scan {
+            last: None,
+            stop: ScanStop::EndOfInput { at, state: init },
+            fell_back: false,
+        }
+    }
+
     /// The byte offset the scan stopped at.
     #[inline]
     pub(crate) fn stop_at(&self) -> usize {
@@ -270,16 +281,61 @@ impl Scan {
     }
 }
 
-/// One maximal-munch scan from DFA `state` at byte offset `start` (the
-/// initial state at a token start, or where a resumed scan ran out of
-/// input): steps the byte-sliced tables until the automaton dies or
-/// the input ends, tracking the last accept it sees. This is THE hot loop — everything else
-/// (one-shot lexing, push streams, the fused lex→LR feed) is a driver
-/// around it, through the settle step.
+/// Tokens the scanner's fast lane cut without leaving its loop, oldest
+/// first: each died on an ASCII byte exactly at its last accept, so it
+/// ends there with nothing to backtrack. [`Cursor::settle`] hands them
+/// out before it judges the scan that cut them.
+#[derive(Debug, Clone)]
+struct Burst {
+    /// `(rule, end byte)` per cut token; `cuts[next..len]` are pending.
+    cuts: [(usize, usize); Burst::CAP],
+    len: usize,
+    next: usize,
+}
+
+impl Burst {
+    /// Tokens one scan may cut before it returns.
+    const CAP: usize = 32;
+
+    fn new() -> Burst {
+        Burst {
+            cuts: [(0, 0); Burst::CAP],
+            len: 0,
+            next: 0,
+        }
+    }
+
+    /// The oldest pending cut; the buffer empties once all are out.
+    #[inline]
+    fn pop(&mut self) -> Option<(usize, usize)> {
+        if self.next == self.len {
+            return None;
+        }
+        let cut = self.cuts[self.next];
+        self.next += 1;
+        if self.next == self.len {
+            (self.next, self.len) = (0, 0);
+        }
+        Some(cut)
+    }
+}
+
+/// One maximal-munch scan, resumed `from` where a scan ran out of input
+/// (a fresh token's is [`Scan::start`]): steps the byte-sliced tables
+/// until the automaton dies or the input ends, tracking the last accept
+/// it sees. This is THE hot loop — everything else (one-shot lexing,
+/// push streams, the fused lex→LR feed) is a driver around it, through
+/// the settle step.
 ///
 /// The fast lane dispatches 8 bytes per lap entirely inside the flat
-/// `[state × class]` table (one `u64` load decides the whole lap is
-/// ASCII; class 0 folds "not in Σ" and "died" into the DEAD sentinel).
+/// premultiplied table (one `u64` load decides the whole lap is ASCII;
+/// the dead class folds "not in Σ" and "died" into the DEAD sentinel).
+/// When the automaton dies there exactly at its last accept, the token
+/// needs no settle step: the lane appends it to `burst` and restarts
+/// from the initial state on the same byte, until `burst` is full. Any
+/// other stop ends the call, and the scan it returns is that of the
+/// token after the burst.
+///
 /// Bytes ≥ 0x80 drop to char-at-a-time stepping through the char-level
 /// DFA — identical semantics, only at token-interior non-ASCII — and
 /// re-enter the fast lane on the next lap. UTF-8 boundaries therefore
@@ -291,26 +347,36 @@ impl Scan {
 /// `(state, position)` pair up before stepping on, ending at the first
 /// failed one ([`ScanStop::Failed`]). Outside the window, the fast lane
 /// runs with no memo check.
-pub(crate) fn scan_token(
+#[inline]
+fn scan_token(
     core: &LexCore,
     input: &str,
-    mut state: u32,
-    start: usize,
+    from: Scan,
     memo: Option<&MunchMemo>,
+    burst: &mut Burst,
 ) -> Scan {
+    let Scan {
+        mut last,
+        stop,
+        mut fell_back,
+    } = from;
+    let ScanStop::EndOfInput {
+        at: start,
+        mut state,
+    } = stop
+    else {
+        unreachable!("a scan resumes where its input ran out");
+    };
+    debug_assert_eq!(burst.len, 0, "a scan starts with its burst handed out");
     let bt = &core.bytes;
     let tab = &bt.next[..];
-    let acc = &bt.accept[..];
-    let cls = &bt.class_of;
-    let nc = bt.nclasses;
-    let dead = bt.dead;
+    let col = &bt.column_of;
+    let (init, dead) = (bt.init, bt.dead);
     let bytes = input.as_bytes();
     let n = bytes.len();
     let memo = memo.filter(|m| m.rows > 0);
     // The memo's window `[lo, hi)` of positions; empty without a memo.
     let (lo, hi) = memo.map_or((n, n), |m| (m.base, m.base + m.rows));
-    let mut last: Option<(usize, usize)> = None;
-    let mut fell_back = false;
     let mut i = start;
     loop {
         // The fast lane runs up to the window, or to the end past it.
@@ -331,16 +397,28 @@ pub(crate) fn scan_token(
                 break;
             }
             for (k, &b) in chunk.iter().enumerate() {
-                let next = tab[state as usize * nc + cls[b as usize] as usize];
+                let c = col[b as usize] as usize;
+                let mut next = tab[state as usize + c];
                 if next == dead {
-                    return Scan {
-                        last,
-                        stop: ScanStop::Dead(i + k),
-                        fell_back,
-                    };
+                    let at = i + k;
+                    if matches!(last, Some((_, end)) if end == at)
+                        && !fell_back
+                        && burst.len < Burst::CAP
+                    {
+                        burst.cuts[burst.len] = last.take().expect("an accept here");
+                        burst.len += 1;
+                        next = tab[init as usize + c];
+                    }
+                    if next == dead {
+                        return Scan {
+                            last,
+                            stop: ScanStop::Dead(at),
+                            fell_back,
+                        };
+                    }
                 }
                 state = next;
-                let a = acc[state as usize];
+                let a = tab[state as usize];
                 if a != 0 {
                     last = Some(((a - 1) as usize, i + k + 1));
                 }
@@ -351,7 +429,7 @@ pub(crate) fn scan_token(
         // char-level DFA, or any char inside the memo's window), then
         // retry the fast lane.
         if let Some(m) = memo {
-            if i >= lo && i < hi && m.failed(state, i) {
+            if i >= lo && i < hi && m.failed(bt.plain(state), i) {
                 return Scan {
                     last,
                     stop: ScanStop::Failed(i),
@@ -376,23 +454,23 @@ pub(crate) fn scan_token(
         };
         state = next;
         i = after;
-        let a = acc[state as usize];
+        let a = tab[state as usize];
         if a != 0 {
             last = Some(((a - 1) as usize, i));
         }
     }
 }
 
-/// One char-at-a-time step from `state` at byte `i` (a char boundary
-/// before the end): the byte table for ASCII, the char-level DFA
-/// otherwise. Returns the next state and the offset past the char, or
-/// `None` when the automaton dies on it.
+/// One char-at-a-time step from premultiplied `state` at byte `i` (a
+/// char boundary before the end): the byte table for ASCII, the
+/// char-level DFA otherwise. Returns the next state and the offset past
+/// the char, or `None` when the automaton dies on it.
 #[inline]
 fn step_char(core: &LexCore, input: &str, state: u32, i: usize) -> Option<(u32, usize)> {
     let bt = &core.bytes;
     let b = input.as_bytes()[i];
     if b < 0x80 {
-        let next = bt.next[state as usize * bt.nclasses + bt.class_of[b as usize] as usize];
+        let next = bt.next[state as usize + bt.column_of[b as usize] as usize];
         (next != bt.dead).then_some((next, i + 1))
     } else {
         let ch = input[i..]
@@ -402,9 +480,9 @@ fn step_char(core: &LexCore, input: &str, state: u32, i: usize) -> Option<(u32, 
         core.spec
             .alphabet()
             .symbol_of_char(ch)
-            .map(|sym| core.dfa.delta(state as usize, sym))
+            .map(|sym| core.dfa.delta(bt.plain(state) as usize, sym))
             .filter(|&s| core.live[s])
-            .map(|s| (s as u32, i + ch.len_utf8()))
+            .map(|s| (bt.premultiply(s), i + ch.len_utf8()))
     }
 }
 
@@ -501,7 +579,7 @@ impl MunchMemo {
             }
             (state, at) = step_char(core, input, state, at).expect("the scan's path was live");
             if at > from {
-                self.set(state, at);
+                self.set(core.bytes.plain(state), at);
             }
         }
         Ok(at - start)
@@ -632,6 +710,11 @@ struct Cursor {
     /// out of input alive; `None` when nothing of the token has been
     /// scanned yet.
     open: Option<Scan>,
+    /// Tokens the last scan cut in its fast lane, not handed out yet.
+    burst: Burst,
+    /// The scan that ended the last burst, judged once the burst is
+    /// handed out.
+    held: Option<Scan>,
     /// Failed `(state, position)` pairs found by earlier scans.
     memo: MunchMemo,
     /// The memo's cap in bytes.
@@ -645,10 +728,12 @@ impl Cursor {
         Cursor {
             pos: 0,
             open: None,
+            burst: Burst::new(),
+            held: None,
             memo: MunchMemo {
                 base: 0,
                 rows: 0,
-                stride: core.bytes.dead as usize,
+                stride: core.dfa.num_states(),
                 bits: Vec::new(),
             },
             memo_cap,
@@ -662,6 +747,11 @@ impl Cursor {
     /// is. Otherwise a scan that runs out of input stays open and the
     /// step returns `None`, as it does at the end of the input and when
     /// the memo would outgrow its cap (`shed` is then set).
+    ///
+    /// One scan can settle a burst of tokens (see [`scan_token`]): they
+    /// come out one per call, and the scan's own stop is judged after
+    /// them.
+    #[inline]
     fn settle(
         &mut self,
         core: &LexCore,
@@ -669,22 +759,30 @@ impl Cursor {
         last_input: bool,
         tally: &mut crate::probes::ScanTally,
     ) -> Option<Result<RawLexeme, LexError>> {
-        if self.pos >= input.len() {
-            return None;
+        if let Some((rule, end)) = self.burst.pop() {
+            tally.cut_in_lane();
+            return Some(Ok(self.cut(core, rule, end)));
         }
-        let (state, at) = match self.open {
-            Some(Scan {
-                stop: ScanStop::EndOfInput { at, state },
-                ..
-            }) => (state, at),
-            _ => (core.bytes.init, self.pos),
+        let scan = match self.held.take() {
+            Some(scan) => scan,
+            None => {
+                if self.pos >= input.len() {
+                    return None;
+                }
+                let from = self
+                    .open
+                    .take()
+                    .unwrap_or_else(|| Scan::start(core.bytes.init, self.pos));
+                let scan = scan_token(core, input, from, Some(&self.memo), &mut self.burst);
+                tally.scan(&scan, from.stop_at());
+                if let Some((rule, end)) = self.burst.pop() {
+                    self.held = Some(scan);
+                    tally.cut_in_lane();
+                    return Some(Ok(self.cut(core, rule, end)));
+                }
+                scan
+            }
         };
-        let mut scan = scan_token(core, input, state, at, Some(&self.memo));
-        tally.scan(&scan, at);
-        if let Some(open) = self.open.take() {
-            scan.last = scan.last.or(open.last);
-            scan.fell_back |= open.fell_back;
-        }
         if !last_input && matches!(scan.stop, ScanStop::EndOfInput { .. }) {
             self.open = Some(scan);
             return None;
@@ -713,16 +811,22 @@ impl Cursor {
             }
         }
         tally.settled(&scan);
+        Some(Ok(self.cut(core, rule, end)))
+    }
+
+    /// Settles the token from `pos` to `end` as a lexeme of `rule`.
+    #[inline]
+    fn cut(&mut self, core: &LexCore, rule: usize, end: usize) -> RawLexeme {
         let span = Span {
             start: self.pos,
             end,
         };
         self.pos = end;
-        Some(Ok(RawLexeme {
+        RawLexeme {
             rule,
             span,
             sym: core.spec.token_symbol(rule),
-        }))
+        }
     }
 
     /// Runs [`Cursor::settle`] until `input` decides no more tokens,
@@ -777,6 +881,7 @@ impl RawLexemes<'_> {
 impl Iterator for RawLexemes<'_> {
     type Item = Result<RawLexeme, LexError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Result<RawLexeme, LexError>> {
         if self.dead {
             return None;
@@ -808,6 +913,7 @@ impl Lexemes<'_> {
 impl Iterator for Lexemes<'_> {
     type Item = Result<Token, LexError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Result<Token, LexError>> {
         let input = self.raw.input;
         Some(self.raw.next()?.map(|l| l.to_token(input)))
@@ -1462,6 +1568,160 @@ mod tests {
                     "k {k}: stale tail bits"
                 );
             }
+        }
+    }
+
+    // How each fast-lane run can stop. Every case checks the lexemes
+    // against the charwise reference and pins the pass's probe tally:
+    // scan bytes, fast-lane tokens, fallback tokens, backtracks.
+
+    /// One-shot lexes `input`, checks it against `lex_raw_charwise` and
+    /// returns the pass's tally.
+    fn one_shot_counts(auto: &LexAutomaton, input: &str) -> [u64; 4] {
+        let mut raw = auto.raw_lexemes(input);
+        let got: Result<Vec<Token>, LexError> =
+            raw.by_ref().map(|l| l.map(|l| l.to_token(input))).collect();
+        assert_eq!(got, auto.lex_raw_charwise(input), "{input:?}");
+        raw.tally.counts()
+    }
+
+    /// Pushes `chunks` into a stream and finishes it, checks the tokens
+    /// against `lex_raw_charwise` of the whole, and returns the tally.
+    fn stream_counts(auto: &LexAutomaton, chunks: &[&str]) -> [u64; 4] {
+        let mut stream = auto.stream();
+        let mut tally = crate::probes::ScanTally::default();
+        let mut out = Vec::new();
+        for (k, chunk) in chunks.iter().enumerate() {
+            stream.input.push_str(chunk);
+            let last_input = k + 1 == chunks.len();
+            let LexStream {
+                core,
+                input,
+                cursor,
+                ..
+            } = &mut stream;
+            while let Some(lexeme) = cursor.settle(core, input, last_input, &mut tally) {
+                out.push(lexeme.unwrap().to_token(input));
+            }
+        }
+        assert_eq!(Ok(out), auto.lex_raw_charwise(&chunks.concat()));
+        tally.counts()
+    }
+
+    #[test]
+    fn fast_lane_cuts_tokens_that_die_at_their_accept() {
+        let auto = arith_auto();
+        let input = "12+(345)+6789 + (1+2)+((3)) ";
+        // One scan cuts every token that dies on the byte after it.
+        let core = auto.core();
+        let mut burst = Burst::new();
+        let scan = scan_token(
+            core,
+            input,
+            Scan::start(core.bytes.init, 0),
+            None,
+            &mut burst,
+        );
+        assert!(burst.len > 4, "{}", burst.len);
+        assert_eq!(burst.cuts[..3], [(3, 2), (2, 3), (0, 4)], "12 + (");
+        // The last 4 bytes are a tail the 8-byte lane does not take: the
+        // scan ends on the `3` after `(` and hands that `(` over.
+        assert_eq!((scan.last, scan.stop), (Some((0, 24)), ScanStop::Dead(24)));
+        assert_eq!(one_shot_counts(&auto, input), [28, 22, 0, 0]);
+    }
+
+    #[test]
+    fn fast_lane_hands_an_overrun_to_the_settle_step() {
+        // `ab` overruns `A = a` by one byte and backtracks; the memo's
+        // window then covers the next tokens.
+        let spec = LexSpecBuilder::new(Alphabet::from_chars("abc"))
+            .token("A", "a")
+            .unwrap()
+            .token("B", "b")
+            .unwrap()
+            .token("ABC", "abc")
+            .unwrap()
+            .build()
+            .unwrap();
+        let auto = LexAutomaton::compile(spec);
+        assert_eq!(
+            one_shot_counts(&auto, "abababababababababcabc"),
+            [46, 18, 0, 8]
+        );
+    }
+
+    #[test]
+    fn fast_lane_steps_non_ascii_through_the_char_level_dfa() {
+        let sigma = Alphabet::from_chars("abcxyz\u{e9}\u{3bb} ");
+        let spec = LexSpecBuilder::new(sigma.clone())
+            .token_re(
+                "ID",
+                crate::spec::plus(crate::spec::class(&sigma, "abcxyz\u{e9}")),
+            )
+            .unwrap()
+            .token("L", "\u{3bb}")
+            .unwrap()
+            .skip("WS", "  *")
+            .unwrap()
+            .build()
+            .unwrap();
+        let auto = LexAutomaton::compile(spec);
+        let input = "abca\u{e9}babc xyzxyzxyz \u{3bb}ab\u{e9} abcabcabc\u{3bb}\u{3bb} xyzabcxyzabc";
+        assert_eq!(one_shot_counts(&auto, input), [54, 5, 7, 0]);
+    }
+
+    #[test]
+    fn fast_lane_meets_the_memo_window() {
+        // `a`s overrun into `AB = a*b` up to the `c`s: the tokens after
+        // the first start inside the memo's window, and the run of `c`s
+        // starts inside it and crosses its end into the fast lane.
+        let spec = LexSpecBuilder::new(Alphabet::from_chars("abc"))
+            .token("A", "a")
+            .unwrap()
+            .token("AB", "a*b")
+            .unwrap()
+            .token("C", "cc*")
+            .unwrap()
+            .build()
+            .unwrap();
+        let auto = LexAutomaton::compile(spec);
+        let input = format!("{}{}a{}", "a".repeat(12), "c".repeat(20), "c".repeat(9));
+        assert_eq!(one_shot_counts(&auto, &input), [75, 15, 0, 11]);
+    }
+
+    #[test]
+    fn fast_lane_leaves_a_token_at_the_end_of_input_to_settle() {
+        let auto = arith_auto();
+        assert_eq!(
+            one_shot_counts(&auto, "1+2+3+4+5+6+78901234567"),
+            [23, 13, 0, 0]
+        );
+        assert_eq!(one_shot_counts(&auto, "(1)+(2)+(3)+4"), [13, 13, 0, 0]);
+    }
+
+    #[test]
+    fn fast_lane_keeps_a_pushed_token_open_across_chunks() {
+        let auto = arith_auto();
+        let input = "12+(345)+6789 + (1+2)+((3)) + 4567890123";
+        let cuts = |n: usize| -> Vec<&str> {
+            let mut v = Vec::new();
+            let mut rest = input;
+            while !rest.is_empty() {
+                let (head, tail) = rest.split_at(n.min(rest.len()));
+                v.push(head);
+                rest = tail;
+            }
+            v
+        };
+        // Whole, in 5- and 11-byte chunks, and cut inside `+ 4567…`'s
+        // number: the same lexemes and the same work.
+        for chunks in [
+            vec![input],
+            cuts(5),
+            cuts(11),
+            vec![&input[..31], &input[31..33], &input[33..]],
+        ] {
+            assert_eq!(stream_counts(&auto, &chunks), [40, 25, 0, 0], "{chunks:?}");
         }
     }
 

@@ -102,6 +102,13 @@ impl ScanTally {
         self.bytes += bytes as u64;
     }
 
+    /// Accounts one token the fast lane cut at its last accept without
+    /// leaving its loop: a fast-lane token, no backtrack.
+    #[inline]
+    pub(crate) fn cut_in_lane(&mut self) {
+        self.fast += 1;
+    }
+
     /// Accounts one token *settled* at the scan's last accept — called
     /// only when the driver actually cuts there (a stream's scan that
     /// runs out of pushed text stays open and must not call this).
@@ -134,6 +141,15 @@ impl Drop for ScanTally {
         if self.backtracks > 0 {
             BACKTRACKS.fetch_add(self.backtracks, Ordering::Relaxed);
         }
+    }
+}
+
+#[cfg(test)]
+impl ScanTally {
+    /// The tally so far: scan bytes, fast-lane tokens, fallback tokens,
+    /// backtracks.
+    pub(crate) fn counts(&self) -> [u64; 4] {
+        [self.bytes, self.fast, self.fallback, self.backtracks]
     }
 }
 

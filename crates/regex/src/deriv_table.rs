@@ -50,8 +50,16 @@ use crate::ast::Regex;
 use crate::derivative::derivative;
 
 /// The state of the derivative `∅`, interned first in every table: a
-/// walk that reaches it can stop.
+/// walk that reaches it can stop. Its premultiplied id is 0 too.
 const DEAD: u32 = 0;
+
+/// The premultiplied id `state × stride` of a table with rows of
+/// `stride` entries, `None` when it does not fit `u32`.
+fn premultiply(state: usize, stride: usize) -> Option<u32> {
+    state
+        .checked_mul(stride)
+        .and_then(|id| u32::try_from(id).ok())
+}
 
 /// The derived syntax nodes one state unit of the cap pays for: a state
 /// of `size` nodes explored over `classes` classes costs
@@ -355,16 +363,21 @@ impl std::error::Error for StateCapExceeded {}
 
 /// Every derivative of one regex, as a dense `state × class` table.
 ///
+/// State ids are premultiplied: a state's id is the offset of its row,
+/// `state × (classes + 1)`. Column 0 of a row says whether the
+/// derivative accepts ε, and column `k + 1` holds the id reached on
+/// class `k`, so a walk steps with one add and one load and reads
+/// acceptance off the row it ends on.
+///
 /// Immutable once built, so it is `Send + Sync` and shared by reference
 /// with no lock.
 #[derive(Debug, Clone)]
 pub struct DerivTable {
     classes: SymbolClasses,
-    /// The state of the regex itself.
+    /// The state of the regex itself (premultiplied).
     start: u32,
-    /// Per state: does the derivative accept ε?
-    nullable: Vec<bool>,
-    /// Row-major `state × classes.len()` transitions.
+    /// Row-major `state × (1 + classes.len())`: nullability, then the
+    /// premultiplied transitions.
     delta: Vec<u32>,
     /// The state units the build spent.
     cost: usize,
@@ -382,6 +395,12 @@ impl DerivTable {
     ///
     /// [`StateCapExceeded`] if the states, the `∅` state included, would
     /// cost more than `cap` units.
+    ///
+    /// # Panics
+    ///
+    /// If the premultiplied ids overflow `u32`. A state costs at least
+    /// `⌈classes / 16⌉` units, so the table's `states × (classes + 1)`
+    /// entries are at most 17 × `cap`, and no cap up to 2²⁷ reaches it.
     pub fn build(
         re: &Regex,
         classes: SymbolClasses,
@@ -409,19 +428,28 @@ impl DerivTable {
             &mut states,
             &mut cost,
         )?;
+        // Rows of plain ids first: the stride is known now, the number
+        // of states only at the fixed point.
+        let stride = classes.len() + 1;
         let mut delta = Vec::new();
         let mut next = 0;
         while next < states.len() {
+            delta.push(u32::from(states[next].nullable()));
             for &rep in &classes.reps {
                 let d = normalize(derivative(&states[next], rep));
                 delta.push(intern(d, &mut states, &mut cost)?);
             }
             next += 1;
         }
+        premultiply(states.len() - 1, stride).expect("premultiplied state ids fit u32");
+        for row in delta.chunks_exact_mut(stride) {
+            for t in &mut row[1..] {
+                *t *= stride as u32;
+            }
+        }
         Ok(DerivTable {
             classes,
-            start,
-            nullable: states.iter().map(Regex::nullable).collect(),
+            start: start * stride as u32,
             delta,
             cost,
         })
@@ -429,16 +457,7 @@ impl DerivTable {
 
     /// The number of states, the `∅` state included.
     pub fn num_states(&self) -> usize {
-        self.nullable.len()
-    }
-
-    /// The state reached from `state` on `sym`.
-    #[inline]
-    fn step(&self, state: u32, sym: Symbol) -> u32 {
-        match self.classes.class_of(sym) {
-            Some(k) => self.delta[state as usize * self.classes.len() + k],
-            None => DEAD,
-        }
+        self.delta.len() / (self.classes.len() + 1)
     }
 
     /// The state units the build spent (see [`NODES_PER_STATE`]).
@@ -449,18 +468,34 @@ impl DerivTable {
     /// Whether the regex matches `text`, read as one symbol of
     /// `alphabet` per character; a character outside `alphabet` does
     /// not match. This is the per-lexeme walk of the lex certifier.
+    ///
+    /// The walk reads bytes: an ASCII byte goes through the alphabet's
+    /// ASCII map, and only a byte ≥ 0x80 decodes a character. Then
+    /// symbol → class → the premultiplied row, stopping at `∅`.
+    #[inline]
     pub fn matches_str(&self, alphabet: &Alphabet, text: &str) -> bool {
+        let bytes = text.as_bytes();
         let mut state = self.start;
-        for c in text.chars() {
-            let Some(sym) = alphabet.symbol_of_char(c) else {
+        let mut i = 0;
+        while i < bytes.len() {
+            let b = bytes[i];
+            let sym = if b < 0x80 {
+                i += 1;
+                alphabet.symbol_of_char(char::from(b))
+            } else {
+                let c = text[i..].chars().next().expect("a char boundary");
+                i += c.len_utf8();
+                alphabet.symbol_of_char(c)
+            };
+            let Some(k) = sym.and_then(|sym| self.classes.class_of(sym)) else {
                 return false;
             };
-            state = self.step(state, sym);
+            state = self.delta[state as usize + 1 + k];
             if state == DEAD {
                 return false;
             }
         }
-        self.nullable[state as usize]
+        self.delta[state as usize] != 0
     }
 }
 
@@ -468,6 +503,7 @@ impl DerivTable {
 mod tests {
     use super::*;
     use crate::ast::parse_regex;
+    use crate::derivative::matches;
 
     #[test]
     fn normalization_identifies_aci_similar_alternations() {
@@ -506,5 +542,70 @@ mod tests {
         assert!(table.cost() >= table.num_states());
         assert!(table.matches_str(&s, "babbb"));
         assert!(!table.matches_str(&s, "bbabb"));
+    }
+
+    #[test]
+    fn the_byte_walk_agrees_with_the_derivative_matcher() {
+        // ASCII and non-ASCII members side by side; texts also carry
+        // characters outside the alphabet, of one to four bytes.
+        let s = Alphabet::from_chars("ab \u{e9}\u{3bb}\u{1f600}");
+        let texts = [
+            "",
+            "a",
+            "b",
+            "ab",
+            "a\u{3bb}",
+            "\u{e9}a\u{3bb}",
+            "a\u{e9}\u{3bb}\u{3bb}",
+            "ab\u{e9}",
+            "a\u{3bb}\u{3bb}\u{e9}",
+            "\u{e9}\u{3bb}",
+            "\u{3bb}\u{e9}",
+            "  ab",
+            " \u{1f600}b",
+            "\u{1f600}\u{1f600}",
+            "z\u{3bb}",
+            "a\u{fc}\u{3bb}",
+            "a\u{1f601}",
+            "ab\u{7f}",
+        ];
+        let mut accepted = 0;
+        for r in [
+            "(a|\u{e9})*\u{3bb}",
+            "a(b|\u{3bb})*\u{e9}*",
+            "(\u{e9}|\u{3bb})(\u{e9}|\u{3bb})",
+            "( |a)*b",
+            "( |\u{1f600})*(b|\u{1f600})",
+        ] {
+            let re = parse_regex(&s, r).unwrap();
+            let table =
+                DerivTable::build(&re, SymbolClasses::of_regex(&re, s.len()), 1024).unwrap();
+            for text in texts {
+                let expected = s.parse_str(text).is_some_and(|w| matches(&re, &w));
+                assert_eq!(table.matches_str(&s, text), expected, "{r} on {text:?}");
+                accepted += usize::from(expected);
+            }
+        }
+        assert!(accepted >= 10, "the texts exercise acceptance too");
+    }
+
+    #[test]
+    fn premultiplied_ids_must_fit_u32() {
+        let max = u32::MAX as usize;
+        assert_eq!(premultiply(3, 5), Some(15));
+        assert_eq!(premultiply(max / 7, 7), Some((max / 7 * 7) as u32));
+        assert_eq!(premultiply(max / 7 + 1, 7), None, "past u32");
+        assert_eq!(premultiply(usize::MAX, 2), None, "past usize");
+        // A built table holds row offsets: multiples of its stride, each
+        // the start of a row.
+        let s = Alphabet::abc();
+        let re = parse_regex(&s, "(a|b)*c(a|c)").unwrap();
+        let table = DerivTable::build(&re, SymbolClasses::of_regex(&re, s.len()), 1024).unwrap();
+        let stride = table.classes.len() + 1;
+        assert_eq!(table.delta.len(), table.num_states() * stride);
+        for t in table.delta.chunks_exact(stride).flat_map(|row| &row[1..]) {
+            assert_eq!(*t as usize % stride, 0);
+            assert!((*t as usize) < table.delta.len());
+        }
     }
 }

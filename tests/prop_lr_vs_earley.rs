@@ -8,8 +8,8 @@
 //!
 //! Every accepted reduction log is also checked against the tree it
 //! materializes: its O(1) size and yield length equal the tree's, and
-//! reading the tree back gives the same log — which is also what the
-//! Earley fallback's tree reads back to on LALR grammars.
+//! reading the tree back gives the same log — which is also what
+//! Earley's unique tree reads back to on LALR grammars.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -116,9 +116,8 @@ proptest! {
                         let tree = check_log(log, &g, &w)?;
                         // Determinism agreement: a conflict-free grammar
                         // is unambiguous, so Earley must report Unique —
-                        // and uniqueness forces the same tree, which the
-                        // fallback's boundary conversion reads back to
-                        // the LR run's own log.
+                        // and uniqueness forces the same tree, which
+                        // reads back to the LR run's own log.
                         match earley_parse(&cfg, &w) {
                             EarleyParse::Unique(et) => {
                                 prop_assert_eq!(&et, &tree, "{}", &w);
