@@ -25,6 +25,7 @@
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod counter;
 pub mod determinize;

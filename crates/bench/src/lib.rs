@@ -15,6 +15,8 @@
 //! `BENCH_SECTION` is set only on the child processes [`run_sections`]
 //! spawns.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Timed samples per measurement, after one warm-up call.

@@ -17,6 +17,7 @@
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod dyck;

@@ -54,6 +54,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod alphabet;
 pub mod check;

@@ -72,6 +72,8 @@
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
+// The pool's CPU-affinity module is the one exception, and says why.
+#![deny(unsafe_code)]
 
 mod batch;
 mod cache;
@@ -660,6 +662,11 @@ impl Engine {
             "lambekd_pool_workers",
             "Worker threads in the persistent pool (0 until first use)",
             MetricValue::Gauge(pool.workers as f64),
+        ));
+        out.push(Metric::single(
+            "lambekd_pool_pinned_workers",
+            "Pool workers pinned to their own CPU (below lambekd_pool_workers when a pin failed)",
+            MetricValue::Gauge(pool.pinned as f64),
         ));
         out.push(Metric::single(
             "lambekd_pool_submitted_total",

@@ -32,6 +32,7 @@
 //! mis-certify.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::time::Duration;

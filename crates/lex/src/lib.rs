@@ -49,6 +49,7 @@
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod certified;
 pub mod compile;

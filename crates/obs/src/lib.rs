@@ -22,6 +22,7 @@
 //! happens when tracing is enabled).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -35,6 +35,7 @@
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod deriv_table;

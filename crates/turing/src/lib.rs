@@ -9,6 +9,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod machine;
 pub mod reify;

@@ -66,6 +66,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use lambek_automata as automata;
 pub use lambek_cfg as cfg;
